@@ -222,9 +222,24 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if "family" not in doc or "n_range" not in doc:
         raise InputError("config needs at least 'family' and 'n_range'")
     kwargs = dict(doc)
+    sizes = kwargs["n_range"]
+    if not isinstance(sizes, list) or any(type(n) is not int for n in sizes):
+        raise InputError("n_range must be a list of integers")
+    kwargs["n_range"] = tuple(sizes)
+    for key in ("k", "trials", "master_seed", "budget_bits"):
+        if key in kwargs and type(kwargs[key]) is not int:
+            raise InputError(f"{key} must be an integer, got {kwargs[key]!r}")
+    for key in ("family", "pair_policy", "model"):
+        if key in kwargs and not isinstance(kwargs[key], str):
+            raise InputError(f"{key} must be a string, got {kwargs[key]!r}")
+    if kwargs.get("output") is not None and not isinstance(kwargs["output"], str):
+        raise InputError("output must be a path string or null")
     if "eps" in kwargs:
-        kwargs["eps"] = eps_from_json(kwargs["eps"])
-    kwargs["n_range"] = tuple(kwargs["n_range"])
+        eps = kwargs["eps"]
+        if (not isinstance(eps, list) or len(eps) != 2
+                or any(type(x) is not int for x in eps) or eps[1] == 0):
+            raise InputError(f"eps must be [numerator, denominator], got {eps!r}")
+        kwargs["eps"] = eps_from_json(eps)
     return ExperimentConfig(**kwargs)
 
 

@@ -17,6 +17,7 @@ precondition check as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -413,6 +414,14 @@ class BirkhoffRep:
     @property
     def width(self) -> int:
         return len(self.irreducibles)
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Per element, the indices of the irreducibles below it, ascending."""
+        return tuple(
+            tuple(j for j in range(self.width) if mask >> j & 1)
+            for mask in self.downsets
+        )
 
 
 def birkhoff(L: Lattice, meet_check_cap: int = 600) -> BirkhoffRep:

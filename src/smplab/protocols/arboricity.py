@@ -17,7 +17,17 @@ import math
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, Orientation, degeneracy_orientation, graph_from_json, graph_to_json
-from .base import ACCEPT, REJECT, SmpProtocol, as_fraction, eps_from_json, eps_to_json
+from .base import (
+    ACCEPT,
+    REJECT,
+    Rule,
+    SmpProtocol,
+    as_fraction,
+    eps_from_json,
+    eps_to_json,
+    fields_of,
+    int_params,
+)
 
 
 class ArboricityAdjacency(SmpProtocol):
@@ -67,10 +77,9 @@ class ArboricityAdjacency(SmpProtocol):
         return Bits.pack([own] + slots, self.color_width)
 
     @classmethod
-    def referee_from_params(cls, params):
-        """The decision rule alone, reconstructed from scalar parameters."""
-        width = max(1, (params["m"] - 1).bit_length())
-        return lambda ma, mb, rnd=None: color_slots_referee(ma, mb, width)
+    def rule_from_params(cls, params):
+        outdegree, m = int_params(params, outdegree=0, m=1)
+        return color_slots_rule(1 + outdegree, max(1, (m - 1).bit_length()))
 
     def referee(self, ma, mb, rnd=None):
         return color_slots_referee(ma, mb, self.color_width)
@@ -79,12 +88,22 @@ class ArboricityAdjacency(SmpProtocol):
         return ACCEPT if self.graph.adjacent(x, y) else REJECT
 
 
-def color_slots_referee(ma: Bits, mb: Bits, color_width: int):
+def color_slots_rule(slots: int, color_width: int) -> Rule:
     """Accept iff the messages agree or either lists the other's own color."""
-    if ma == mb:
-        return ACCEPT
-    a = ma.unpack(color_width)
-    b = mb.unpack(color_width)
-    if a[0] in b[1:] or b[0] in a[1:]:
-        return ACCEPT
-    return REJECT
+
+    def unpack(value):
+        return value, fields_of(value, slots, color_width)
+
+    def decide(fa, fb):
+        va, a = fa
+        vb, b = fb
+        if va == vb or a[0] in b[1:] or b[0] in a[1:]:
+            return ACCEPT
+        return REJECT
+
+    return Rule(slots * color_width, unpack, decide)
+
+
+def color_slots_referee(ma: Bits, mb: Bits, color_width: int):
+    """The color-slots rule on two messages; see ``color_slots_rule``."""
+    return color_slots_rule(ma.length // color_width, color_width)(ma, mb)

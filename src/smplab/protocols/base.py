@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from ..bits import Bits
 from ..errors import InputError
@@ -70,6 +71,46 @@ def verdict_max(u: Verdict, v: Verdict) -> Verdict:
     return max(u, v, key=Verdict.sort_key)
 
 
+class Rule(NamedTuple):
+    """A blind referee stated once, over message values.
+
+    ``unpack`` cuts a ``width``-bit message value into the fields the rule
+    reads, with shifts and masks; ``decide`` maps two such field sets to the
+    verdict.  Calling the rule on two ``Bits`` is the referee itself, and a
+    caller that meets the same message many times (a label decoder) unpacks
+    it once and calls ``decide`` per pair.
+    """
+
+    width: int
+    unpack: Callable[[int], object]
+    decide: Callable[[object, object], "Verdict"]
+
+    def __call__(self, ma: Bits, mb: Bits, rnd=None) -> "Verdict":
+        if ma.length != self.width or mb.length != self.width:
+            raise InputError(
+                f"messages must be {self.width} bits, got {ma.length} and {mb.length}"
+            )
+        return self.decide(self.unpack(ma.value), self.unpack(mb.value))
+
+
+def int_params(params: dict, **least: int) -> tuple[int, ...]:
+    """The named integer parameters, in order, each at least its given floor."""
+    out = []
+    for key, floor in least.items():
+        value = params.get(key)
+        if type(value) is not int or value < floor:
+            raise InputError(f"parameter {key!r} must be an integer >= {floor}, got {value!r}")
+        out.append(value)
+    return tuple(out)
+
+
+def fields_of(value: int, count: int, width: int) -> tuple[int, ...]:
+    """``count`` big-endian ``width``-bit fields of value, first field first."""
+    mask = (1 << width) - 1
+    return tuple(value >> shift & mask
+                 for shift in range((count - 1) * width, -1, -width))
+
+
 @dataclass(frozen=True)
 class TrialResult:
     x: int
@@ -105,6 +146,8 @@ class SmpProtocol:
     name = "abstract"
     one_sided = False
     referee_reads_randomness = False
+    # blind protocols set this to a classmethod: scalar params -> Rule
+    rule_from_params = None
 
     # -- per-protocol surface -------------------------------------------
     def encode(self, v: int, rnd: SharedRandomness) -> Bits:
@@ -122,6 +165,19 @@ class SmpProtocol:
 
     def params(self) -> dict:
         raise NotImplementedError
+
+    @classmethod
+    def referee_from_params(cls, params: dict):
+        """The decision rule alone, rebuilt from scalar parameters."""
+        if cls.rule_from_params is None:
+            raise InputError(f"protocol {cls.name!r} cannot be decoded from parameters")
+        return cls.rule_from_params(params)
+
+    def rule(self) -> Rule | None:
+        """This instance's blind rule, or None when it has none."""
+        if type(self).rule_from_params is None:
+            return None
+        return type(self).rule_from_params(self.params())
 
     @property
     def cost_bits(self) -> int:

@@ -30,11 +30,14 @@ from ..lattices import Lattice, birkhoff, poset_from_json, poset_to_json, build_
 from .base import (
     ACCEPT,
     REJECT,
+    Rule,
     SmpProtocol,
     as_fraction,
     ceil_log2,
     eps_from_json,
     eps_to_json,
+    fields_of,
+    int_params,
 )
 
 
@@ -76,10 +79,7 @@ class _LatticeSketch(SmpProtocol):
         self.eps = as_fraction(eps)
         rep = birkhoff(L)
         self.rep = rep
-        self._jset = tuple(
-            tuple(j for j in range(rep.width) if rep.downsets[v] >> j & 1)
-            for v in range(L.n)
-        )
+        self._jset = rep.members
 
     def expected(self, x, y):
         d = (self.rep.downsets[x] ^ self.rep.downsets[y]).bit_count()
@@ -121,7 +121,7 @@ class WeakLatticeDistance(_LatticeSketch):
     @classmethod
     def referee_from_params(cls, params):
         """The decision rule alone, reconstructed from scalar parameters."""
-        m, q, k = params["m"], params["q"], params["k"]
+        m, q, k = int_params(params, m=1, q=1, k=0)
         return lambda ma, mb, rnd=None: weak_xor_referee(ma, mb, rnd, m, q, k)
 
     @property
@@ -205,10 +205,8 @@ class UniversalLatticeDistance(_LatticeSketch):
                    m=params["m"], rounds=params["rounds"])
 
     @classmethod
-    def referee_from_params(cls, params):
-        """The decision rule alone, reconstructed from scalar parameters."""
-        m, k = params["m"], params["k"]
-        return lambda ma, mb, rnd=None: parity_blocks_referee(ma, mb, m, k)
+    def rule_from_params(cls, params):
+        return parity_blocks_rule(*int_params(params, m=1, rounds=1, k=0))
 
     @property
     def cost_bits(self):
@@ -234,9 +232,21 @@ class UniversalLatticeDistance(_LatticeSketch):
         return parity_blocks_referee(ma, mb, self.m, self.k)
 
 
-def parity_blocks_referee(ma: Bits, mb: Bits, m: int, k: int):
+def parity_blocks_rule(m: int, rounds: int, k: int) -> Rule:
     """Accept iff every m-bit round block XORs to weight at most k."""
-    for block_a, block_b in zip(ma.blocks(m), mb.blocks(m)):
-        if (block_a.value ^ block_b.value).bit_count() > k:
-            return REJECT
-    return ACCEPT
+
+    def unpack(value):
+        return fields_of(value, rounds, m)
+
+    def decide(a, b):
+        for block_a, block_b in zip(a, b):
+            if (block_a ^ block_b).bit_count() > k:
+                return REJECT
+        return ACCEPT
+
+    return Rule(m * rounds, unpack, decide)
+
+
+def parity_blocks_referee(ma: Bits, mb: Bits, m: int, k: int):
+    """The parity-blocks rule on two messages; see ``parity_blocks_rule``."""
+    return parity_blocks_rule(m, ma.length // m, k)(ma, mb)

@@ -34,7 +34,17 @@ from ..planar import (
     schnyder_wood,
     triangulate,
 )
-from .base import ACCEPT, REJECT, SmpProtocol, as_fraction, eps_from_json, eps_to_json
+from .base import (
+    ACCEPT,
+    REJECT,
+    Rule,
+    SmpProtocol,
+    as_fraction,
+    eps_from_json,
+    eps_to_json,
+    fields_of,
+    int_params,
+)
 
 CLOSURE_SLOTS = 17
 
@@ -58,8 +68,7 @@ class PlanarTwoDistance(SmpProtocol):
             )
         self.m1 = math.ceil(86 / self.eps)
         self.m2 = math.ceil(68 / self.eps)
-        self.w1 = max(1, (self.m1 - 1).bit_length())
-        self.w2 = max(1, (self.m2 - 1).bit_length())
+        self.w1, self.w2 = two_hop_widths(self.m1, self.m2)
         self._dist_cache = {}
 
     def params(self):
@@ -122,14 +131,8 @@ class PlanarTwoDistance(SmpProtocol):
         ])
 
     @classmethod
-    def referee_from_params(cls, params):
-        """The decision rule alone, reconstructed from scalar parameters."""
-        w1 = max(1, (params["m1"] - 1).bit_length())
-        w2 = max(1, (params["m2"] - 1).bit_length())
-        return lambda ma, mb, rnd=None: two_hop_referee(ma, mb, w1, w2)
-
-    def _unpack(self, msg):
-        return _unpack_two_hop(msg, self.w1, self.w2)
+    def rule_from_params(cls, params):
+        return two_hop_rule(*two_hop_widths(*int_params(params, m1=1, m2=1)))
 
     def referee(self, ma, mb, rnd=None):
         return two_hop_referee(ma, mb, self.w1, self.w2)
@@ -143,28 +146,45 @@ class PlanarTwoDistance(SmpProtocol):
         return ACCEPT if self.distance(x, y) <= 2 else REJECT
 
 
-def _unpack_two_hop(msg: Bits, w1: int, w2: int):
-    tree_bits = 13 * w1
-    tree = msg.take(0, tree_bits).unpack(w1)
-    closure = msg.take(tree_bits, msg.length - tree_bits).unpack(w2)
-    return tree, closure
+def two_hop_widths(m1: int, m2: int) -> tuple[int, int]:
+    """Field widths of the two color families."""
+    return max(1, (m1 - 1).bit_length()), max(1, (m2 - 1).bit_length())
+
+
+def two_hop_rule(w1: int, w2: int) -> Rule:
+    """Accept on equal messages or on any of the four two-hop patterns.
+
+    A message is 13 tree colors (self, 3 parents, 9 grandparents) followed
+    by 1 + CLOSURE_SLOTS closure colors (self, then closure parents).
+    """
+    closure_bits = (1 + CLOSURE_SLOTS) * w2
+
+    def unpack(value):
+        return (value, fields_of(value >> closure_bits, 13, w1),
+                fields_of(value, 1 + CLOSURE_SLOTS, w2))
+
+    def decide(fa, fb):
+        va, a, a2 = fa
+        vb, b, b2 = fb
+        if va == vb:
+            return ACCEPT
+        # direct edge: one side is a parent of the other
+        if a[0] in b[1:4] or b[0] in a[1:4]:
+            return ACCEPT
+        # grandparent routes: out-out paths through a middle vertex
+        if a[0] in b[4:13] or b[0] in a[4:13]:
+            return ACCEPT
+        # shared parent: both edges point into the middle vertex
+        if any(c in b[1:4] for c in a[1:4]):
+            return ACCEPT
+        # head-to-head: the closure color families
+        if a2[0] in b2[1:] or b2[0] in a2[1:]:
+            return ACCEPT
+        return REJECT
+
+    return Rule(13 * w1 + closure_bits, unpack, decide)
 
 
 def two_hop_referee(ma: Bits, mb: Bits, w1: int, w2: int):
-    if ma == mb:
-        return ACCEPT
-    a, a2 = _unpack_two_hop(ma, w1, w2)
-    b, b2 = _unpack_two_hop(mb, w1, w2)
-    # direct edge: one side is a parent of the other
-    if a[0] in b[1:4] or b[0] in a[1:4]:
-        return ACCEPT
-    # grandparent routes: out-out paths through a middle vertex
-    if a[0] in b[4:13] or b[0] in a[4:13]:
-        return ACCEPT
-    # shared parent: both edges point into the middle vertex
-    if any(c in b[1:4] for c in a[1:4]):
-        return ACCEPT
-    # head-to-head: the closure color families
-    if a2[0] in b2[1:] or b2[0] in a2[1:]:
-        return ACCEPT
-    return REJECT
+    """The two-hop rule on two messages; see ``two_hop_rule``."""
+    return two_hop_rule(w1, w2)(ma, mb)

@@ -21,6 +21,7 @@ from ..bits import Bits, concat_all
 from ..errors import InputError
 from ..graphs import Graph, bfs_from, graph_from_json, graph_to_json
 from .base import (
+    Rule,
     SmpProtocol,
     Verdict,
     as_fraction,
@@ -28,6 +29,8 @@ from .base import (
     distance_verdict,
     eps_from_json,
     eps_to_json,
+    fields_of,
+    int_params,
 )
 
 
@@ -49,8 +52,7 @@ class TreeKDistance(SmpProtocol):
         self.root = root
         self.m = math.ceil(6 / self.eps)
         self.pad = self.m
-        self.color_width = max(1, self.m.bit_length())
-        self.res_width = max(1, (k - 1).bit_length())
+        self.res_width, self.color_width = window_widths(k, self.m)
         self.depth = [int(d) for d in dist_from_root]
         self.parent = [None] * tree.n
         for v in sorted(range(tree.n), key=lambda u: self.depth[u]):
@@ -110,20 +112,12 @@ class TreeKDistance(SmpProtocol):
         return concat_all(fields)
 
     @classmethod
-    def referee_from_params(cls, params):
-        """The decision rule alone, reconstructed from scalar parameters."""
-        k, m = params["k"], params["m"]
-        res_width = max(1, (k - 1).bit_length())
-        color_width = max(1, m.bit_length())
-        return lambda ma, mb, rnd=None: window_scan_referee(
-            ma, mb, k, res_width, color_width
-        )
+    def rule_from_params(cls, params):
+        k, m = int_params(params, k=1, m=1)
+        return window_rule(k, *window_widths(k, m))
 
     def referee(self, ma, mb, rnd=None) -> Verdict:
         return window_scan_referee(ma, mb, self.k, self.res_width, self.color_width)
-
-    def _unpack(self, msg):
-        return _unpack_window(msg, self.k, self.res_width, self.color_width)
 
     def true_distance(self, x, y):
         d = 0
@@ -143,42 +137,62 @@ class TreeKDistance(SmpProtocol):
         return distance_verdict(d) if d <= self.k else beyond_verdict(self.k)
 
 
-def _unpack_window(msg: Bits, k: int, res_width: int, color_width: int):
-    band3 = msg.take(0, 2).value
-    res = min(msg.take(2, res_width).value, k - 1)
-    colors = msg.take(2 + res_width, 2 * k * color_width).unpack(color_width)
-    return band3, res, colors
+def window_widths(k: int, m: int) -> tuple[int, int]:
+    """Widths of the residue field and of one color field."""
+    return max(1, (k - 1).bit_length()), max(1, m.bit_length())
+
+
+def window_rule(k: int, res_width: int, color_width: int) -> Rule:
+    """Smallest distance at which the two ancestor windows can meet.
+
+    A message is (band mod 3, residue, 2k colors); a residue above k - 1
+    is clamped.  The senders' band residues fix the depth offset up to one
+    of three cases (same band, or either side one band deeper); under that
+    alignment the candidate meeting points are the positions whose color
+    suffixes agree, and the nearest is where the common suffix begins.
+    """
+    colors_bits = 2 * k * color_width
+    res_mask = (1 << res_width) - 1
+
+    def unpack(value):
+        band3 = value >> (res_width + colors_bits) & 3
+        res = min(value >> colors_bits & res_mask, k - 1)
+        return band3, res, fields_of(value, 2 * k, color_width)
+
+    beyond = beyond_verdict(k)
+    within = {}  # distance -> verdict, made as distances first occur
+
+    def decide(a, b):
+        ta, ra, ca = a
+        tb, rb, cb = b
+        k1a, k1b = ra + k, rb + k
+        delta = (ta - tb) % 3
+        if delta == 0:
+            off = ra - rb
+        elif delta == 1:
+            off = k + ra - rb
+        else:
+            off = ra - rb - k
+        # window b position j faces window a position j + off; a meeting
+        # point at j needs both color runs to agree from j to the end, so
+        # the nearest one starts the longest common aligned suffix
+        lo = -off if off < 0 else 0
+        hi = k1b if k1b < k1a - off else k1a - off
+        j = hi + 1
+        while j > lo and ca[j - 1 + off] == cb[j - 1]:
+            j -= 1
+        d = 2 * j + off
+        if j > hi or d > k:
+            return beyond
+        verdict = within.get(d)
+        if verdict is None:
+            verdict = within[d] = distance_verdict(d)
+        return verdict
+
+    return Rule(2 + res_width + colors_bits, unpack, decide)
 
 
 def window_scan_referee(ma: Bits, mb: Bits, k: int, res_width: int,
                         color_width: int) -> Verdict:
-    """Smallest distance at which the two ancestor windows can meet.
-
-    The senders' band residues fix the depth offset up to one of three
-    cases (same band, or either side one band deeper); for each feasible
-    alignment the candidate meeting points are the positions whose color
-    suffixes agree.
-    """
-    ta, ra, ca = _unpack_window(ma, k, res_width, color_width)
-    tb, rb, cb = _unpack_window(mb, k, res_width, color_width)
-    k1a, k1b = ra + k, rb + k
-    delta = (ta - tb) % 3
-    if delta == 0:
-        off = ra - rb
-    elif delta == 1:
-        off = k + ra - rb
-    else:
-        off = ra - rb - k
-    best = None
-    for pb in range(k1b + 1):
-        pa = pb + off
-        if not 0 <= pa <= k1a:
-            continue
-        run = min(k1a - pa, k1b - pb)
-        if ca[pa:pa + run + 1] == cb[pb:pb + run + 1]:
-            d = pa + pb
-            if best is None or d < best:
-                best = d
-    if best is None or best > k:
-        return beyond_verdict(k)
-    return distance_verdict(best)
+    """The ancestor-window rule on two messages; see ``window_rule``."""
+    return window_rule(k, res_width, color_width)(ma, mb)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from fractions import Fraction
 
 from .errors import CapacityError, InputError
 
@@ -110,9 +109,3 @@ def enumerate_assignments(support: list[tuple], cap: int = 1 << 24):
     for values in itertools.product(*ranges):
         yield dict(zip(labels, values))
 
-
-def exact_probability(support: list[tuple], event, cap: int = 1 << 24) -> Fraction:
-    """Exact Pr[event(randomness)] over the uniform product space."""
-    total = support_size(support)
-    hits = sum(1 for a in enumerate_assignments(support, cap) if event(TableRandomness(a)))
-    return Fraction(hits, total)

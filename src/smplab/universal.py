@@ -16,6 +16,13 @@ that only a small fraction of seeds mislead the referee, then concatenate
 the per-seed messages into one label per vertex and decode by majority
 vote.  After verification the scheme is deterministic and exact -- zero
 errors on its instance, checked before anything is returned.
+
+Decoding cost: for a blind protocol, each label a scheme meets is cut
+into its m per-seed messages and unpacked once, so a scheme over n
+vertices costs at most n*m unpacks, and every pair after that costs m
+``decide`` calls of the protocol's rule.  The tables live on the scheme
+object.  Seed-reading protocols (the weak lattice sketch) still slice and
+referee each pair per seed, since their rule reads that seed's draws.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 from .bits import Bits, concat_all
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
 from .graphs import Graph, VertexMap, find_faithful_map, reduced_size
-from .protocols.base import SmpProtocol, Verdict, as_fraction
+from .protocols.base import Rule, SmpProtocol, Verdict, as_fraction
 from .protocols.registry import PROTOCOLS
 from .rng import HashRandomness, SharedRandomness
 
@@ -367,12 +374,19 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
         pairs = [(i, j) for i in range(n) for j in range(n)]
     expected = [protocol.expected(xs[i], xs[j]) for i, j in pairs]
     bad = [0] * len(pairs)
+    rule = protocol.rule()
     for seed in bank.seeds:
         rnd = HashRandomness(seed)
         enc_a = [protocol.encode_a(v, rnd) for v in xs]
         enc_b = enc_a if protocol.symmetric else [protocol.encode_b(v, rnd) for v in xs]
-        for idx, (i, j) in enumerate(pairs):
-            if protocol.referee(enc_a[i], enc_b[j], rnd) != expected[idx]:
+        if rule is None:
+            verdicts = (protocol.referee(enc_a[i], enc_b[j], rnd) for i, j in pairs)
+        else:
+            fa = [rule.unpack(msg.value) for msg in enc_a]
+            fb = fa if enc_b is enc_a else [rule.unpack(msg.value) for msg in enc_b]
+            verdicts = (rule.decide(fa[i], fb[j]) for i, j in pairs)
+        for idx, verdict in enumerate(verdicts):
+            if verdict != expected[idx]:
                 bad[idx] += 1
     worst_idx = max(range(len(pairs)), key=lambda i: (bad[i], -i))
     i, j = pairs[worst_idx]
@@ -412,29 +426,105 @@ def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
 
 @dataclass(frozen=True)
 class LabelingScheme:
-    """Per-vertex labels plus the named rule that decodes a pair of them."""
+    """Per-vertex labels plus the named rule that decodes a pair of them.
+
+    Treat a scheme as read-only: ``decode_labels`` keeps the decoder it
+    builds on first use, with its per-label tables, in ``_vote``, a private
+    field that lives and dies with this object and takes no part in
+    equality.
+    """
 
     decoder: str
     params: dict
     label_bits: int
     labels: tuple[Bits, ...]
+    _vote: object = field(default=None, init=False, compare=False, repr=False)
 
 
-def _scheme_referee(scheme: LabelingScheme):
-    """Rebuild the per-block decision rule from the scheme's parameters."""
+def _bank_shape(params, label_bits: int) -> tuple[int, int]:
+    """Bank size m and message width c of a labeling, checked for sense."""
+    if not isinstance(params, dict):
+        raise InputError("labeling params must be an object")
+    shape = []
+    for key in ("bank_m", "message_bits"):
+        value = params.get(key)
+        if type(value) is not int or value < 1:
+            raise InputError(f"labeling params need a positive integer {key!r}")
+        shape.append(value)
+    m, c = shape
+    if m * c != label_bits:
+        raise InputError("scheme parameters disagree with the label width")
+    if not isinstance(params.get("protocol"), dict):
+        raise InputError("scheme parameters lack the protocol block")
+    return m, c
+
+
+def _table_vote(rule: Rule, m: int, c: int):
+    """Majority vote over per-label field tables.
+
+    A label value met for the first time is cut into its m per-seed
+    messages, each unpacked once and kept; every pair after that costs m
+    ``decide`` calls.
+    """
+    unpack, decide = rule.unpack, rule.decide
+    mask = (1 << c) - 1
+    shifts = range((m - 1) * c, -1, -c)
+    table = {}
+
+    def fields(value):
+        row = table.get(value)
+        if row is None:
+            row = table[value] = [unpack(value >> shift & mask) for shift in shifts]
+        return row
+
+    def vote(lx: Bits, ly: Bits) -> bool:
+        votes = sum(map(positive_verdict, map(decide, fields(lx.value), fields(ly.value))))
+        return 2 * votes > m
+
+    return vote
+
+
+def _seed_vote(referee, m: int, c: int, seeds):
+    """Majority vote of a referee that may read each bank seed's draws."""
+    if seeds is None:
+        rnds = [None] * m
+    elif isinstance(seeds, list) and len(seeds) == m and all(type(s) is int for s in seeds):
+        rnds = [HashRandomness(s) for s in seeds]
+    else:
+        raise InputError(f"labeling seeds must be a list of {m} integers")
+
+    def vote(lx: Bits, ly: Bits) -> bool:
+        votes = 0
+        for j in range(m):
+            if positive_verdict(referee(lx.take(j * c, c), ly.take(j * c, c), rnds[j])):
+                votes += 1
+        return 2 * votes > m
+
+    return vote
+
+
+def _scheme_vote(scheme: LabelingScheme):
+    """The scheme's pair decoder, built from its params on first use."""
+    if scheme._vote is not None:
+        return scheme._vote
     if scheme.decoder != "seed-majority":
         raise InputError(f"unknown decoder {scheme.decoder!r}")
-    proto_params = scheme.params.get("protocol")
-    if not isinstance(proto_params, dict):
-        raise InputError("scheme parameters lack the protocol block")
+    m, c = _bank_shape(scheme.params, scheme.label_bits)
+    proto_params = scheme.params["protocol"]
     name = proto_params.get("name")
-    cls = PROTOCOLS.get(name)
+    cls = PROTOCOLS.get(name) if isinstance(name, str) else None
     if cls is None:
         raise InputError(f"unknown protocol {name!r} in labeling scheme")
-    builder = getattr(cls, "referee_from_params", None)
-    if builder is None:
-        raise InputError(f"protocol {name!r} cannot be decoded from parameters")
-    return builder(proto_params)
+    if cls.rule_from_params is None:
+        vote = _seed_vote(cls.referee_from_params(proto_params), m, c,
+                          scheme.params.get("seeds"))
+    else:
+        rule = cls.rule_from_params(proto_params)
+        if rule.width != c:
+            raise InputError(f"message_bits {c} disagrees with the {rule.width}-bit protocol")
+        vote = _table_vote(rule, m, c)
+    object.__setattr__(scheme, "_vote", vote)
+    return vote
 
 
 def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
@@ -448,20 +538,7 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
             f"labels must be {scheme.label_bits} bits, "
             f"got {lx.length} and {ly.length}"
         )
-    m = scheme.params["bank_m"]
-    c = scheme.params["message_bits"]
-    if m * c != scheme.label_bits:
-        raise InputError("scheme parameters disagree with the label width")
-    referee = _scheme_referee(scheme)
-    seeds = scheme.params.get("seeds")
-    votes = 0
-    for j in range(m):
-        ma = lx.take(j * c, c)
-        mb = ly.take(j * c, c)
-        rnd = HashRandomness(seeds[j]) if seeds is not None else None
-        if positive_verdict(referee(ma, mb, rnd)):
-            votes += 1
-    return 2 * votes > m
+    return _scheme_vote(scheme)(lx, ly)
 
 
 def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
@@ -528,11 +605,13 @@ def labeling_from_json(doc: dict) -> LabelingScheme:
         labels = doc["labels"]
     except KeyError as e:
         raise InputError(f"labeling document missing field {e}") from None
-    if not isinstance(label_bits, int) or label_bits < 1:
+    if type(label_bits) is not int or label_bits < 1:
         raise InputError("label_bits must be a positive integer")
-    return LabelingScheme(
-        decoder,
-        params,
-        label_bits,
-        tuple(Bits.from_hex(text, label_bits) for text in labels),
-    )
+    _bank_shape(params, label_bits)
+    if not isinstance(labels, list):
+        raise InputError("labels must be a list of hex strings")
+    try:
+        parsed = tuple(Bits.from_hex(text, label_bits) for text in labels)
+    except (TypeError, ValueError):
+        raise InputError("labels must be hex strings") from None
+    return LabelingScheme(decoder, params, label_bits, parsed)

@@ -88,3 +88,60 @@ def join_irreducibles_brute(down, n):
         if not expressible:
             out.append(x)
     return out
+
+
+# -- blind referees over Bits slices --------------------------------------
+# The four blind decision rules as first written, cutting messages with
+# Bits.take; the library states them once over ints, and tests require the
+# same verdict on every message pair.
+
+
+def _fields(msg, start, count, width):
+    return [msg.take(start + i * width, width).value for i in range(count)]
+
+
+def window_scan_slices(ma, mb, k, res_width, color_width):
+    from smplab.protocols import beyond_verdict, distance_verdict
+
+    def unpack(msg):
+        res = min(msg.take(2, res_width).value, k - 1)
+        return msg.take(0, 2).value, res, _fields(msg, 2 + res_width, 2 * k, color_width)
+
+    (ta, ra, ca), (tb, rb, cb) = unpack(ma), unpack(mb)
+    off = {0: ra - rb, 1: k + ra - rb, 2: ra - rb - k}[(ta - tb) % 3]
+    hits = [pa + pb for pb in range(rb + k + 1) for pa in [pb + off]
+            if 0 <= pa <= ra + k
+            and ca[pa:pa + min(ra + k - pa, rb + k - pb) + 1]
+            == cb[pb:pb + min(ra + k - pa, rb + k - pb) + 1]]
+    best = min(hits, default=None)
+    return beyond_verdict(k) if best is None or best > k else distance_verdict(best)
+
+
+def two_hop_slices(ma, mb, w1, w2):
+    from smplab.protocols import ACCEPT, REJECT
+
+    if ma == mb:
+        return ACCEPT
+    slots = (ma.length - 13 * w1) // w2
+    a, b = _fields(ma, 0, 13, w1), _fields(mb, 0, 13, w1)
+    a2, b2 = _fields(ma, 13 * w1, slots, w2), _fields(mb, 13 * w1, slots, w2)
+    hit = (a[0] in b[1:13] or b[0] in a[1:13]
+           or any(c in b[1:4] for c in a[1:4])
+           or a2[0] in b2[1:] or b2[0] in a2[1:])
+    return ACCEPT if hit else REJECT
+
+
+def color_slots_slices(ma, mb, color_width):
+    from smplab.protocols import ACCEPT, REJECT
+
+    a = _fields(ma, 0, ma.length // color_width, color_width)
+    b = _fields(mb, 0, mb.length // color_width, color_width)
+    return ACCEPT if ma == mb or a[0] in b[1:] or b[0] in a[1:] else REJECT
+
+
+def parity_blocks_slices(ma, mb, m, k):
+    from smplab.protocols import ACCEPT, REJECT
+
+    rounds = ma.length // m
+    xs = zip(_fields(ma, 0, rounds, m), _fields(mb, 0, rounds, m))
+    return REJECT if any((u ^ v).bit_count() > k for u, v in xs) else ACCEPT

@@ -106,6 +106,21 @@ class TestRun:
     def test_bad_config_exit_code(self, tmp_path):
         assert run("run", "--config", self.config(tmp_path, family="wat")) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_range", 5),
+        ("n_range", ["10"]),
+        ("eps", "1/3"),
+        ("eps", [1, 0]),
+        ("eps", [1, 2, 3]),
+        ("k", "2"),
+        ("trials", 2.5),
+        ("master_seed", "6"),
+        ("budget_bits", None),
+        ("pair_policy", 7),
+    ])
+    def test_mistyped_config_field_exit_code(self, tmp_path, field, value):
+        assert run("run", "--config", self.config(tmp_path, **{field: value})) == 2
+
 
 @pytest.fixture(scope="module")
 def scheme_dir(tmp_path_factory):
@@ -132,6 +147,28 @@ class TestLabelDecode:
 
     def test_decode_validates_hex(self, scheme_dir):
         assert run("decode", "--scheme", scheme_dir, "--x", "zz", "--y", "00") == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc.update(params=[1, 2]),
+        lambda doc: doc["params"].pop("bank_m"),
+        lambda doc: doc["params"].update(bank_m=0),
+        lambda doc: doc["params"].update(message_bits="14"),
+        lambda doc: doc["params"].update(bank_m=doc["params"]["bank_m"] + 1),
+        lambda doc: doc["params"].pop("protocol"),
+        lambda doc: doc["labels"].__setitem__(1, "zz"),
+        lambda doc: doc["labels"].__setitem__(1, "f" * (doc["label_bits"] // 4 + 2)),
+        lambda doc: doc["params"]["protocol"].update(k="1"),
+        lambda doc: doc["params"]["protocol"].update(rounds=10**30),
+    ], ids=["params-not-object", "no-bank_m", "zero-bank_m", "string-message_bits",
+            "width-mismatch", "no-protocol", "label-not-hex", "label-too-wide",
+            "string-k", "huge-rounds"])
+    def test_damaged_label_file_exit_code(self, scheme_dir, tmp_path, damage):
+        doc = json.loads(next(scheme_dir.glob("labels-*.json")).read_text())
+        x, y = doc["labels"][0], doc["labels"][2]
+        damage(doc)
+        path = tmp_path / "labels-damaged.json"
+        path.write_text(json.dumps(doc))
+        assert run("decode", "--scheme", path, "--x", x, "--y", y) == 2
 
     def test_ambiguous_scheme_dir(self, scheme_dir, tmp_path):
         extra = tmp_path / "two"

@@ -1,0 +1,78 @@
+"""Golden outputs: label files and an experiment report pinned by SHA-256.
+
+Two runs of the same code agreeing says nothing about a change to the
+random stream, the encoders or the JSON layout; these digests were made
+once and stored, so any such change shows here.  Re-make them only for a
+deliberate format change, with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from smplab.lab import config_from_json, label_pipeline, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+MASTER = 20191108
+EPS = Fraction(1, 5)
+LABEL_CASES = [
+    # (family, n, k)
+    ("tree", 8, 2),
+    ("planar2", 8, 2),
+    ("arboricity", 12, 1),
+    ("hypercube", 4, 1),
+]
+EXPERIMENT = {"family": "tree", "n_range": [10, 14], "k": 2, "eps": [1, 4],
+              "trials": 40, "master_seed": MASTER}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def label_digest(family, n, k, out_dir) -> str:
+    report = label_pipeline(family, n, k, EPS, out_dir, master_seed=MASTER)
+    assert report["decode_errors"] == 0
+    return _sha256(Path(report["path"]).read_bytes())
+
+
+def experiment_digest() -> str:
+    return _sha256(run_experiment(config_from_json(EXPERIMENT)).to_json().encode())
+
+
+def _stored() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("family,n,k", LABEL_CASES)
+def test_label_file_digest(family, n, k, tmp_path):
+    key = f"labels-{family}-n{n}-k{k}.json"
+    assert label_digest(family, n, k, tmp_path) == _stored()[key]
+
+
+def test_experiment_report_digest():
+    assert experiment_digest() == _stored()["experiment-tree.json"]
+
+
+def _write(out_dir: Path) -> None:
+    digests = {f"labels-{f}-n{n}-k{k}.json": label_digest(f, n, k, out_dir)
+               for f, n, k in LABEL_CASES}
+    digests["experiment-tree.json"] = experiment_digest()
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden.py --write")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(Path(tmp))
+    print(GOLDEN.read_text(), end="")

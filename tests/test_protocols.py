@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from smplab.bits import Bits
 from smplab.errors import CapacityError, InputError
 from smplab.generators import (
     cycle_graph,
@@ -26,6 +28,7 @@ from smplab.protocols import (
     REJECT,
     ArboricityAdjacency,
     EqualitySketch,
+    HashedAdjacency,
     PlanarTwoDistance,
     TreeKDistance,
     UniversalLatticeDistance,
@@ -393,3 +396,74 @@ class TestPlanarTwoDistance:
             rnd = HashRandomness(400 + seed)
             assert proto.run(0, 2, rnd).verdict == ACCEPT
             assert proto.run(0, 1, rnd).verdict == ACCEPT
+
+
+# -- blind rules over ints ----------------------------------------------------
+
+
+@functools.cache
+def _rule_case(kind):
+    """(protocol, Bits-slicing reference referee, message strategy)."""
+    if kind == "tree":
+        # k = 3 gives a 2-bit residue field, so residue 3 > k - 1 occurs
+        proto = TreeKDistance(random_tree(random.Random(1), 12), 3, Fraction(1, 4))
+        k, rw, cw, pad = proto.k, proto.res_width, proto.color_width, proto.pad
+        colors = st.one_of(
+            st.just([pad] * (2 * k)),
+            st.lists(st.sampled_from([0, 1, 2, pad]), min_size=2 * k, max_size=2 * k),
+        )
+        msg = st.builds(
+            lambda band, res, cs: Bits(band, 2).concat(Bits(res, rw)).concat(Bits.pack(cs, cw)),
+            st.integers(0, 3), st.integers(0, (1 << rw) - 1), colors,
+        )
+        return proto, lambda a, b: oracles.window_scan_slices(a, b, k, rw, cw), msg
+    if kind == "planar2":
+        proto = PlanarTwoDistance(stacked_triangulation(random.Random(2), 12), Fraction(1, 2))
+        w1, w2 = proto.w1, proto.w2
+        msg = st.builds(
+            lambda tree, closure: Bits.pack(tree, w1).concat(Bits.pack(closure, w2)),
+            st.lists(st.integers(0, 150), min_size=13, max_size=13),
+            st.lists(st.integers(0, 150), min_size=18, max_size=18),
+        )
+        return proto, lambda a, b: oracles.two_hop_slices(a, b, w1, w2), msg
+    if kind == "sparse":
+        proto = ArboricityAdjacency(union_of_two_trees(random.Random(3), 10), Fraction(1, 3))
+        cw, slots = proto.color_width, 1 + proto.outdeg
+        msg = st.lists(st.integers(0, 4), min_size=slots, max_size=slots).map(
+            lambda cs: Bits.pack(cs, cw))
+        return proto, lambda a, b: oracles.color_slots_slices(a, b, cw), msg
+    proto = UniversalLatticeDistance(boolean_lattice(3), 1, Fraction(1, 4))
+    m, k = proto.m, proto.k
+    block = st.sampled_from([0, 1, 3, 7, 1 << (m - 1), (1 << m) - 1])
+    msg = st.lists(block, min_size=proto.rounds, max_size=proto.rounds).map(
+        lambda bs: Bits.pack(bs, m))
+    return proto, lambda a, b: oracles.parity_blocks_slices(a, b, m, k), msg
+
+
+class TestBlindRules:
+    @pytest.mark.parametrize("kind", ["tree", "planar2", "sparse", "universal"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_referee_is_its_rule_and_symmetric(self, kind, data):
+        proto, reference, msg = _rule_case(kind)
+        ma = data.draw(msg)
+        mb = ma if data.draw(st.booleans()) else data.draw(msg)
+        verdict = proto.referee(ma, mb)
+        assert type(proto).referee_from_params(proto.params())(ma, mb) == verdict
+        assert proto.referee(mb, ma) == verdict
+        assert reference(ma, mb) == verdict
+
+    @pytest.mark.parametrize("kind", ["tree", "planar2", "sparse", "universal"])
+    def test_rule_width_is_the_message_width(self, kind):
+        proto, _, _ = _rule_case(kind)
+        rule = proto.rule()
+        assert rule.width == proto.cost_bits
+        with pytest.raises(InputError):
+            rule(Bits(0, rule.width), Bits(0, rule.width + 1))
+
+    def test_seed_reading_and_wrapped_protocols_have_no_rule(self):
+        assert WeakLatticeDistance(boolean_lattice(2), 1, Fraction(1, 8)).rule() is None
+        assert HashedAdjacency(cycle_graph(5), 4).rule() is None
+        assert symmetrize(EqualitySketch(4)).rule() is None
+        with pytest.raises(InputError):
+            HashedAdjacency.referee_from_params({"name": "hashed-adjacency"})

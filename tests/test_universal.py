@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import faithful_maps_brute
+from oracles import faithful_maps_brute, parity_blocks_slices
 from smplab.bits import Bits
 from smplab.errors import (
     CapacityError,
@@ -40,6 +40,7 @@ from smplab.protocols.base import SmpProtocol
 from smplab.rng import HashRandomness
 from smplab.universal import (
     DecisionGraph,
+    LabelingScheme,
     SeedBank,
     bank_bad_fraction,
     check_prob_embedding,
@@ -496,6 +497,76 @@ class TestDerandomizedLabeling:
             for y in range(x, 4):
                 want = lattice_distance(L, x, y) <= 1
                 assert decode_labels(again, again.labels[x], again.labels[y]) == want
+
+    def test_schemes_sharing_labels_decode_by_their_own_params(self):
+        # one set of label values under three parameter sets: the threshold
+        # k (which changes decide) and the block shape (which changes
+        # unpack); decoding all three interleaved must match a vote of the
+        # Bits-slicing reference referee under each scheme's own params
+        L = boolean_lattice(3)
+        proto = UniversalLatticeDistance(L, 1, Fraction(1, 8))
+        bank = newman_seed_bank(proto, 8, Fraction(1, 8), Fraction(1, 8), 4)
+        tight = derandomized_labeling(proto, 8, bank)
+
+        def sibling(**changes):
+            params = json.loads(json.dumps(tight.params))
+            params["protocol"].update(changes)
+            return LabelingScheme(tight.decoder, params, tight.label_bits, tight.labels)
+
+        def reference_vote(scheme, lx, ly):
+            m, c = scheme.params["bank_m"], scheme.params["message_bits"]
+            block, k = scheme.params["protocol"]["m"], scheme.params["protocol"]["k"]
+            votes = sum(positive_verdict(parity_blocks_slices(
+                lx.take(j * c, c), ly.take(j * c, c), block, k)) for j in range(m))
+            return 2 * votes > m
+
+        schemes = [tight, sibling(k=3), sibling(m=2, rounds=proto.m * proto.rounds // 2)]
+        got = {id(s): [] for s in schemes}
+        for x in range(8):
+            for y in range(8):
+                lx, ly = tight.labels[x], tight.labels[y]
+                for scheme in schemes:
+                    verdict = decode_labels(scheme, lx, ly)
+                    assert verdict == reference_vote(scheme, lx, ly)
+                    got[id(scheme)].append(verdict)
+        truth = [lattice_distance(L, x, y) <= 1 for x in range(8) for y in range(8)]
+        assert got[id(tight)] == truth
+        assert all(got[id(schemes[1])])
+        assert got[id(schemes[2])] != truth
+
+    def test_warm_and_reread_schemes_agree_on_every_pair(self):
+        _, _, _, warm = self.tree_scheme()  # warmed by its own verification
+        fresh = labeling_from_json(json.loads(json.dumps(labeling_to_json(warm))))
+        rng = random.Random(8)
+        strangers = [Bits(rng.getrandbits(warm.label_bits), warm.label_bits)
+                     for _ in range(4)]
+        labels = list(warm.labels) + strangers
+        for lx in labels:
+            for ly in labels:
+                assert decode_labels(fresh, lx, ly) == decode_labels(warm, lx, ly)
+
+    def test_bank_check_matches_the_per_seed_referee(self):
+        # a wrapper without a rule takes the per-seed referee path
+        class Plain(SmpProtocol):
+            def __init__(self, inner):
+                self.inner = inner
+
+            @property
+            def cost_bits(self):
+                return self.inner.cost_bits
+
+            def encode(self, v, rnd):
+                return self.inner.encode(v, rnd)
+
+            def referee(self, ma, mb, rnd=None):
+                return self.inner.referee(ma, mb, rnd)
+
+            def expected(self, x, y):
+                return self.inner.expected(x, y)
+
+        tree, proto, bank, _ = self.tree_scheme()
+        assert Plain(proto).rule() is None and proto.rule() is not None
+        assert bank_bad_fraction(Plain(proto), 16, bank) == bank_bad_fraction(proto, 16, bank)
 
 
 class TestHierarchyLengths:
