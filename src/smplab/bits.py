@@ -44,9 +44,6 @@ class Bits:
     def unpack(self, width: int) -> list[int]:
         return [b.value for b in self.blocks(width)]
 
-    def popcount(self) -> int:
-        return self.value.bit_count()
-
     def to_hex(self) -> str:
         nibbles = max(1, (self.length + 3) // 4)
         return format(self.value, f"0{nibbles}x")
@@ -63,10 +60,6 @@ class Bits:
                 raise InputError(f"field {f} does not fit in {width} bits")
             out = out << width | f
         return cls(out, width * len(fields))
-
-    @classmethod
-    def zeros(cls, length: int) -> "Bits":
-        return cls(0, length)
 
 
 def concat_all(parts: list[Bits]) -> Bits:

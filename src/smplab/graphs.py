@@ -419,13 +419,16 @@ def graph_from_json(data: dict) -> Graph:
         raise InputError(f"unknown self-loop policy {policy!r}")
     if policy == "explicit":
         loops = data.get("loops")
-        if loops is None:
-            raise InputError("explicit self-loop policy requires a loops array")
+        if not (isinstance(loops, list) and all(type(v) is int for v in loops)):
+            raise InputError("explicit self-loop policy requires a loops array of vertex ids")
     else:
         if "loops" in data:
             raise InputError("loops array only allowed with the explicit policy")
         loops = policy
+    if not isinstance(edges, list):
+        raise InputError("graph edges must be a list of vertex pairs")
     for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and all(type(u) is int for u in e)):
             raise InputError(f"malformed edge entry {e!r}")
     return Graph(n, [tuple(e) for e in edges], loops=loops)

@@ -327,20 +327,22 @@ def instance_from_json(doc: dict) -> Instance:
         family, n, seed, kind = doc["family"], doc["n"], doc["seed"], doc["kind"]
     except KeyError as e:
         raise InputError(f"instance document missing field {e}") from None
+    # a missing part reads as None, which its loader rejects
     if kind == "lattice":
-        payload = build_lattice(poset_from_json(doc["poset"]), validate=True)
+        payload = build_lattice(poset_from_json(doc.get("poset")), validate=True)
     elif kind == "embedding":
-        payload = embedding_from_json(doc["embedding"])
+        payload = embedding_from_json(doc.get("embedding"))
     elif kind == "interval":
-        payload = IntervalGtInstance(
-            doc["order_n"],
-            graph_from_json(doc["graph"]),
-            tuple(tuple(iv) for iv in doc["intervals"]),
-        )
+        order_n, intervals = doc.get("order_n"), doc.get("intervals")
+        if type(order_n) is not int or not (
+                isinstance(intervals, list) and all(isinstance(iv, list) for iv in intervals)):
+            raise InputError("interval documents need an integer order_n and interval lists")
+        payload = IntervalGtInstance(order_n, graph_from_json(doc.get("graph")),
+                                     tuple(map(tuple, intervals)))
     elif kind == "graph":
-        payload = graph_from_json(doc["graph"])
+        payload = graph_from_json(doc.get("graph"))
     elif kind == "gadget":
-        payload = gadget_from_json(doc["gadget"])
+        payload = gadget_from_json(doc.get("gadget"))
     else:
         raise InputError(f"unknown instance kind {kind!r}")
     return Instance(family, n, seed, payload)

@@ -126,10 +126,6 @@ class Poset:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.down_masks()[y] >> x & 1)
 
-    def minimal_elements(self) -> list[int]:
-        lower = set(b for _, b in self.covers)
-        return [x for x in range(self.n) if x not in lower]
-
     def _key(self):
         return (self.n, self.covers)
 
@@ -169,8 +165,11 @@ def poset_from_json(data: dict) -> Poset:
         n, covers = data["n"], data["covers"]
     except KeyError as e:
         raise InputError(f"poset document missing field {e}") from None
+    if not isinstance(covers, list):
+        raise InputError("poset covers must be a list of element pairs")
     for c in covers:
-        if not (isinstance(c, (list, tuple)) and len(c) == 2):
+        if not (isinstance(c, (list, tuple)) and len(c) == 2
+                and all(type(x) is int for x in c)):
             raise InputError(f"malformed cover entry {c!r}")
     return Poset(n, [tuple(c) for c in covers])
 

@@ -77,7 +77,7 @@ class ArboricityAdjacency(SmpProtocol):
         return Bits.pack([own] + slots, self.color_width)
 
     @classmethod
-    def rule_from_params(cls, params):
+    def rule_from_params(cls, params, rnd=None):
         outdegree, m = int_params(params, outdegree=0, m=1)
         return color_slots_rule(1 + outdegree, max(1, (m - 1).bit_length()))
 

@@ -72,20 +72,20 @@ def verdict_max(u: Verdict, v: Verdict) -> Verdict:
 
 
 class Rule(NamedTuple):
-    """A blind referee stated once, over message values.
+    """A referee stated once, over message values (a seed-reading one for
+    one seed's draws).
 
     ``unpack`` cuts a ``width``-bit message value into the fields the rule
-    reads, with shifts and masks; ``decide`` maps two such field sets to the
-    verdict.  Calling the rule on two ``Bits`` is the referee itself, and a
-    caller that meets the same message many times (a label decoder) unpacks
-    it once and calls ``decide`` per pair.
+    reads (``int`` keeps it whole); ``decide`` maps two such field sets to
+    the verdict.  Calling the rule on two ``Bits`` is the referee itself, and
+    a caller that meets a message many times unpacks it once.
     """
 
     width: int
     unpack: Callable[[int], object]
     decide: Callable[[object, object], "Verdict"]
 
-    def __call__(self, ma: Bits, mb: Bits, rnd=None) -> "Verdict":
+    def __call__(self, ma: Bits, mb: Bits) -> "Verdict":
         if ma.length != self.width or mb.length != self.width:
             raise InputError(
                 f"messages must be {self.width} bits, got {ma.length} and {mb.length}"
@@ -146,7 +146,8 @@ class SmpProtocol:
     name = "abstract"
     one_sided = False
     referee_reads_randomness = False
-    # blind protocols set this to a classmethod: scalar params -> Rule
+    # a classmethod (scalar params, rnd=None) -> Rule, on protocols whose
+    # rule rebuilds from params() alone; only those can be labeled
     rule_from_params = None
 
     # -- per-protocol surface -------------------------------------------
@@ -166,18 +167,17 @@ class SmpProtocol:
     def params(self) -> dict:
         raise NotImplementedError
 
-    @classmethod
-    def referee_from_params(cls, params: dict):
-        """The decision rule alone, rebuilt from scalar parameters."""
-        if cls.rule_from_params is None:
-            raise InputError(f"protocol {cls.name!r} cannot be decoded from parameters")
-        return cls.rule_from_params(params)
+    def rule(self, rnd: SharedRandomness | None = None) -> Rule:
+        """The referee as a ``Rule``, for the draws of rnd.
 
-    def rule(self) -> Rule | None:
-        """This instance's blind rule, or None when it has none."""
-        if type(self).rule_from_params is None:
-            return None
-        return type(self).rule_from_params(self.params())
+        Blind rules ignore rnd.  A protocol with no rule of its own gets
+        one that keeps each message whole and calls ``referee`` per pair;
+        its width is the a-side message width.
+        """
+        if type(self).rule_from_params is not None:
+            return type(self).rule_from_params(self.params(), rnd)
+        wa, wb = self.cost_bits_a, self.cost_bits_b
+        return Rule(wa, int, lambda a, b: self.referee(Bits(a, wa), Bits(b, wb), rnd))
 
     @property
     def cost_bits(self) -> int:

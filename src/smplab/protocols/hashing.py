@@ -27,7 +27,7 @@ import numpy as np
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, graph_from_json, graph_to_json
-from .base import ACCEPT, REJECT, SmpProtocol
+from .base import ACCEPT, REJECT, Rule, SmpProtocol
 
 BUDGET_CAP = 24  # bucket tables above 2**24 would be silly, not useful
 
@@ -79,7 +79,8 @@ class HashedAdjacency(SmpProtocol):
     def encode(self, v, rnd):
         return Bits(rnd.integer(("bucket", v), self.buckets), self.bits)
 
-    def referee(self, ma, mb, rnd=None):
+    def rule(self, rnd=None):
+        """The referee under rnd, with every vertex's bucket drawn once."""
         if rnd is None:
             raise InputError("the hashed-adjacency referee reads the shared randomness")
         bucket = np.fromiter(
@@ -87,11 +88,14 @@ class HashedAdjacency(SmpProtocol):
             dtype=np.int64,
             count=self.graph.n,
         )
-        in_a = bucket == ma.value
-        in_b = bucket == mb.value
-        if self._adj[np.ix_(in_a, in_b)].any():
-            return ACCEPT
-        return REJECT
+
+        def decide(a, b):
+            return ACCEPT if self._adj[np.ix_(bucket == a, bucket == b)].any() else REJECT
+
+        return Rule(self.bits, int, decide)
+
+    def referee(self, ma, mb, rnd=None):
+        return self.rule(rnd)(ma, mb)
 
     def expected(self, x, y):
         return ACCEPT if self.graph.adjacent(x, y) else REJECT

@@ -119,10 +119,8 @@ class WeakLatticeDistance(_LatticeSketch):
                    m=params["m"], q=params["q"])
 
     @classmethod
-    def referee_from_params(cls, params):
-        """The decision rule alone, reconstructed from scalar parameters."""
-        m, q, k = int_params(params, m=1, q=1, k=0)
-        return lambda ma, mb, rnd=None: weak_xor_referee(ma, mb, rnd, m, q, k)
+    def rule_from_params(cls, params, rnd=None):
+        return weak_xor_rule(*int_params(params, m=1, q=1, k=0), rnd)
 
     @property
     def cost_bits(self):
@@ -144,12 +142,22 @@ class WeakLatticeDistance(_LatticeSketch):
         return weak_xor_referee(ma, mb, rnd, self.m, self.q, self.k)
 
 
-def weak_xor_referee(ma: Bits, mb: Bits, rnd, m: int, q: int, k: int):
-    """Accept iff the messages differ by an XOR of at most k bucket vectors."""
+def weak_xor_rule(m: int, q: int, k: int, rnd) -> Rule:
+    """Accept iff the messages differ by an XOR of at most k of rnd's m
+    bucket vectors, which are drawn once per rule."""
     if rnd is None:
         raise InputError("weak referee needs the shared randomness")
     vecs = np.array([rnd.integer(("s", i), 2**q) for i in range(m)], dtype=np.uint64)
-    return ACCEPT if _small_xor_hit(ma.value ^ mb.value, vecs, k) else REJECT
+
+    def decide(a, b):
+        return ACCEPT if _small_xor_hit(a ^ b, vecs, k) else REJECT
+
+    return Rule(q, int, decide)
+
+
+def weak_xor_referee(ma: Bits, mb: Bits, rnd, m: int, q: int, k: int):
+    """The weak rule on two messages under rnd; see ``weak_xor_rule``."""
+    return weak_xor_rule(m, q, k, rnd)(ma, mb)
 
 
 def _small_xor_hit(target: int, vecs: np.ndarray, k: int) -> bool:
@@ -205,7 +213,7 @@ class UniversalLatticeDistance(_LatticeSketch):
                    m=params["m"], rounds=params["rounds"])
 
     @classmethod
-    def rule_from_params(cls, params):
+    def rule_from_params(cls, params, rnd=None):
         return parity_blocks_rule(*int_params(params, m=1, rounds=1, k=0))
 
     @property

@@ -131,7 +131,7 @@ class PlanarTwoDistance(SmpProtocol):
         ])
 
     @classmethod
-    def rule_from_params(cls, params):
+    def rule_from_params(cls, params, rnd=None):
         return two_hop_rule(*two_hop_widths(*int_params(params, m1=1, m2=1)))
 
     def referee(self, ma, mb, rnd=None):

@@ -112,7 +112,7 @@ class TreeKDistance(SmpProtocol):
         return concat_all(fields)
 
     @classmethod
-    def rule_from_params(cls, params):
+    def rule_from_params(cls, params, rnd=None):
         k, m = int_params(params, k=1, m=1)
         return window_rule(k, *window_widths(k, m))
 

@@ -34,9 +34,6 @@ class SharedRandomness:
     def integer(self, label, n: int) -> int:
         raise NotImplementedError
 
-    def bitvector(self, label, nbits: int) -> int:
-        return self.integer(label, 1 << nbits)
-
 
 class HashRandomness(SharedRandomness):
     """Pseudorandom draws keyed by (seed, label).

@@ -17,17 +17,18 @@ the per-seed messages into one label per vertex and decode by majority
 vote.  After verification the scheme is deterministic and exact -- zero
 errors on its instance, checked before anything is returned.
 
-Decoding cost: for a blind protocol, each label a scheme meets is cut
-into its m per-seed messages and unpacked once, so a scheme over n
-vertices costs at most n*m unpacks, and every pair after that costs m
-``decide`` calls of the protocol's rule.  The tables live on the scheme
-object.  Seed-reading protocols (the weak lattice sketch) still slice and
-referee each pair per seed, since their rule reads that seed's draws.
+Decoding cost: a scheme holds one rule per bank seed -- the protocol's
+rule, built once for that seed's draws, or the same blind rule m times.
+Each label a scheme meets is cut into its m per-seed messages and each
+message is unpacked once, so a scheme over n vertices costs at most n*m
+unpacks, and every pair after that costs m ``decide`` calls.  The tables
+live on the scheme object.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,18 +129,18 @@ def decision_graph(protocol: SmpProtocol, mode: str = "all",
         }))
     else:
         raise InputError(f"unknown decision-graph mode {mode!r}")
+    rule = protocol.rule()
+    fields = [rule.unpack(a) for a in messages]
     edges = []
     loops = []
-    for i, a in enumerate(messages):
-        ba = Bits(a, c)
-        if positive_verdict(protocol.referee(ba, ba)):
+    for i, fa in enumerate(fields):
+        if positive_verdict(rule.decide(fa, fa)):
             loops.append(i)
-        for j in range(i + 1, len(messages)):
-            bb = Bits(messages[j], c)
-            forward = positive_verdict(protocol.referee(ba, bb))
-            if forward != positive_verdict(protocol.referee(bb, ba)):
+        for j in range(i + 1, len(fields)):
+            forward = positive_verdict(rule.decide(fa, fields[j]))
+            if forward != positive_verdict(rule.decide(fields[j], fa)):
                 raise VerificationError(
-                    f"referee disagrees with itself on messages {a}, {messages[j]}"
+                    f"referee disagrees with itself on messages {messages[i]}, {messages[j]}"
                 )
             if forward:
                 edges.append((i, j))
@@ -176,6 +177,9 @@ class FixedSeedProtocol(SmpProtocol):
 
     def referee(self, ma, mb, rnd=None):
         return self.inner.referee(ma, mb, self._rnd)
+
+    def rule(self, rnd=None):
+        return self.inner.rule(self._rnd)
 
     def expected(self, x, y):
         return self.inner.expected(x, y)
@@ -374,19 +378,14 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
         pairs = [(i, j) for i in range(n) for j in range(n)]
     expected = [protocol.expected(xs[i], xs[j]) for i, j in pairs]
     bad = [0] * len(pairs)
-    rule = protocol.rule()
     for seed in bank.seeds:
         rnd = HashRandomness(seed)
-        enc_a = [protocol.encode_a(v, rnd) for v in xs]
-        enc_b = enc_a if protocol.symmetric else [protocol.encode_b(v, rnd) for v in xs]
-        if rule is None:
-            verdicts = (protocol.referee(enc_a[i], enc_b[j], rnd) for i, j in pairs)
-        else:
-            fa = [rule.unpack(msg.value) for msg in enc_a]
-            fb = fa if enc_b is enc_a else [rule.unpack(msg.value) for msg in enc_b]
-            verdicts = (rule.decide(fa[i], fb[j]) for i, j in pairs)
-        for idx, verdict in enumerate(verdicts):
-            if verdict != expected[idx]:
+        rule = protocol.rule(rnd)
+        fa = [rule.unpack(protocol.encode_a(v, rnd).value) for v in xs]
+        fb = fa if protocol.symmetric else [
+            rule.unpack(protocol.encode_b(v, rnd).value) for v in xs]
+        for idx, (i, j) in enumerate(pairs):
+            if rule.decide(fa[i], fb[j]) != expected[idx]:
                 bad[idx] += 1
     worst_idx = max(range(len(pairs)), key=lambda i: (bad[i], -i))
     i, j = pairs[worst_idx]
@@ -459,14 +458,22 @@ def _bank_shape(params, label_bits: int) -> tuple[int, int]:
     return m, c
 
 
-def _table_vote(rule: Rule, m: int, c: int):
-    """Majority vote over per-label field tables.
+def _labelable_class(proto_params: dict):
+    """The registered class whose rule rebuilds from these params, or None."""
+    name = proto_params.get("name")
+    cls = PROTOCOLS.get(name) if isinstance(name, str) else None
+    return None if cls is None or cls.rule_from_params is None else cls
+
+
+def _table_vote(rules: list[Rule], c: int):
+    """Majority vote over per-label field tables, one rule per bank seed.
 
     A label value met for the first time is cut into its m per-seed
-    messages, each unpacked once and kept; every pair after that costs m
-    ``decide`` calls.
+    messages, each unpacked once by its seed's rule and kept; every pair
+    after that costs m ``decide`` calls.
     """
-    unpack, decide = rule.unpack, rule.decide
+    m = len(rules)
+    decides = [rule.decide for rule in rules]
     mask = (1 << c) - 1
     shifts = range((m - 1) * c, -1, -c)
     table = {}
@@ -474,31 +481,13 @@ def _table_vote(rule: Rule, m: int, c: int):
     def fields(value):
         row = table.get(value)
         if row is None:
-            row = table[value] = [unpack(value >> shift & mask) for shift in shifts]
+            row = table[value] = [rule.unpack(value >> shift & mask)
+                                  for rule, shift in zip(rules, shifts)]
         return row
 
     def vote(lx: Bits, ly: Bits) -> bool:
-        votes = sum(map(positive_verdict, map(decide, fields(lx.value), fields(ly.value))))
-        return 2 * votes > m
-
-    return vote
-
-
-def _seed_vote(referee, m: int, c: int, seeds):
-    """Majority vote of a referee that may read each bank seed's draws."""
-    if seeds is None:
-        rnds = [None] * m
-    elif isinstance(seeds, list) and len(seeds) == m and all(type(s) is int for s in seeds):
-        rnds = [HashRandomness(s) for s in seeds]
-    else:
-        raise InputError(f"labeling seeds must be a list of {m} integers")
-
-    def vote(lx: Bits, ly: Bits) -> bool:
-        votes = 0
-        for j in range(m):
-            if positive_verdict(referee(lx.take(j * c, c), ly.take(j * c, c), rnds[j])):
-                votes += 1
-        return 2 * votes > m
+        verdicts = map(operator.call, decides, fields(lx.value), fields(ly.value))
+        return 2 * sum(map(positive_verdict, verdicts)) > m
 
     return vote
 
@@ -511,18 +500,20 @@ def _scheme_vote(scheme: LabelingScheme):
         raise InputError(f"unknown decoder {scheme.decoder!r}")
     m, c = _bank_shape(scheme.params, scheme.label_bits)
     proto_params = scheme.params["protocol"]
-    name = proto_params.get("name")
-    cls = PROTOCOLS.get(name) if isinstance(name, str) else None
+    cls = _labelable_class(proto_params)
     if cls is None:
-        raise InputError(f"unknown protocol {name!r} in labeling scheme")
-    if cls.rule_from_params is None:
-        vote = _seed_vote(cls.referee_from_params(proto_params), m, c,
-                          scheme.params.get("seeds"))
+        raise InputError(f"protocol {proto_params.get('name')!r} cannot be decoded")
+    if cls.referee_reads_randomness:
+        seeds = scheme.params.get("seeds")
+        if not (isinstance(seeds, list) and len(seeds) == m
+                and all(type(s) is int for s in seeds)):
+            raise InputError(f"labeling seeds must be a list of {m} integers")
+        rules = [cls.rule_from_params(proto_params, HashRandomness(s)) for s in seeds]
     else:
-        rule = cls.rule_from_params(proto_params)
-        if rule.width != c:
-            raise InputError(f"message_bits {c} disagrees with the {rule.width}-bit protocol")
-        vote = _table_vote(rule, m, c)
+        rules = [cls.rule_from_params(proto_params)] * m
+    if rules[0].width != c:
+        raise InputError(f"message_bits {c} disagrees with the {rules[0].width}-bit protocol")
+    vote = _table_vote(rules, c)
     object.__setattr__(scheme, "_vote", vote)
     return vote
 
@@ -550,8 +541,9 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
     verdict always holds a strict majority, so the decoded predicate has
     zero errors -- which is checked on every pair before returning.
     """
-    if not protocol.symmetric:
-        raise PreconditionError("labels need a role-free protocol; symmetrize first")
+    if _labelable_class(protocol.params()) is None:
+        raise PreconditionError(f"protocol {protocol.name!r} is not registered with a "
+                                "rule that rebuilds from its parameters; it cannot be labeled")
     bound = bank.eps + bank.delta
     if bound >= Fraction(1, 2) - margin:
         raise PreconditionError(

@@ -145,3 +145,45 @@ def parity_blocks_slices(ma, mb, m, k):
     rounds = ma.length // m
     xs = zip(_fields(ma, 0, rounds, m), _fields(mb, 0, rounds, m))
     return REJECT if any((u ^ v).bit_count() > k for u, v in xs) else ACCEPT
+
+
+# -- seed-reading referees and the per-seed vote ----------------------------
+# The weak lattice and hashed adjacency referees by exhaustive search over
+# the draws, and the label vote as first written: slice each label per seed
+# with Bits.take and run the referee under that seed's draws.
+
+
+def weak_xor_subsets(ma, mb, rnd, m, q, k):
+    """Accept iff ma ^ mb is the XOR of at most k of the m drawn vectors."""
+    from smplab.protocols import ACCEPT, REJECT
+
+    vecs = [rnd.integer(("s", i), 2**q) for i in range(m)]
+    for size in range(k + 1):
+        for subset in itertools.combinations(vecs, size):
+            acc = 0
+            for vec in subset:
+                acc ^= vec
+            if acc == ma.value ^ mb.value:
+                return ACCEPT
+    return REJECT
+
+
+def hashed_pairs(G: Graph, buckets, ma, mb, rnd):
+    """Accept iff some adjacent ordered pair sits in the two announced buckets."""
+    from smplab.protocols import ACCEPT, REJECT
+
+    where = [rnd.integer(("bucket", v), buckets) for v in range(G.n)]
+    hit = any(G.adjacent(u, v) and where[u] == ma.value and where[v] == mb.value
+              for u in range(G.n) for v in range(G.n))
+    return ACCEPT if hit else REJECT
+
+
+def seed_vote_slices(referee, m, c, seeds, lx, ly):
+    """Majority of ``referee(slice_x, slice_y, rnd)`` over the m bank seeds."""
+    from smplab.rng import HashRandomness
+
+    votes = 0
+    for j, seed in enumerate(seeds):
+        verdict = referee(lx.take(j * c, c), ly.take(j * c, c), HashRandomness(seed))
+        votes += verdict.kind in ("accept", "distance")
+    return 2 * votes > m

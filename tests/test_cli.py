@@ -80,6 +80,25 @@ class TestVerifyAndOracle:
         path.write_text("{not json")
         assert run("verify", "--instance", path) == 2
 
+    @pytest.mark.parametrize("family,damage", [
+        ("distributive", lambda doc: doc.pop("poset")),
+        ("distributive", lambda doc: doc["poset"].update(covers=7)),
+        ("distributive", lambda doc: doc["poset"].update(covers=[["0", 1]])),
+        ("gadget:interval", lambda doc: doc.pop("order_n")),
+        ("gadget:interval", lambda doc: doc.update(intervals=3)),
+        ("tree", lambda doc: doc["graph"].update(edges=5)),
+        ("tree", lambda doc: doc["graph"]["edges"].append([0, "1"])),
+        ("tree", lambda doc: doc["graph"].update(self_loops="explicit", loops=2)),
+    ], ids=["no-poset", "covers-not-list", "cover-not-ints", "no-order_n",
+            "intervals-not-list", "edges-not-list", "edge-not-ints", "loops-not-list"])
+    def test_damaged_instance_exit_code(self, tmp_path, family, damage):
+        path = gen(tmp_path, family, 4)
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        assert run("verify", "--instance", path) == 2
+        assert run("oracle", "--instance", path, "--query", "dist", 0, 1) == 2
+
 
 class TestRun:
     def config(self, tmp_path, **overrides):

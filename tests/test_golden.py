@@ -1,4 +1,4 @@
-"""Golden outputs: label files and an experiment report pinned by SHA-256.
+"""Golden outputs: label files and experiment reports pinned by SHA-256.
 
 Two runs of the same code agreeing says nothing about a change to the
 random stream, the encoders or the JSON layout; these digests were made
@@ -17,6 +17,9 @@ from pathlib import Path
 import pytest
 
 from smplab.lab import config_from_json, label_pipeline, run_experiment
+from smplab.lattices import boolean_lattice
+from smplab.protocols import WeakLatticeDistance
+from smplab.universal import derandomized_labeling, labeling_to_json, newman_seed_bank
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 MASTER = 20191108
@@ -30,6 +33,9 @@ LABEL_CASES = [
 ]
 EXPERIMENT = {"family": "tree", "n_range": [10, 14], "k": 2, "eps": [1, 4],
               "trials": 40, "master_seed": MASTER}
+# the hashed-adjacency referee reads the shared draws; the report goes out as CSV
+HASHED_EXPERIMENT = {"family": "gadget:allgraphs", "n_range": [6, 8], "k": 1,
+                     "trials": 60, "budget_bits": 3, "master_seed": MASTER}
 
 
 def _sha256(data: bytes) -> str:
@@ -42,8 +48,26 @@ def label_digest(family, n, k, out_dir) -> str:
     return _sha256(Path(report["path"]).read_bytes())
 
 
+def weak_label_digest() -> str:
+    """A weak-lattice label file, which stores its bank seeds.
+
+    ``label_pipeline`` labels lattices with the universal sketch only, so
+    this one is made by ``derandomized_labeling`` directly and serialized
+    the way the pipeline writes its files.
+    """
+    proto = WeakLatticeDistance(boolean_lattice(3), 2, EPS)
+    bank = newman_seed_bank(proto, range(8), EPS, EPS, MASTER)
+    scheme = derandomized_labeling(proto, range(8), bank)
+    return _sha256((json.dumps(labeling_to_json(scheme), sort_keys=True, indent=2)
+                    + "\n").encode())
+
+
 def experiment_digest() -> str:
     return _sha256(run_experiment(config_from_json(EXPERIMENT)).to_json().encode())
+
+
+def hashed_csv_digest() -> str:
+    return _sha256(run_experiment(config_from_json(HASHED_EXPERIMENT)).to_csv().encode())
 
 
 def _stored() -> dict:
@@ -56,14 +80,24 @@ def test_label_file_digest(family, n, k, tmp_path):
     assert label_digest(family, n, k, tmp_path) == _stored()[key]
 
 
+def test_weak_label_file_digest():
+    assert weak_label_digest() == _stored()["labels-weak-boolean3-k2.json"]
+
+
 def test_experiment_report_digest():
     assert experiment_digest() == _stored()["experiment-tree.json"]
+
+
+def test_hashed_experiment_csv_digest():
+    assert hashed_csv_digest() == _stored()["experiment-allgraphs.csv"]
 
 
 def _write(out_dir: Path) -> None:
     digests = {f"labels-{f}-n{n}-k{k}.json": label_digest(f, n, k, out_dir)
                for f, n, k in LABEL_CASES}
+    digests["labels-weak-boolean3-k2.json"] = weak_label_digest()
     digests["experiment-tree.json"] = experiment_digest()
+    digests["experiment-allgraphs.csv"] = hashed_csv_digest()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
 

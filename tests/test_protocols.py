@@ -449,7 +449,7 @@ class TestBlindRules:
         ma = data.draw(msg)
         mb = ma if data.draw(st.booleans()) else data.draw(msg)
         verdict = proto.referee(ma, mb)
-        assert type(proto).referee_from_params(proto.params())(ma, mb) == verdict
+        assert type(proto).rule_from_params(proto.params())(ma, mb) == verdict
         assert proto.referee(mb, ma) == verdict
         assert reference(ma, mb) == verdict
 
@@ -461,9 +461,54 @@ class TestBlindRules:
         with pytest.raises(InputError):
             rule(Bits(0, rule.width), Bits(0, rule.width + 1))
 
-    def test_seed_reading_and_wrapped_protocols_have_no_rule(self):
-        assert WeakLatticeDistance(boolean_lattice(2), 1, Fraction(1, 8)).rule() is None
-        assert HashedAdjacency(cycle_graph(5), 4).rule() is None
-        assert symmetrize(EqualitySketch(4)).rule() is None
+    def test_wrapped_protocol_rule_calls_its_referee(self):
+        # a protocol with no rule of its own keeps messages whole
+        proto = symmetrize(EqualitySketch(4, 2, 3))
+        rule = proto.rule()
+        assert rule.width == proto.cost_bits == 5
+        for a, b in itertools.product(range(32), repeat=2):
+            ma, mb = Bits(a, 5), Bits(b, 5)
+            assert rule(ma, mb) == proto.referee(ma, mb)
+
+
+@functools.cache
+def _seed_case(kind):
+    """(protocol, reference referee over the draws, input count)."""
+    if kind == "weak":
+        proto = WeakLatticeDistance(boolean_lattice(3), 2, Fraction(1, 4), m=24)
+        m, q, k = proto.m, proto.q, proto.k
+        return proto, lambda a, b, rnd: oracles.weak_xor_subsets(a, b, rnd, m, q, k), 8
+    graph = oracles.random_graph(random.Random(4), 9, p=0.3)
+    proto = HashedAdjacency(graph, 2)
+    return proto, lambda a, b, rnd: oracles.hashed_pairs(graph, 4, a, b, rnd), 9
+
+
+class TestSeedReadingRules:
+    @pytest.mark.parametrize("kind", ["weak", "hashed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**62 + 5])
+    def test_rule_under_a_seed_is_the_referee_under_it(self, kind, seed):
+        proto, reference, n = _seed_case(kind)
+        rnd = HashRandomness(seed)
+        rule = proto.rule(rnd)
+        assert rule.width == proto.cost_bits
+        # every message the inputs send under this seed, plus random values
+        rng = random.Random(seed)
+        msgs = [proto.encode(v, rnd) for v in range(n)]
+        msgs += [Bits(rng.getrandbits(rule.width), rule.width) for _ in range(4)]
+        for ma, mb in itertools.product(msgs, repeat=2):
+            verdict = proto.referee(ma, mb, rnd)
+            assert rule(ma, mb) == verdict == reference(ma, mb, rnd)
+            if kind == "weak":
+                assert type(proto).rule_from_params(proto.params(), rnd)(ma, mb) == verdict
+
+    def test_rules_without_randomness_are_refused(self):
+        weak, _, _ = _seed_case("weak")
+        hashed, _, _ = _seed_case("hashed")
         with pytest.raises(InputError):
-            HashedAdjacency.referee_from_params({"name": "hashed-adjacency"})
+            weak.rule()
+        with pytest.raises(InputError):
+            WeakLatticeDistance.rule_from_params(weak.params())
+        with pytest.raises(InputError):
+            hashed.rule()
+        # the hashed rule needs the whole graph, so no rule rebuilds from params
+        assert HashedAdjacency.rule_from_params is None

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import faithful_maps_brute, parity_blocks_slices
 from smplab.bits import Bits
 from smplab.errors import (
@@ -15,7 +16,7 @@ from smplab.errors import (
     PreconditionError,
     VerificationError,
 )
-from smplab.generators import random_tree
+from smplab.generators import cycle_graph, random_tree
 from smplab.graphs import (
     Graph,
     VertexMap,
@@ -31,6 +32,7 @@ from smplab.protocols import (
     ACCEPT,
     REJECT,
     EqualitySketch,
+    HashedAdjacency,
     TreeKDistance,
     UniversalLatticeDistance,
     WeakLatticeDistance,
@@ -137,6 +139,25 @@ class TestDecisionGraph:
             decision_graph(weak)
         dg = decision_graph(fix_seed(weak, 7))
         assert dg.graph.n == 4
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_fixed_seed_graph_is_the_referee_under_that_seed(self, seed):
+        weak = WeakLatticeDistance(boolean_lattice(3), 2, Fraction(1, 3), m=6, q=4)
+        hashed = HashedAdjacency(cycle_graph(7), 3)
+        for proto in (weak, hashed):
+            dg = decision_graph(fix_seed(proto, seed))
+            rnd = HashRandomness(seed)
+            c = proto.cost_bits
+            edges, loops = [], []
+            for a in range(1 << c):
+                for b in range(a, 1 << c):
+                    if not positive_verdict(proto.referee(Bits(a, c), Bits(b, c), rnd)):
+                        continue
+                    if a == b:
+                        loops.append(a)
+                    else:
+                        edges.append((a, b))
+            assert dg.graph == Graph(1 << c, edges, loops=loops)
 
     def test_role_split_protocol_rejected(self):
         with pytest.raises(InputError):
@@ -430,9 +451,24 @@ class TestDerandomizedLabeling:
             derandomized_labeling(proto, 4, fat)
 
     def test_role_split_protocol_rejected(self):
-        bank = SeedBank((1,), Fraction(1, 8), Fraction(1, 8))
-        with pytest.raises(PreconditionError):
-            derandomized_labeling(EqualitySketch(4, 2, 3), 4, bank)
+        # a labeling is refused before anything is encoded unless its file
+        # can rebuild the rule: the protocol must be registered and its rule
+        # must rebuild from its params
+        class Unsent(EqualitySketch):
+            def encode_a(self, v, rnd):
+                raise AssertionError("encoded before the protocol was checked")
+
+            encode_b = encode_a
+
+        class UnsentHashed(HashedAdjacency):
+            def encode(self, v, rnd):
+                raise AssertionError("encoded before the protocol was checked")
+
+        bank = SeedBank((1, 2, 3), Fraction(1, 8), Fraction(1, 8))
+        for proto in (Unsent(4, 2, 3), symmetrize(Unsent(4, 2, 2)),
+                      symmetrize(EqualitySketch(4, 2, 2)), UnsentHashed(cycle_graph(4), 2)):
+            with pytest.raises(PreconditionError, match="cannot be labeled"):
+                derandomized_labeling(proto, 4, bank)
 
     def test_insufficient_bank_is_caught(self):
         tree = random_tree(random.Random(3), 8)
@@ -483,6 +519,27 @@ class TestDerandomizedLabeling:
         broken = labeling_from_json(doc)
         with pytest.raises(InputError):
             decode_labels(broken, broken.labels[0], broken.labels[1])
+
+    def test_weak_labels_decode_as_the_per_seed_vote(self):
+        # one rule per bank seed against the vote as first written: slice
+        # each label per seed and run an exhaustive referee under its draws
+        L = boolean_lattice(3)
+        proto = WeakLatticeDistance(L, 2, Fraction(1, 5), m=20)
+        bank = newman_seed_bank(proto, 8, Fraction(1, 5), Fraction(1, 5), 3)
+        scheme = labeling_from_json(labeling_to_json(derandomized_labeling(proto, 8, bank)))
+        m, c, q, k = bank.m, proto.cost_bits, proto.q, proto.k
+
+        def referee(ma, mb, rnd):
+            return oracles.weak_xor_subsets(ma, mb, rnd, proto.m, q, k)
+
+        rng = random.Random(2)
+        strangers = [Bits(rng.getrandbits(scheme.label_bits), scheme.label_bits)
+                     for _ in range(3)]
+        labels = list(scheme.labels) + strangers
+        for lx in labels:
+            for ly in labels:
+                want = oracles.seed_vote_slices(referee, m, c, bank.seeds, lx, ly)
+                assert decode_labels(scheme, lx, ly) == want
 
     def test_weak_protocol_labels_carry_their_seeds(self):
         # the seed-reading sketch can still be derandomized: the bank seeds
@@ -565,8 +622,27 @@ class TestDerandomizedLabeling:
                 return self.inner.expected(x, y)
 
         tree, proto, bank, _ = self.tree_scheme()
-        assert Plain(proto).rule() is None and proto.rule() is not None
+        assert type(Plain(proto)).rule_from_params is None
+        assert Plain(proto).rule().unpack is int
         assert bank_bad_fraction(Plain(proto), 16, bank) == bank_bad_fraction(proto, 16, bank)
+
+    def test_seed_reading_bank_check_matches_the_referee(self):
+        # one rule per seed draws the buckets once; the worst pair and its
+        # fraction must be what an exhaustive referee gives per pair and seed
+        graph = oracles.random_graph(random.Random(6), 10, p=0.25)
+        proto = HashedAdjacency(graph, 3)
+        bank = SeedBank(tuple(range(100, 112)), Fraction(1, 8), Fraction(1, 8))
+        pairs = [(x, y) for x in range(10) for y in range(x, 10)]
+        bad = {pair: 0 for pair in pairs}
+        for seed in bank.seeds:
+            rnd = HashRandomness(seed)
+            for x, y in pairs:
+                verdict = oracles.hashed_pairs(graph, 8, proto.encode(x, rnd),
+                                               proto.encode(y, rnd), rnd)
+                bad[x, y] += verdict != proto.expected(x, y)
+        worst = max(pairs, key=lambda pair: bad[pair])  # first of the worst
+        assert bad[worst] > 0
+        assert bank_bad_fraction(proto, 10, bank) == (Fraction(bad[worst], bank.m), worst)
 
 
 class TestHierarchyLengths:
