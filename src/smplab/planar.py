@@ -58,8 +58,11 @@ def embedding_from_json(data: dict) -> PlanarEmbedding:
         n, rotation, outer = data["n"], data["rotation"], data["outer_face"]
     except KeyError as e:
         raise InputError(f"embedding document missing field {e}") from None
-    if len(rotation) != n:
-        raise InputError("rotation table length disagrees with n")
+    if not isinstance(rotation, list) or len(rotation) != n:
+        raise InputError("rotation table must be a list of n vertex lists")
+    for row in [*rotation, outer]:
+        if not (isinstance(row, list) and all(type(v) is int and 0 <= v < n for v in row)):
+            raise InputError(f"malformed rotation row or outer face {row!r}")
     return PlanarEmbedding(tuple(tuple(r) for r in rotation), tuple(outer))
 
 

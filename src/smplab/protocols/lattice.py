@@ -9,7 +9,11 @@ a small-set-difference problem, solved two ways:
   random q-bit vector to each bucket, and sends the XOR of the vectors its
   set touches.  The referee (who here is allowed to read the shared draws)
   accepts iff the two messages differ by an XOR of at most k bucket
-  vectors.  Yes instances always pass; message width is q bits.
+  vectors.  Yes instances always pass; message width is q bits.  The test
+  is an exact meet in the middle over distinct vectors: the XORs of at
+  most ceil(k/2) of them are built by combinations and sorted once per
+  rule, and each of target ^ (XOR of at most floor(k/2)) is looked up with
+  ``searchsorted`` - m + 1 lookups per pair for k <= 3.
 
 * ``UniversalLatticeDistance`` sends, per round, the parity vector of its
   hashed set occupancy.  The referee accepts iff every round's XOR has
@@ -144,13 +148,15 @@ class WeakLatticeDistance(_LatticeSketch):
 
 def weak_xor_rule(m: int, q: int, k: int, rnd) -> Rule:
     """Accept iff the messages differ by an XOR of at most k of rnd's m
-    bucket vectors, which are drawn once per rule."""
+    bucket vectors, which are drawn, and their search sides built, once
+    per rule."""
     if rnd is None:
         raise InputError("weak referee needs the shared randomness")
     vecs = np.array([rnd.integer(("s", i), 2**q) for i in range(m)], dtype=np.uint64)
+    big, small = _xor_sides(vecs, k)
 
     def decide(a, b):
-        return ACCEPT if _small_xor_hit(a ^ b, vecs, k) else REJECT
+        return ACCEPT if _xor_hit(a ^ b, big, small) else REJECT
 
     return Rule(q, int, decide)
 
@@ -161,31 +167,40 @@ def weak_xor_referee(ma: Bits, mb: Bits, rnd, m: int, q: int, k: int):
 
 
 def _small_xor_hit(target: int, vecs: np.ndarray, k: int) -> bool:
-    """Is target the XOR of at most k of the given vectors?
-
-    Meet in the middle: XORs of <= floor(k/2) vectors against target XOR
-    (<= ceil(k/2))-fold XORs.  Overlapping halves cancel to a smaller
-    subset, so the test is exact, not just one-sided.
-    """
-    t = np.uint64(target)
-    if k == 0:
-        return target == 0
-    if k == 1:
-        return target == 0 or bool(np.any(vecs == t))
-    lo = _xor_closure(vecs, k // 2)
-    hi = _xor_closure(vecs, (k + 1) // 2)
-    lo.sort(kind="stable")
-    pos = np.searchsorted(lo, hi ^ t)
-    pos = np.minimum(pos, len(lo) - 1)
-    return bool(np.any(lo[pos] == (hi ^ t)))
+    """Is target the XOR of at most k of the given vectors?"""
+    return _xor_hit(target, *_xor_sides(vecs, k))
 
 
-def _xor_closure(vecs: np.ndarray, size: int) -> np.ndarray:
-    """All XORs of subsets with at most ``size`` elements (with repeats)."""
-    out = np.zeros(1, dtype=np.uint64)
+def _xor_sides(vecs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Meet-in-the-middle sides for an XOR of at most k distinct vectors:
+    the sorted XORs of at most ceil(k/2) of them, and the XORs of at most
+    floor(k/2).  A target hits iff target ^ xor(A) == xor(B) for some A on
+    the small side and B on the big one; then target == xor(A ^ B) with
+    |A ^ B| <= k, so the test is exact, not just one-sided."""
+    return np.sort(_xor_subsets(vecs, (k + 1) // 2)), _xor_subsets(vecs, k // 2)
+
+
+def _xor_hit(target: int, big: np.ndarray, small: np.ndarray) -> bool:
+    keys = small ^ np.uint64(target)
+    found = big.take(np.searchsorted(big, keys), mode="clip")
+    return bool(np.any(found == keys))
+
+
+def _xor_subsets(vecs: np.ndarray, size: int) -> np.ndarray:
+    """XORs of every subset of at most ``size`` distinct vectors, one per
+    subset: each subset of one level is extended by the vectors above its
+    highest index."""
+    m = len(vecs)
+    level = np.zeros(1, dtype=np.uint64)
+    top = np.full(1, -1)  # highest vector index in each subset of the level
+    out = [level]
     for _ in range(size):
-        out = np.unique(np.concatenate([out, (out[:, None] ^ vecs[None, :]).ravel()]))
-    return out
+        counts = (m - 1) - top
+        starts = np.cumsum(counts) - counts
+        top = np.arange(counts.sum()) - np.repeat(starts - top - 1, counts)
+        level = np.repeat(level, counts) ^ vecs[top]
+        out.append(level)
+    return np.concatenate(out)
 
 
 class UniversalLatticeDistance(_LatticeSketch):

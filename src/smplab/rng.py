@@ -6,6 +6,13 @@ keyed by ``(seed, label)``: any party holding the seed can reproduce the
 draw for a label such as ``("color", 17)``.  Draws are backed by BLAKE2b,
 so they are deterministic across platforms and independent of call order.
 
+A draw hashes the label's canonical bytes (``_canon``) under the seed as
+BLAKE2b key.  ``HashRandomness`` keys one hash state per seed and copies it
+for each draw, so the key block is compressed once, and the bytes of flat
+labels such as ``("s", 17)`` are memoized in a bounded module-level table.
+Both are shortcuts to the same digests: the stream is unchanged, and
+``tests/test_rng.py`` pins it with known-answer vectors.
+
 ``TableRandomness`` replaces the hash with an explicit assignment of values
 to labels; exhaustive error computations enumerate all assignments of the
 labels a protocol declares it may touch.
@@ -28,6 +35,33 @@ def _canon(label) -> bytes:
     raise InputError(f"label parts must be ints or strings, got {type(label)!r}")
 
 
+# label -> (types of its parts, _canon(label)), for flat tuples of exact
+# ints and strings only.  A hit must match the part types too, because
+# ("s", 1), ("s", True) and ("s", 1.0) are equal keys with other bytes.
+# The bytes are a function of the label alone, so one table serves every
+# seed and caller; it is emptied when full.
+_LABEL_BYTES: dict = {}
+_LABEL_BYTES_CAP = 4096
+
+
+def _label_bytes(label) -> bytes:
+    """``_canon(label)``, memoized for flat tuples of exact ints and strings."""
+    try:
+        hit = _LABEL_BYTES.get(label)
+    except TypeError:  # an unhashable part, which _canon rejects
+        return _canon(label)
+    if hit is not None and hit[0] == tuple(map(type, label)):
+        return hit[1]
+    data = _canon(label)
+    if type(label) is tuple:
+        types = tuple(map(type, label))
+        if all(t is int or t is str for t in types):
+            if len(_LABEL_BYTES) >= _LABEL_BYTES_CAP:
+                _LABEL_BYTES.clear()
+            _LABEL_BYTES[label] = (types, data)
+    return data
+
+
 class SharedRandomness:
     """Interface: uniform draws addressed by label."""
 
@@ -43,15 +77,17 @@ class HashRandomness(SharedRandomness):
     """
 
     def __init__(self, seed: int):
-        self._key = int(seed).to_bytes(16, "big", signed=True)
+        key = int(seed).to_bytes(16, "big", signed=True)
+        self._keyed = hashlib.blake2b(key=key, digest_size=16)
 
     def integer(self, label, n: int) -> int:
         if n <= 0:
             raise InputError("draw cardinality must be positive")
         if n == 1:
             return 0
-        digest = hashlib.blake2b(_canon(label), key=self._key, digest_size=16).digest()
-        return int.from_bytes(digest, "big") % n
+        h = self._keyed.copy()
+        h.update(_label_bytes(label))
+        return int.from_bytes(h.digest(), "big") % n
 
 
 class TableRandomness(SharedRandomness):

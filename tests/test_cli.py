@@ -99,6 +99,22 @@ class TestVerifyAndOracle:
         assert run("verify", "--instance", path) == 2
         assert run("oracle", "--instance", path, "--query", "dist", 0, 1) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["oracle", "--query", "dist", 0, 1],
+    ], ids=["verify", "oracle"])
+    @pytest.mark.parametrize("damage", [
+        lambda emb: emb.update(rotation=3),
+        lambda emb: emb["rotation"].__setitem__(0, 4),
+        lambda emb: emb.update(outer_face=1),
+        lambda emb: emb["rotation"][1].append("2"),
+    ], ids=["rotation-not-list", "row-not-list", "outer-not-list", "row-holds-string"])
+    def test_damaged_embedding_exit_code(self, tmp_path, damage, command):
+        path = gen(tmp_path, "planar2", 6)
+        doc = json.loads(path.read_text())
+        damage(doc["embedding"])
+        path.write_text(json.dumps(doc))
+        assert run(command[0], "--instance", path, *command[1:]) == 2
+
 
 class TestRun:
     def config(self, tmp_path, **overrides):

@@ -43,7 +43,7 @@ from smplab.protocols import (
     weak_sketch_params,
 )
 from smplab.protocols.base import merge_support
-from smplab.protocols.lattice import _small_xor_hit
+from smplab.protocols.lattice import _small_xor_hit, weak_xor_rule
 from smplab.rng import HashRandomness
 
 
@@ -156,26 +156,49 @@ class TestWeakLatticeDistance:
 
 
 class TestSmallXorHit:
-    @given(st.integers(0, 2**32), st.integers(2, 5), st.integers(0, 6))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_brute_force(self, seed, k, extra):
+    @given(st.integers(0, 2**32), st.integers(0, 6), st.integers(0, 12), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, seed, k, m, few_values):
+        # zero and duplicate vectors, none at all, and fewer vectors than k
         rng = random.Random(seed)
-        vecs = np.array(
-            [rng.randrange(1, 64) for _ in range(4 + extra)], dtype=np.uint64
-        )
-        if rng.random() < 0.5:
-            size = rng.randrange(0, min(k, len(vecs)) + 1)
+        top = 4 if few_values else 64
+        vecs = np.array([rng.randrange(top) for _ in range(m)], dtype=np.uint64)
+        if m and rng.random() < 0.5:
+            size = rng.randrange(0, min(k + 1, m) + 1)
             target = 0
-            for i in rng.sample(range(len(vecs)), size):
+            for i in rng.sample(range(m), size):
                 target ^= int(vecs[i])
         else:
             target = rng.randrange(64)
         brute = any(
             functools.reduce(lambda a, b: a ^ b, (int(vecs[i]) for i in c), 0) == target
             for size in range(k + 1)
-            for c in itertools.combinations(range(len(vecs)), size)
+            for c in itertools.combinations(range(m), size)
         )
         assert _small_xor_hit(target, vecs, k) == brute
+
+    @pytest.mark.parametrize("m,q,k", [(12, 8, 3), (20, 10, 2), (10, 10, 4), (5, 4, 0), (30, 12, 1)])
+    def test_one_rule_decides_many_pairs(self, m, q, k):
+        # the rule's search sides are built once; 300 calls in a row must
+        # each agree with an exhaustive search under the same draws
+        for s in range(3):
+            rnd = HashRandomness(s)
+            rule = weak_xor_rule(m, q, k, rnd)
+            vecs = [rnd.integer(("s", i), 2**q) for i in range(m)]
+            rng = random.Random(s)
+            verdicts = set()
+            for _ in range(300):
+                a = rng.getrandbits(q)
+                b = rng.getrandbits(q)
+                if rng.random() < 0.5:
+                    b = a
+                    for vec in rng.sample(vecs, rng.randrange(0, min(k + 1, m) + 1)):
+                        b ^= vec
+                ma, mb = Bits(a, q), Bits(b, q)
+                want = oracles.weak_xor_subsets(ma, mb, rnd, m, q, k)
+                assert rule(ma, mb) == want
+                verdicts.add(want)
+            assert verdicts == {ACCEPT, REJECT}
 
 
 class TestUniversalLatticeDistance:

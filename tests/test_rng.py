@@ -6,6 +6,8 @@ through ``HashRandomness``, so any change to label encoding or hashing must
 show up here first.
 """
 
+import collections
+import enum
 import hashlib
 
 import pytest
@@ -156,9 +158,6 @@ class TestLabelMemoEdges:
                 assert r.integer(label, 2**63 + 1) == scratch_draw(0, label, 2**63 + 1)
 
     def test_tuple_subclass_and_int_subclass(self, r):
-        import collections
-        import enum
-
         Pair = collections.namedtuple("Pair", "tag value")
 
         class Small(enum.IntEnum):
@@ -167,3 +166,9 @@ class TestLabelMemoEdges:
         for label in [Pair("s", 1), ("s", Small.ONE)]:
             for _ in range(2):
                 assert r.integer(label, 2**63 + 1) == scratch_draw(0, label, 2**63 + 1)
+
+    def test_memo_stays_bounded(self, r):
+        for i in range(rng._LABEL_BYTES_CAP + 10):
+            r.integer(("bound", i), 3)
+            assert len(rng._LABEL_BYTES) <= rng._LABEL_BYTES_CAP
+        assert r.integer(("s", 0), 2**63 + 1) == INTEGER[0][0][-1]
