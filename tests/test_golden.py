@@ -36,6 +36,22 @@ EXPERIMENT = {"family": "tree", "n_range": [10, 14], "k": 2, "eps": [1, 4],
 # the hashed-adjacency referee reads the shared draws; the report goes out as CSV
 HASHED_EXPERIMENT = {"family": "gadget:allgraphs", "n_range": [6, 8], "k": 1,
                      "trials": 60, "budget_bits": 3, "master_seed": MASTER}
+# experiment reports pinned as JSON, one per stratum path:
+#   planar2 over every pair, arboricity over a sampled pair set, the weak
+#   lattice sketch (its rule reads each trial's draws), and an arboricity-2
+#   gadget whose oracle graph is disconnected (unreachable pairs in "beyond")
+REPORT_CASES = {
+    "experiment-planar2.json": {"family": "planar2", "n_range": [8, 16], "eps": [1, 4],
+                                "trials": 40, "master_seed": MASTER},
+    "experiment-arboricity-sampled.json": {"family": "arboricity", "n_range": [20, 40],
+                                           "pair_policy": "sampled:60", "trials": 40,
+                                           "master_seed": MASTER},
+    "experiment-hypercube-weak.json": {"family": "hypercube", "n_range": [3], "k": 1,
+                                       "eps": [1, 4], "model": "weak", "trials": 30,
+                                       "master_seed": MASTER},
+    "experiment-arboricity2-gadget.json": {"family": "gadget:arboricity2", "n_range": [5, 6],
+                                           "trials": 40, "master_seed": MASTER},
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -70,6 +86,10 @@ def hashed_csv_digest() -> str:
     return _sha256(run_experiment(config_from_json(HASHED_EXPERIMENT)).to_csv().encode())
 
 
+def report_digest(doc) -> str:
+    return _sha256(run_experiment(config_from_json(doc)).to_json().encode())
+
+
 def _stored() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -92,12 +112,18 @@ def test_hashed_experiment_csv_digest():
     assert hashed_csv_digest() == _stored()["experiment-allgraphs.csv"]
 
 
+@pytest.mark.parametrize("key", sorted(REPORT_CASES))
+def test_experiment_report_case_digest(key):
+    assert report_digest(REPORT_CASES[key]) == _stored()[key]
+
+
 def _write(out_dir: Path) -> None:
     digests = {f"labels-{f}-n{n}-k{k}.json": label_digest(f, n, k, out_dir)
                for f, n, k in LABEL_CASES}
     digests["labels-weak-boolean3-k2.json"] = weak_label_digest()
     digests["experiment-tree.json"] = experiment_digest()
     digests["experiment-allgraphs.csv"] = hashed_csv_digest()
+    digests.update((key, report_digest(doc)) for key, doc in REPORT_CASES.items())
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
 
