@@ -10,6 +10,8 @@ Three moving parts, all deterministic given a master seed:
   bookkeeping), each stratum gets the configured number of trials, and
   every trial's randomness is derived from the master seed by labeled
   hashing, so rows are independent jobs and reruns are byte-identical.
+  A trial's verdict comes from the protocol's ``Rule`` on the two
+  messages; its expected verdict comes from the BFS oracle alone.
 * ``label_pipeline`` -- shared-randomness removal: draw and verify a seed
   bank, concatenate per-seed messages into vertex labels, write the scheme
   to disk, read it back, and re-check every pair through the public decoder
@@ -39,11 +41,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
 from .gadgets import (
@@ -402,33 +405,20 @@ def _stratum_labels(threshold, mode, k):
 
 
 def _strata_pools(oracle_graph, threshold, mode, k, policy_count, rng):
-    """Pairs bucketed by BFS distance: label -> sorted list of (x, y, d)."""
+    """Pairs bucketed by BFS distance: label -> index arrays (xs, ys, ds).
+
+    Each pool holds pairs x <= y in (x, y) order, with ds their distance,
+    or -1 where y is unreachable from x (only ever in "beyond").
+    """
     N = oracle_graph.n
-    labels = _stratum_labels(threshold, mode, k)
-    pools = {label: [] for label in labels}
-    upto = k if mode == "tree" else threshold
-
-    def bucket(x, y, d):
-        if d is None or math.isinf(d):
-            if mode == "tree":
-                raise PreconditionError("tree-mode strata need a connected oracle graph")
-            pools["beyond"].append((x, y, None))
-            return
-        d = int(d)
-        label = str(d) if d <= upto else "beyond"
-        pools[label].append((x, y, d))
-
     if policy_count is None:
         if N > ALL_PAIRS_CAP:
             raise CapacityError(
                 f"universe of {N} is too large for pair_policy 'all' "
                 f"(cap {ALL_PAIRS_CAP}); use 'sampled:N'"
             )
-        dmat = all_pairs_distances(oracle_graph)
-        for x in range(N):
-            row = dmat[x]
-            for y in range(x, N):
-                bucket(x, y, row[y])
+        xs, ys = np.triu_indices(N)
+        dist = all_pairs_distances(oracle_graph)[xs, ys]
     else:
         seen = set()
         for _ in range(policy_count):
@@ -437,14 +427,22 @@ def _strata_pools(oracle_graph, threshold, mode, k, policy_count, rng):
             if x > y:
                 x, y = y, x
             seen.add((x, y))
-        dist_cache = {}
-        for x, y in sorted(seen):
-            if x not in dist_cache:
-                dist_cache[x] = bfs_from(oracle_graph, x)
-            bucket(x, y, dist_cache[x][y])
-    for pool in pools.values():
-        pool.sort()
-    return pools
+        pairs = sorted(seen)
+        rows = {}
+        for x, _ in pairs:
+            if x not in rows:
+                rows[x] = bfs_from(oracle_graph, x)
+        xs = np.array([x for x, _ in pairs], dtype=np.intp)
+        ys = np.array([y for _, y in pairs], dtype=np.intp)
+        dist = np.array([rows[x][y] for x, y in pairs], dtype=float)
+    unreachable = np.isinf(dist)
+    if mode == "tree" and unreachable.any():
+        raise PreconditionError("tree-mode strata need a connected oracle graph")
+    ds = np.where(unreachable, -1, dist).astype(np.int64)
+    upto = k if mode == "tree" else threshold
+    masks = {str(d): ds == d for d in range(upto + 1)}
+    masks["beyond"] = unreachable | (ds > upto)
+    return {label: (xs[mask], ys[mask], ds[mask]) for label, mask in masks.items()}
 
 
 # -- experiment runs ---------------------------------------------------------
@@ -493,36 +491,52 @@ def _row(cfg, n, proto_name, stratum, **kw):
 
 
 def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
+    """One report row: ``cfg.trials`` trials, trial t on pair ``t % size``.
+
+    Verdicts come from the protocol's ``Rule`` on the two messages, built
+    once per stratum (once per trial for a referee that reads the draws);
+    expected verdicts come from the pool's BFS distance alone.
+    """
     one_sided_clean = proto.one_sided and label != "beyond"
     if mode == "tree":
         one_sided_clean = False
     bound = Fraction(0) if one_sided_clean else (
         proto.error_bound if isinstance(proto, HashedAdjacency) else cfg.eps
     )
-    if not pool:
+    size = len(pool[0])
+    if not size:
         return _row(cfg, n, proto.name, label,
                     formula_bits=str(formula), bound=str(bound))
+    reads = min(cfg.trials, size)
+    xs, ys, ds = (a[:reads].tolist() for a in pool)
+    wa, wb = proto.cost_bits_a, proto.cost_bits_b
+    seeded = proto.referee_reads_randomness
+    rule = None if seeded else proto.rule()
     errors = 0
     violations = 0
-    bit_total = 0
     for t in range(cfg.trials):
-        x, y, d = pool[t % len(pool)]
+        i = t % reads
         rnd = HashRandomness(derive_seed(cfg.master_seed, "trial", cfg.family, n, label, t))
-        result = proto.run(x, y, rnd)
-        bit_total += result.message_a.length + result.message_b.length
-        want = _expected_verdict(mode, d, threshold)
-        if result.verdict != want:
+        ma = proto.encode_a(xs[i], rnd)
+        mb = proto.encode_b(ys[i], rnd)
+        if ma.length != wa or mb.length != wb:
+            raise InputError("encoder produced a message of the wrong width")
+        if seeded:
+            rule = proto.rule(rnd)
+        verdict = rule.decide(rule.unpack(ma.value), rule.unpack(mb.value))
+        want = _expected_verdict(mode, ds[i] if ds[i] >= 0 else None, threshold)
+        if verdict != want:
             errors += 1
             if positive_verdict(want):
                 violations += 1
     return _row(
         cfg, n, proto.name, label,
-        pairs=len(pool),
+        pairs=size,
         trials=cfg.trials,
         errors=errors,
         error_rate=str(Fraction(errors, cfg.trials)),
         violations=violations,
-        mean_bits=str(Fraction(bit_total, 2 * cfg.trials)),
+        mean_bits=str(Fraction(wa + wb, 2)),
         formula_bits=str(formula),
         bound=str(bound),
     )

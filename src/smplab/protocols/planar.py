@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from ..bits import Bits, concat_all
+from ..bits import Bits
 from ..errors import VerificationError
 from ..graphs import bfs_from, degeneracy_orientation
 from ..planar import (
@@ -70,6 +70,7 @@ class PlanarTwoDistance(SmpProtocol):
         self.m2 = math.ceil(68 / self.eps)
         self.w1, self.w2 = two_hop_widths(self.m1, self.m2)
         self._dist_cache = {}
+        self._plans = {}  # vertex -> (13 tree slots, closure labels); see _plan
 
     def params(self):
         return {"name": self.name, "eps": eps_to_json(self.eps),
@@ -111,24 +112,42 @@ class PlanarTwoDistance(SmpProtocol):
             sup.append((("c2", p), self.m2))
         return sup
 
+    def _plan(self, v):
+        """v's 13 tree slots and its closure draw labels (own color first).
+
+        A tree slot is a draw label, or for a missing parent or grandparent
+        the index of the earlier slot whose color it repeats.
+        """
+        plan = self._plans.get(v)
+        if plan is None:
+            tree = []
+            for pos, u in enumerate(self._tree_slots(v)):
+                if u is not None:
+                    tree.append(("c1", u))
+                elif pos < 4:
+                    tree.append(0)  # missing parent: own color
+                else:
+                    tree.append(1 + (pos - 4) // 3)  # missing grandparent: its parent's
+            closure = [("c2", v)] + [("c2", p) for p in self.closure_orientation.parents[v]]
+            plan = self._plans[v] = (tuple(tree), tuple(closure))
+        return plan
+
     def encode(self, v, rnd):
-        slots = self._tree_slots(v)
+        tree, closure = self._plan(v)
+        w1, w2 = self.w1, self.w2
         colors = []
-        for pos, u in enumerate(slots):
-            if u is not None:
-                colors.append(rnd.integer(("c1", u), self.m1))
-            elif pos < 4:
-                colors.append(colors[0])  # missing parent: own color
-            else:
-                colors.append(colors[1 + (pos - 4) // 3])  # missing grandparent
-        own2 = rnd.integer(("c2", v), self.m2)
-        closure = [rnd.integer(("c2", p), self.m2)
-                   for p in self.closure_orientation.parents[v]]
-        closure += [own2] * (CLOSURE_SLOTS - len(closure))
-        return concat_all([
-            Bits.pack(colors, self.w1),
-            Bits.pack([own2] + closure, self.w2),
-        ])
+        value = 0
+        for slot in tree:
+            color = rnd.integer(slot, self.m1) if type(slot) is tuple else colors[slot]
+            colors.append(color)
+            value = value << w1 | color
+        own2 = rnd.integer(closure[0], self.m2)
+        value = value << w2 | own2
+        for label in closure[1:]:
+            value = value << w2 | rnd.integer(label, self.m2)
+        for _ in range(CLOSURE_SLOTS + 1 - len(closure)):
+            value = value << w2 | own2
+        return Bits(value, self.cost_bits)
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from ..bits import Bits, concat_all
+from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, bfs_from, graph_from_json, graph_to_json
 from .base import (
@@ -59,6 +59,7 @@ class TreeKDistance(SmpProtocol):
             for u in tree.neighbors(v):
                 if self.depth[u] == self.depth[v] - 1:
                     self.parent[v] = u
+        self._plans = {}  # vertex -> (header, 2k slots); see _plan
 
     def params(self):
         return {"name": self.name, "k": self.k, "eps": eps_to_json(self.eps),
@@ -95,21 +96,29 @@ class TreeKDistance(SmpProtocol):
         _, _, window = self._window_vertices(v)
         return [(("c", u), self.m) for kind, u in window if kind == "real"]
 
+    def _plan(self, v):
+        """v's header value (band mod 3, residue) and its 2k color slots.
+
+        A slot is a draw label for a real ancestor, or the fixed color of a
+        virtual height or of padding.
+        """
+        plan = self._plans.get(v)
+        if plan is None:
+            ext, _, window = self._window_vertices(v)
+            header = (ext // self.k % 3) << self.res_width | ext % self.k
+            slots = [("c", u) if kind == "real" else u % self.m  # sentinel color by height
+                     for kind, u in window]
+            slots += [self.pad] * (2 * self.k - len(slots))
+            plan = self._plans[v] = (header, tuple(slots))
+        return plan
+
     def encode(self, v, rnd):
-        ext, k1, window = self._window_vertices(v)
-        colors = []
-        for kind, u in window:
-            if kind == "real":
-                colors.append(rnd.integer(("c", u), self.m))
-            else:
-                colors.append(u % self.m)  # fixed sentinel color by height
-        colors += [self.pad] * (2 * self.k - len(colors))
-        fields = [
-            Bits(ext // self.k % 3, 2),
-            Bits(ext % self.k, self.res_width),
-            Bits.pack(colors, self.color_width),
-        ]
-        return concat_all(fields)
+        value, slots = self._plan(v)
+        width, m = self.color_width, self.m
+        for slot in slots:
+            color = rnd.integer(slot, m) if type(slot) is tuple else slot
+            value = value << width | color
+        return Bits(value, self.cost_bits)
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

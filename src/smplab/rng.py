@@ -83,10 +83,11 @@ class HashRandomness(SharedRandomness):
     def integer(self, label, n: int) -> int:
         if n <= 0:
             raise InputError("draw cardinality must be positive")
+        data = _label_bytes(label)  # a malformed label raises even when n == 1
         if n == 1:
             return 0
         h = self._keyed.copy()
-        h.update(_label_bytes(label))
+        h.update(data)
         return int.from_bytes(h.digest(), "big") % n
 
 

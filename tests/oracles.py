@@ -187,3 +187,85 @@ def seed_vote_slices(referee, m, c, seeds, lx, ly):
         verdict = referee(lx.take(j * c, c), ly.take(j * c, c), HashRandomness(seed))
         votes += verdict.kind in ("accept", "distance")
     return 2 * votes > m
+
+
+# -- experiment strata and encoders as first written ----------------------
+# The stratum pools as per-pair tuple lists, and the tree and planar2
+# encoders packing fields through Bits.pack and concat_all; the library
+# builds index arrays and shifts cached per-vertex plans into one int, and
+# tests require equal pools and equal messages.
+
+
+def strata_pools_tuples(oracle_graph, threshold, mode, k, policy_count, rng):
+    """Pairs bucketed by BFS distance: label -> sorted list of (x, y, d)."""
+    import math
+
+    from smplab.errors import PreconditionError
+    from smplab.graphs import all_pairs_distances, bfs_from
+
+    N = oracle_graph.n
+    upto = k if mode == "tree" else threshold
+    pools = {label: [] for label in [str(d) for d in range(upto + 1)] + ["beyond"]}
+
+    def bucket(x, y, d):
+        if d is None or math.isinf(d):
+            if mode == "tree":
+                raise PreconditionError("tree-mode strata need a connected oracle graph")
+            pools["beyond"].append((x, y, None))
+            return
+        d = int(d)
+        pools[str(d) if d <= upto else "beyond"].append((x, y, d))
+
+    if policy_count is None:
+        dmat = all_pairs_distances(oracle_graph)
+        for x in range(N):
+            for y in range(x, N):
+                bucket(x, y, dmat[x][y])
+    else:
+        seen = set()
+        for _ in range(policy_count):
+            x, y = rng.randrange(N), rng.randrange(N)
+            seen.add((min(x, y), max(x, y)))
+        dist_cache = {}
+        for x, y in sorted(seen):
+            if x not in dist_cache:
+                dist_cache[x] = bfs_from(oracle_graph, x)
+            bucket(x, y, dist_cache[x][y])
+    for pool in pools.values():
+        pool.sort()
+    return pools
+
+
+def tree_encode_fields(proto, v, rnd):
+    """TreeKDistance.encode: band mod 3, residue, then 2k packed colors."""
+    from smplab.bits import Bits, concat_all
+
+    ext, _, window = proto._window_vertices(v)
+    colors = [rnd.integer(("c", u), proto.m) if kind == "real" else u % proto.m
+              for kind, u in window]
+    colors += [proto.pad] * (2 * proto.k - len(colors))
+    return concat_all([
+        Bits(ext // proto.k % 3, 2),
+        Bits(ext % proto.k, proto.res_width),
+        Bits.pack(colors, proto.color_width),
+    ])
+
+
+def planar2_encode_fields(proto, v, rnd):
+    """PlanarTwoDistance.encode: 13 tree colors, then 18 closure colors."""
+    from smplab.bits import Bits, concat_all
+    from smplab.protocols.planar import CLOSURE_SLOTS
+
+    colors = []
+    for pos, u in enumerate(proto._tree_slots(v)):
+        if u is not None:
+            colors.append(rnd.integer(("c1", u), proto.m1))
+        elif pos < 4:
+            colors.append(colors[0])
+        else:
+            colors.append(colors[1 + (pos - 4) // 3])
+    own2 = rnd.integer(("c2", v), proto.m2)
+    closure = [rnd.integer(("c2", p), proto.m2)
+               for p in proto.closure_orientation.parents[v]]
+    closure += [own2] * (CLOSURE_SLOTS - len(closure))
+    return concat_all([Bits.pack(colors, proto.w1), Bits.pack([own2] + closure, proto.w2)])

@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from smplab.errors import CapacityError, InputError
+from smplab.errors import CapacityError, InputError, PreconditionError
 from smplab.gadgets import GadgetInstance, IntervalGtInstance
+from smplab.generators import random_tree
 from smplab.graphs import Graph, bfs_distance
 from smplab.lab import (
+    _protocol_for,
+    _strata_pools,
     ALL_PAIRS_CAP,
     FAMILIES,
     LABEL_FAMILIES,
@@ -27,7 +30,9 @@ from smplab.lab import (
 )
 from smplab.lattices import Lattice, cover_graph
 from smplab.planar import PlanarEmbedding
-from smplab.rng import derive_seed
+from smplab.protocols import ACCEPT, REJECT, beyond_verdict, distance_verdict
+from smplab.rng import HashRandomness, derive_seed
+from smplab.universal import positive_verdict
 
 
 class TestGenerate:
@@ -259,6 +264,104 @@ class TestRunExperiment:
         rep.write(tmp_path / "r.csv")
         assert json.loads((tmp_path / "r.json").read_text())
         assert (tmp_path / "r.csv").read_text().startswith("family,")
+
+
+def _pool_tuples(pools):
+    """Index-array pools as (x, y, d) lists, d None where unreachable."""
+    return {label: [(x, y, None if d < 0 else d)
+                    for x, y, d in zip(*(a.tolist() for a in arrays))]
+            for label, arrays in pools.items()}
+
+
+class TestStrataPools:
+    """Index-array pools equal the per-pair tuple lists first written."""
+
+    @pytest.mark.parametrize("policy", [None, 1, 40, 400])
+    def test_pools_match_the_tuple_reference(self, policy):
+        rng = random.Random(policy or 0)
+        for case in range(25):
+            n = rng.randint(1, 16)
+            # sparse graphs are often disconnected, dense ones rarely
+            graph = oracles.random_graph(rng, n, p=rng.choice([0.05, 0.15, 0.5]))
+            threshold = rng.randint(1, 3)
+            got = _pool_tuples(_strata_pools(graph, threshold, "accept", threshold,
+                                             policy, random.Random(case)))
+            want = oracles.strata_pools_tuples(graph, threshold, "accept", threshold,
+                                               policy, random.Random(case))
+            assert got == want
+            assert all(type(v) is int for pool in got.values()
+                       for x, y, d in pool for v in (x, y, d) if v is not None)
+
+    @pytest.mark.parametrize("policy", [None, 30])
+    def test_tree_mode_pools_match_the_tuple_reference(self, policy):
+        for seed in range(10):
+            tree = random_tree(random.Random(seed), 3 + 2 * seed)
+            got = _pool_tuples(_strata_pools(tree, 2, "tree", 2, policy, random.Random(seed)))
+            want = oracles.strata_pools_tuples(tree, 2, "tree", 2, policy,
+                                               random.Random(seed))
+            assert got == want
+
+    @pytest.mark.parametrize("policy", [None, 50])
+    def test_tree_mode_refuses_a_disconnected_graph(self, policy):
+        graph = Graph(6, [(0, 1), (2, 3)], loops="all")
+        for build in (_strata_pools, oracles.strata_pools_tuples):
+            with pytest.raises(PreconditionError):
+                build(graph, 1, "tree", 1, policy, random.Random(3))
+
+
+# (family, n, k) for each family, small enough to replay every stratum
+REPLAY_CASES = [
+    ("distributive", 5, 1),
+    ("hypercube", 3, 1),
+    ("tree", 12, 2),
+    ("arboricity", 12, 1),
+    ("planar2", 10, 2),
+    ("gadget:modular", 3, 1),
+    ("gadget:arboricity2", 5, 1),
+    ("gadget:interval", 4, 1),
+    ("gadget:allgraphs", 6, 1),
+]
+
+
+def _reference_verdict(mode, d, k):
+    if mode == "tree":
+        return distance_verdict(d) if d <= k else beyond_verdict(k)
+    return ACCEPT if d is not None and d <= k else REJECT
+
+
+class TestStratumReplay:
+    """Each report row equals its trials replayed through ``proto.run``."""
+
+    def test_cases_cover_every_family(self):
+        assert sorted(f for f, _, _ in REPLAY_CASES) == sorted(FAMILIES)
+
+    @pytest.mark.parametrize("model", ["universal", "weak"])
+    @pytest.mark.parametrize("family,n,k", REPLAY_CASES)
+    def test_rows_match_protocol_run(self, family, n, k, model):
+        master = 7
+        # a loose budget and a small hash table, so that errors occur
+        cfg = ExperimentConfig(family=family, n_range=(n,), k=k, eps=Fraction(3, 4),
+                               trials=25, master_seed=master, model=model, budget_bits=3)
+        rows = run_experiment(cfg).rows
+        inst = generate(family, n, derive_seed(master, "gen", family, n))
+        proto, graph, threshold, mode = _protocol_for(
+            family, inst.payload, k, cfg.eps, model, cfg.budget_bits)
+        pools = oracles.strata_pools_tuples(graph, threshold, mode, k, None, None)
+        assert [row["stratum"] for row in rows] == list(pools)
+        for row in rows:
+            pool = pools[row["stratum"]]
+            assert row["pairs"] == len(pool)
+            errors = violations = 0
+            for t in range(cfg.trials if pool else 0):
+                x, y, d = pool[t % len(pool)]
+                rnd = HashRandomness(derive_seed(master, "trial", family, n, row["stratum"], t))
+                want = _reference_verdict(mode, d, threshold)
+                if proto.run(x, y, rnd).verdict != want:
+                    errors += 1
+                    violations += positive_verdict(want)
+            assert (row["errors"], row["violations"]) == (errors, violations)
+        if family == "tree":  # the tree sketch can underestimate a near distance
+            assert any(row["violations"] for row in rows)
 
 
 class TestLabelPipeline:

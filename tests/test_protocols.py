@@ -44,7 +44,7 @@ from smplab.protocols import (
 )
 from smplab.protocols.base import merge_support
 from smplab.protocols.lattice import _small_xor_hit, weak_xor_rule
-from smplab.rng import HashRandomness
+from smplab.rng import HashRandomness, SharedRandomness
 
 
 class TestVerdicts:
@@ -419,6 +419,50 @@ class TestPlanarTwoDistance:
             rnd = HashRandomness(400 + seed)
             assert proto.run(0, 2, rnd).verdict == ACCEPT
             assert proto.run(0, 1, rnd).verdict == ACCEPT
+
+
+# -- cached encoder plans -----------------------------------------------------
+
+
+class _RecordedDraws(SharedRandomness):
+    """HashRandomness that also records every (label, n) it is asked for."""
+
+    def __init__(self, seed):
+        self.inner = HashRandomness(seed)
+        self.draws = []
+
+    def integer(self, label, n):
+        self.draws.append((label, n))
+        return self.inner.integer(label, n)
+
+
+class TestCachedEncoderPlans:
+    """Tree and planar2 encoders shift cached per-vertex plans into one int;
+    messages and the draws behind them equal the encoders first written."""
+
+    @staticmethod
+    def _check_every_vertex(proto, n, reference, seeds):
+        for seed in seeds:  # the first seed builds each plan, later ones reuse it
+            for v in range(n):
+                new, old = _RecordedDraws(seed), _RecordedDraws(seed)
+                assert proto.encode(v, new) == reference(proto, v, old)
+                assert new.draws == old.draws
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4),
+           st.sampled_from([Fraction(1, 2), Fraction(1, 8), Fraction(1, 60)]),
+           st.integers(0, 2**32))
+    def test_tree_encoder(self, n, k, eps, seed):
+        proto = TreeKDistance(random_tree(random.Random(seed), n), k, eps, root=seed % n)
+        self._check_every_vertex(proto, n, oracles.tree_encode_fields, (seed, seed + 1, -seed))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(3, 40), st.sampled_from([Fraction(1, 3), Fraction(1, 50)]),
+           st.integers(0, 2**32))
+    def test_planar2_encoder(self, n, eps, seed):
+        proto = PlanarTwoDistance(stacked_triangulation(random.Random(seed), n), eps)
+        self._check_every_vertex(proto, n, oracles.planar2_encode_fields,
+                                 (seed, seed + 1, -seed))
 
 
 # -- blind rules over ints ----------------------------------------------------

@@ -119,7 +119,11 @@ class TestKnownAnswers:
         r = HashRandomness(0)
         with pytest.raises(InputError):
             r.integer(("s", 0), 0)
-        assert r.integer(("s", 1.0), 1) == 0  # one value: nothing is drawn
+        assert r.integer(("s", 1), 1) == 0  # one value: nothing is drawn
+        for n in (1, 2, 2**63 + 1):  # but the label is checked for every n
+            for bad in (("s", 1.0), [1]):
+                with pytest.raises(InputError):
+                    r.integer(bad, n)
 
 
 class TestLabelMemoEdges:
