@@ -3,13 +3,14 @@
 Every vertex announces the bucket a shared random hash assigns to it —
 nothing else — so the message width is a fixed budget independent of the
 graph.  The referee also reads the shared randomness, recomputes every
-vertex's bucket, and accepts iff *some* adjacent pair occupies the two
-announced buckets.  A genuine edge is always such a pair, so the sketch
-never rejects adjacent inputs; false accepts come from unrelated edges
-colliding into the senders' buckets, and at a fixed budget their rate
-grows with the size of the graph.  That degradation is the point: with no
-structural assumption on the graph there is no way to spend a constant
-number of bits and keep the error flat.
+vertex's bucket (the draws ``("bucket", 0) ... ("bucket", n - 1)``, taken in
+one ``integers`` call per rule), and accepts iff *some* adjacent pair
+occupies the two announced buckets.  A genuine edge is always such a pair,
+so the sketch never rejects adjacent inputs; false accepts come from
+unrelated edges colliding into the senders' buckets, and at a fixed budget
+their rate grows with the size of the graph.  That degradation is the
+point: with no structural assumption on the graph there is no way to spend
+a constant number of bits and keep the error flat.
 
 Because the referee's verdict depends on the buckets of all n vertices,
 exhaustively enumerating the senders' draws alone cannot reproduce it:
@@ -80,14 +81,11 @@ class HashedAdjacency(SmpProtocol):
         return Bits(rnd.integer(("bucket", v), self.buckets), self.bits)
 
     def rule(self, rnd=None):
-        """The referee under rnd, with every vertex's bucket drawn once."""
+        """The referee under rnd, with every vertex's bucket drawn once, in
+        one ``rnd.integers("bucket", n, buckets)`` call."""
         if rnd is None:
             raise InputError("the hashed-adjacency referee reads the shared randomness")
-        bucket = np.fromiter(
-            (rnd.integer(("bucket", v), self.buckets) for v in range(self.graph.n)),
-            dtype=np.int64,
-            count=self.graph.n,
-        )
+        bucket = np.array(rnd.integers("bucket", self.graph.n, self.buckets), dtype=np.int64)
 
         def decide(a, b):
             return ACCEPT if self._adj[np.ix_(bucket == a, bucket == b)].any() else REJECT

@@ -13,7 +13,9 @@ a small-set-difference problem, solved two ways:
   is an exact meet in the middle over distinct vectors: the XORs of at
   most ceil(k/2) of them are built by combinations and sorted once per
   rule, and each of target ^ (XOR of at most floor(k/2)) is looked up with
-  ``searchsorted`` - m + 1 lookups per pair for k <= 3.
+  ``searchsorted`` - m + 1 lookups per pair for k <= 3.  That sorted side
+  holds sum_{i <= ceil(k/2)} C(m, i) entries; it and m are capped at
+  ``XOR_SIDE_CAP``.
 
 * ``UniversalLatticeDistance`` sends, per round, the parity vector of its
   hashed set occupancy.  The referee accepts iff every round's XOR has
@@ -43,6 +45,32 @@ from .base import (
     fields_of,
     int_params,
 )
+
+
+XOR_SIDE_CAP = 1 << 22  # entries on the weak referee's sorted XOR side
+
+
+def xor_side_size(m: int, k: int) -> int:
+    """Entries on the sorted side of the weak XOR search: the subsets of at
+    most ceil(k/2) of m vectors, counted only until they pass the cap."""
+    total = 0
+    for i in range(min(m, (k + 1) // 2) + 1):
+        total += math.comb(m, i)
+        if total > XOR_SIDE_CAP:
+            break
+    return total
+
+
+def _check_xor_side(m: int, k: int) -> None:
+    # m itself counts too: the m vectors are drawn even when k = 0
+    if m > XOR_SIDE_CAP or xor_side_size(m, k) > XOR_SIDE_CAP:
+        raise CapacityError(f"weak XOR search over {m} vectors at k={k} exceeds "
+                            f"{XOR_SIDE_CAP} entries; shrink k or grow eps")
+
+
+def _check_width(q: int) -> None:
+    if q > 63:
+        raise CapacityError("sketch width beyond 63 bits; shrink k or grow eps")
 
 
 def weak_sketch_width(m: int, k: int, eps) -> int:
@@ -105,11 +133,11 @@ class WeakLatticeDistance(_LatticeSketch):
         self.m = math.ceil((k + 2) ** 2 / self.eps) if m is None else int(m)
         if self.m < 1:
             raise InputError("bucket count must be positive")
+        _check_xor_side(self.m, k)  # before the width formula sums C(m, i) up to k
         self.q = weak_sketch_width(self.m, k, self.eps) if q is None else int(q)
         if self.q < 1:
             raise InputError("vector width must be positive")
-        if self.q > 63:
-            raise CapacityError("sketch width beyond 63 bits; shrink k or grow eps")
+        _check_width(self.q)
 
     def params(self):
         return {"name": self.name, "k": self.k, "eps": eps_to_json(self.eps),
@@ -148,11 +176,15 @@ class WeakLatticeDistance(_LatticeSketch):
 
 def weak_xor_rule(m: int, q: int, k: int, rnd) -> Rule:
     """Accept iff the messages differ by an XOR of at most k of rnd's m
-    bucket vectors, which are drawn, and their search sides built, once
-    per rule."""
+    bucket vectors.  The vectors are the draws ``("s", 0) ... ("s", m - 1)``,
+    taken in one ``rnd.integers`` call, and their search sides are built
+    once per rule; widths beyond 63 bits and search sides beyond
+    ``XOR_SIDE_CAP`` are refused before anything is drawn."""
     if rnd is None:
         raise InputError("weak referee needs the shared randomness")
-    vecs = np.array([rnd.integer(("s", i), 2**q) for i in range(m)], dtype=np.uint64)
+    _check_width(q)
+    _check_xor_side(m, k)
+    vecs = np.array(rnd.integers("s", m, 2**q), dtype=np.uint64)
     big, small = _xor_sides(vecs, k)
 
     def decide(a, b):

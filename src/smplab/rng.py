@@ -7,11 +7,15 @@ draw for a label such as ``("color", 17)``.  Draws are backed by BLAKE2b,
 so they are deterministic across platforms and independent of call order.
 
 A draw hashes the label's canonical bytes (``_canon``) under the seed as
-BLAKE2b key.  ``HashRandomness`` keys one hash state per seed and copies it
-for each draw, so the key block is compressed once, and the bytes of flat
-labels such as ``("s", 17)`` are memoized in a bounded module-level table.
-Both are shortcuts to the same digests: the stream is unchanged, and
-``tests/test_rng.py`` pins it with known-answer vectors.
+BLAKE2b key.  ``integer`` draws one label; ``integers(tag, count, n)`` draws
+the indexed family ``(tag, 0) ... (tag, count - 1)`` in one call, which is
+how a seed-reading referee builds its whole table of vectors or buckets.
+``HashRandomness`` keys one hash state per seed and copies it for each
+draw, so the key block is compressed once; the bytes of flat labels such as
+``("s", 17)``, and of whole indexed families, are memoized in bounded
+module-level tables.  These are shortcuts to the same digests: the stream is
+unchanged, ``integers`` returns exactly the ``integer`` loop's values, and
+``tests/test_rng.py`` pins both with known-answer vectors.
 
 ``TableRandomness`` replaces the hash with an explicit assignment of values
 to labels; exhaustive error computations enumerate all assignments of the
@@ -62,11 +66,50 @@ def _label_bytes(label) -> bytes:
     return data
 
 
+# (type(tag), tag, count) -> the bytes _canon((tag, i)) for i < count.  The
+# type is part of the key because True == 1 while their bytes differ.  At
+# most _INDEXED_BYTES_CAP families are kept, each of at most
+# _LABEL_BYTES_CAP labels; the table is emptied when full.
+_INDEXED_BYTES: dict = {}
+_INDEXED_BYTES_CAP = 32
+
+
+def _check_family(tag, n: int) -> None:
+    """What every ``integers`` checks first, even when count == 0 or n == 1."""
+    if not isinstance(tag, (int, str)):
+        raise InputError(f"draw tag must be an int or a string, got {type(tag)!r}")
+    if n <= 0:
+        raise InputError("draw cardinality must be positive")
+
+
+def _indexed_bytes(tag, count: int) -> tuple[bytes, ...]:
+    """``_canon((tag, i))`` for i < count, memoized for small families."""
+    key = (type(tag), tag, count)
+    hit = _INDEXED_BYTES.get(key)
+    if hit is None:
+        hit = tuple(_canon((tag, i)) for i in range(count))
+        if count <= _LABEL_BYTES_CAP:
+            if len(_INDEXED_BYTES) >= _INDEXED_BYTES_CAP:
+                _INDEXED_BYTES.clear()
+            _INDEXED_BYTES[key] = hit
+    return hit
+
+
 class SharedRandomness:
     """Interface: uniform draws addressed by label."""
 
     def integer(self, label, n: int) -> int:
         raise NotImplementedError
+
+    def integers(self, tag, count: int, n: int) -> list[int]:
+        """The draws of ``(tag, 0) ... (tag, count - 1)``, each in range(n).
+
+        The tag is one int or string.  This loop over ``integer`` is the
+        reference; a subclass may draw faster but must return the same
+        values and raise the same errors.
+        """
+        _check_family(tag, n)
+        return [self.integer((tag, i), n) for i in range(count)]
 
 
 class HashRandomness(SharedRandomness):
@@ -89,6 +132,20 @@ class HashRandomness(SharedRandomness):
         h = self._keyed.copy()
         h.update(data)
         return int.from_bytes(h.digest(), "big") % n
+
+    def integers(self, tag, count: int, n: int) -> list[int]:
+        _check_family(tag, n)
+        labels = _indexed_bytes(tag, count)
+        if n == 1:
+            return [0] * len(labels)
+        copy = self._keyed.copy
+        from_bytes = int.from_bytes
+        out = []
+        for data in labels:
+            h = copy()
+            h.update(data)
+            out.append(from_bytes(h.digest(), "big") % n)
+        return out
 
 
 class TableRandomness(SharedRandomness):

@@ -1,10 +1,37 @@
 """Command line surface: document flow, output formats, exit codes."""
 
+import copy
 import json
+import os
+import resource
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from smplab.cli import main
+from smplab.lattices import boolean_lattice
+from smplab.protocols import WeakLatticeDistance
+from smplab.universal import derandomized_labeling, labeling_to_json, newman_seed_bank
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE = 1 << 30  # bytes a capped child process may map
+# cli.main in a child process; unlike ``-m smplab`` it needs no __main__ module
+CLI_MAIN = "import sys; from smplab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def capped_python(*args):
+    """Run ``python ARGS...`` on this checkout's package in a child process
+    whose address space is capped, so a check that would allocate without
+    limit ends in a MemoryError there instead of exhausting the machine."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE,) * 2))
 
 
 def run(*argv):
@@ -215,3 +242,47 @@ class TestLabelDecode:
     def test_label_rejects_gadget_families(self, tmp_path):
         assert run("label", "--family", "gadget:interval", "--n", 4, "--k", 1,
                    "--eps", "1/4", "--out", tmp_path) == 2
+
+
+@pytest.fixture(scope="module")
+def weak_scheme_doc():
+    """The weak-lattice label file that tests/test_golden.py pins."""
+    eps = Fraction(1, 5)
+    proto = WeakLatticeDistance(boolean_lattice(3), 2, eps)
+    bank = newman_seed_bank(proto, range(8), eps, eps, 20191108)
+    return labeling_to_json(derandomized_labeling(proto, range(8), bank))
+
+
+class TestWeakSearchCapacity:
+    """Oversized weak XOR searches are refused before anything is built.
+    They run in a child with a capped address space: code that does build
+    them fails there with a MemoryError, not by exhausting the machine."""
+
+    @pytest.mark.parametrize("change", [{"q": 70}, {"k": 9}, {"k": 0, "m": 10**12}],
+                             ids=["q70", "k9", "k0-m1e12"])
+    def test_oversized_label_file_exit_code(self, weak_scheme_doc, tmp_path, change):
+        doc = copy.deepcopy(weak_scheme_doc)
+        doc["params"]["protocol"].update(change)
+        path = tmp_path / "labels-weak.json"
+        path.write_text(json.dumps(doc))
+        x, y = doc["labels"][0], doc["labels"][7]
+        proc = capped_python("-c", CLI_MAIN, "decode", "--scheme", path, "--x", x, "--y", y)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+
+    def test_oversized_run_row_reports_capacity(self, tmp_path):
+        cfg = {"family": "hypercube", "n_range": [3], "k": 7, "eps": [1, 3],
+               "model": "weak", "trials": 5, "master_seed": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = capped_python("-c", CLI_MAIN, "run", "--config", path)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        header, row = proc.stdout.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["status"].startswith("CapacityError")
+
+
+def test_python_dash_m_prints_usage():
+    proc = capped_python("-m", "smplab", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: smplab")

@@ -43,7 +43,7 @@ from smplab.protocols import (
     weak_sketch_params,
 )
 from smplab.protocols.base import merge_support
-from smplab.protocols.lattice import _small_xor_hit, weak_xor_rule
+from smplab.protocols.lattice import XOR_SIDE_CAP, _small_xor_hit, weak_xor_rule, xor_side_size
 from smplab.rng import HashRandomness, SharedRandomness
 
 
@@ -116,8 +116,28 @@ class TestWeakLatticeDistance:
         assert 2 ** (q - 1) < 4 * total <= 2**q
 
     def test_width_capacity_guard(self):
+        # k = 7 passes the 63-bit width test (m = 243, q = 45), but its
+        # sorted XOR side would hold C(243, 4) ~ 1.4e8 entries
+        for k, eps in [(5, Fraction(1, 10**12)), (7, Fraction(1, 3))]:
+            with pytest.raises(CapacityError):
+                WeakLatticeDistance(boolean_lattice(2), k, eps)
+
+    def test_xor_side_size(self):
+        assert xor_side_size(200, 3) == 1 + 200 + math.comb(200, 2)
+        assert xor_side_size(80, 9) > XOR_SIDE_CAP  # C(80, 5) ~ 2.4e7
+        assert xor_side_size(10**30, 10**30) > XOR_SIDE_CAP  # stops at the cap
+        assert xor_side_size(3, 10**30) == 8
+        for k in (1, 2, 3):  # every sketch the formulas size at eps >= 1/8
+            m, _ = weak_sketch_params(k, Fraction(1, 8))
+            assert xor_side_size(m, k) <= XOR_SIDE_CAP
+
+    @pytest.mark.parametrize("m,q,k", [(24, 70, 2), (24, 64, 2), (243, 45, 7), (80, 11, 9),
+                                       (XOR_SIDE_CAP + 1, 8, 0)])
+    def test_rule_refuses_before_drawing(self, m, q, k):
         with pytest.raises(CapacityError):
-            WeakLatticeDistance(boolean_lattice(2), 5, Fraction(1, 10**12))
+            weak_xor_rule(m, q, k, _NoDraws())
+        with pytest.raises(CapacityError):
+            WeakLatticeDistance.rule_from_params({"m": m, "q": q, "k": k}, _NoDraws())
 
     def test_one_sided_on_near_pairs(self):
         L = boolean_lattice(4)
@@ -424,6 +444,13 @@ class TestPlanarTwoDistance:
 # -- cached encoder plans -----------------------------------------------------
 
 
+class _NoDraws(SharedRandomness):
+    """Randomness that fails on any draw, for checks that must refuse first."""
+
+    def integer(self, label, n):
+        raise AssertionError(f"drew {label!r}")
+
+
 class _RecordedDraws(SharedRandomness):
     """HashRandomness that also records every (label, n) it is asked for."""
 
@@ -567,6 +594,27 @@ class TestSeedReadingRules:
             assert rule(ma, mb) == verdict == reference(ma, mb, rnd)
             if kind == "weak":
                 assert type(proto).rule_from_params(proto.params(), rnd)(ma, mb) == verdict
+
+    @pytest.mark.parametrize("kind", ["weak", "hashed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**62 + 5])
+    def test_rule_over_the_base_integers_loop(self, kind, seed):
+        """A double with only ``integer`` draws through the base ``integers``
+        loop: the labels come in index order, and the rule decides as the
+        one over ``HashRandomness.integers`` does."""
+        proto, _, n = _seed_case(kind)
+        recorded = _RecordedDraws(seed)
+        slow, fast = proto.rule(recorded), proto.rule(HashRandomness(seed))
+        if kind == "weak":
+            assert recorded.draws == [(("s", i), 2**proto.q) for i in range(proto.m)]
+        else:
+            assert recorded.draws == [(("bucket", v), proto.buckets) for v in range(n)]
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(300):
+            a, b = (fast.unpack(rng.getrandbits(fast.width)) for _ in range(2))
+            verdicts.append(fast.decide(a, b))
+            assert slow.decide(a, b) == verdicts[-1]
+        assert set(verdicts) == {ACCEPT, REJECT}
 
     def test_rules_without_randomness_are_refused(self):
         weak, _, _ = _seed_case("weak")

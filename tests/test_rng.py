@@ -1,4 +1,5 @@
-"""Known-answer vectors for the draw stream, and the label-bytes memo's edges.
+"""Known-answer vectors for the draw stream, the label-bytes memo's edges, and
+``integers`` pinned to the ``integer`` loop it batches.
 
 The expected values pin the stream that label files and reports depend on:
 weak-lattice label files store bank seeds and are decoded by re-drawing
@@ -14,7 +15,7 @@ import pytest
 
 from smplab import rng
 from smplab.errors import InputError
-from smplab.rng import HashRandomness, derive_seed
+from smplab.rng import HashRandomness, SharedRandomness, TableRandomness, derive_seed
 
 SEEDS = [0, -1, 2**62]
 NS = [1, 2, 3, 2**24, 2**63 + 1]
@@ -176,3 +177,79 @@ class TestLabelMemoEdges:
             r.integer(("bound", i), 3)
             assert len(rng._LABEL_BYTES) <= rng._LABEL_BYTES_CAP
         assert r.integer(("s", 0), 2**63 + 1) == INTEGER[0][0][-1]
+
+
+TAGS = ["s", "bucket", 0, True]
+COUNTS = [0, 1, 200]
+BAD_TAGS = [1.0, None, ("s",), [1]]
+
+
+def integer_loop(r, tag, count, n):
+    return [r.integer((tag, i), n) for i in range(count)]
+
+
+class TestIntegers:
+    """``HashRandomness.integers`` is the ``integer`` loop, drawn faster."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_matches_the_integer_loop(self, seed, tag):
+        r = HashRandomness(seed)
+        for n in NS:
+            for count in COUNTS:
+                want = integer_loop(r, tag, count, n)
+                assert r.integers(tag, count, n) == want
+                assert SharedRandomness.integers(r, tag, count, n) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_known_answer_and_scratch_digests(self, seed):
+        r = HashRandomness(seed)
+        assert r.integers("s", 1, 2**63 + 1) == [INTEGER[seed][0][-1]]  # ("s", 0)
+        got = r.integers("bucket", 50, 2**63 + 1)
+        assert got == [scratch_draw(seed, ("bucket", i), 2**63 + 1) for i in range(50)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bool_tag_is_not_the_int(self, seed):
+        r = HashRandomness(seed)
+        as_bool = integer_loop(r, True, 200, 2**63 + 1)
+        as_int = integer_loop(r, 1, 200, 2**63 + 1)
+        assert as_bool != as_int
+        # either may be memoized first
+        for tags, want in [((1, True), [as_int, as_bool]), ((True, 1), [as_bool, as_int])]:
+            rng._INDEXED_BYTES.clear()
+            assert [r.integers(tag, 200, 2**63 + 1) for tag in tags] == want
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("tag", BAD_TAGS, ids=repr)
+    def test_bad_tags_raise(self, tag, n):
+        r = HashRandomness(0)
+        for draw in (r.integers, lambda *a: SharedRandomness.integers(r, *a)):
+            for count in (0, 3):
+                with pytest.raises(InputError):
+                    draw(tag, count, n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_cardinality_raises(self, n):
+        r = HashRandomness(0)
+        for draw in (r.integers, lambda *a: SharedRandomness.integers(r, *a)):
+            for count in (0, 3):
+                with pytest.raises(InputError):
+                    draw("s", count, n)
+
+    def test_byte_cache_stays_bounded(self):
+        r = HashRandomness(0)
+        for i in range(rng._INDEXED_BYTES_CAP + 10):
+            assert r.integers(f"t{i}", 3, 5) == integer_loop(r, f"t{i}", 3, 5)
+            assert len(rng._INDEXED_BYTES) <= rng._INDEXED_BYTES_CAP
+        big = rng._LABEL_BYTES_CAP + 1  # a family this large is never stored
+        assert r.integers("big", big, 7) == integer_loop(r, "big", big, 7)
+        assert all(count <= rng._LABEL_BYTES_CAP for _, _, count in rng._INDEXED_BYTES)
+        assert r.integers("s", 1, 2**63 + 1) == [INTEGER[0][0][-1]]
+
+    def test_table_randomness_raises_on_a_missing_label(self):
+        t = TableRandomness({("s", 0): 2, ("s", 1): 0})
+        assert t.integers("s", 2, 3) == [2, 0]
+        with pytest.raises(InputError):
+            t.integers("s", 3, 3)
+        with pytest.raises(InputError):
+            t.integer(("s", 2), 3)
