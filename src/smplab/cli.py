@@ -215,7 +215,7 @@ def _cmd_oracle(args) -> int:
         if not (0 <= x < G.n and 0 <= y < G.n):
             raise InputError(f"vertices must be in 0..{G.n - 1}")
         d = bfs_distance(G, x, y)
-        print("inf" if d is None or d == float("inf") else int(d))
+        print("inf" if d == float("inf") else int(d))
         return 0
     raise InputError(f"unknown query {query!r}; supported: dist X Y")
 

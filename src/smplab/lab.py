@@ -10,8 +10,8 @@ Three moving parts, all deterministic given a master seed:
   bookkeeping), each stratum gets the configured number of trials, and
   every trial's randomness is derived from the master seed by labeled
   hashing, so rows are independent jobs and reruns are byte-identical.
-  A trial's verdict comes from the protocol's ``Rule`` on the two
-  messages; its expected verdict comes from the BFS oracle alone.
+  Trials run through ``SmpProtocol.run_trials``; expected verdicts come
+  from the BFS oracle alone.
 * ``label_pipeline`` -- shared-randomness removal: draw and verify a seed
   bank, concatenate per-seed messages into vertex labels, write the scheme
   to disk, read it back, and re-check every pair through the public decoder
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -98,12 +99,13 @@ from .protocols.base import (
 from .protocols.hashing import BUDGET_CAP
 from .rng import HashRandomness, derive_seed
 from .universal import (
-    decode_labels,
+    WIDTH_CAP,
     derandomized_labeling,
     labeling_from_json,
     labeling_to_json,
     newman_seed_bank,
     positive_verdict,
+    scheme_mismatches,
 )
 
 FAMILIES = (
@@ -359,33 +361,41 @@ def _protocol_for(family, payload, k, eps, model, budget_bits):
 
     The oracle graph is what stratification and expected verdicts are
     computed from -- always by BFS, never by the protocol under test.
+    Messages wider than ``WIDTH_CAP`` bits are refused before any is built.
     """
     if family in ("distributive", "hypercube"):
         cls = UniversalLatticeDistance if model == "universal" else WeakLatticeDistance
-        return cls(payload, k, eps), cover_graph(payload.poset), k, "accept"
-    if family == "tree":
-        return TreeKDistance(payload, k, eps), payload, k, "tree"
-    if family == "arboricity":
-        return ArboricityAdjacency(payload, eps), payload, 1, "accept"
-    if family == "planar2":
-        return PlanarTwoDistance(payload, eps), payload.base_graph(), 2, "accept"
-    if family == "gadget:modular":
+        wired = cls(payload, k, eps), cover_graph(payload.poset), k, "accept"
+    elif family == "tree":
+        wired = TreeKDistance(payload, k, eps), payload, k, "tree"
+    elif family == "arboricity":
+        wired = ArboricityAdjacency(payload, eps), payload, 1, "accept"
+    elif family == "planar2":
+        wired = PlanarTwoDistance(payload, eps), payload.base_graph(), 2, "accept"
+    elif family == "gadget:modular":
         near = k_closure(cover_graph(payload.product.poset), 2)
-        return HashedAdjacency(near, budget_bits), near, 1, "accept"
-    if family == "gadget:arboricity2":
+        wired = HashedAdjacency(near, budget_bits), near, 1, "accept"
+    elif family == "gadget:arboricity2":
         closed = Graph(payload.product.n, payload.product.edges(), loops="all")
-        return ArboricityAdjacency(closed, eps), closed, 1, "accept"
-    if family == "gadget:interval":
-        return HashedAdjacency(payload.graph, budget_bits), payload.graph, 1, "accept"
-    if family == "gadget:allgraphs":
-        return HashedAdjacency(payload.source, budget_bits), payload.source, 1, "accept"
-    raise InputError(f"unknown family {family!r}")
+        wired = ArboricityAdjacency(closed, eps), closed, 1, "accept"
+    elif family == "gadget:interval":
+        wired = HashedAdjacency(payload.graph, budget_bits), payload.graph, 1, "accept"
+    elif family == "gadget:allgraphs":
+        wired = HashedAdjacency(payload.source, budget_bits), payload.source, 1, "accept"
+    else:
+        raise InputError(f"unknown family {family!r}")
+    proto = wired[0]
+    widest = max(proto.cost_bits_a, proto.cost_bits_b)
+    if widest > WIDTH_CAP:
+        raise CapacityError(f"{widest}-bit messages exceed the {WIDTH_CAP}-bit cap")
+    return wired
 
 
 def _expected_verdict(mode, d, k):
+    """The verdict a pool distance calls for; d is -1 when unreachable."""
     if mode == "tree":
         return distance_verdict(d) if d <= k else beyond_verdict(k)
-    return ACCEPT if d is not None and d <= k else REJECT
+    return ACCEPT if 0 <= d <= k else REJECT
 
 
 def _formula_bits(family, model, k, eps, proto) -> int:
@@ -491,15 +501,10 @@ def _row(cfg, n, proto_name, stratum, **kw):
 
 
 def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
-    """One report row: ``cfg.trials`` trials, trial t on pair ``t % size``.
-
-    Verdicts come from the protocol's ``Rule`` on the two messages, built
-    once per stratum (once per trial for a referee that reads the draws);
-    expected verdicts come from the pool's BFS distance alone.
-    """
-    one_sided_clean = proto.one_sided and label != "beyond"
-    if mode == "tree":
-        one_sided_clean = False
+    """One report row: ``cfg.trials`` trials through ``proto.run_trials``, trial
+    t on pair ``t % size`` under the seed derived for t; expected verdicts come
+    from the pool's BFS distance alone."""
+    one_sided_clean = proto.one_sided and label != "beyond" and mode != "tree"
     bound = Fraction(0) if one_sided_clean else (
         proto.error_bound if isinstance(proto, HashedAdjacency) else cfg.eps
     )
@@ -509,26 +514,15 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
                     formula_bits=str(formula), bound=str(bound))
     reads = min(cfg.trials, size)
     xs, ys, ds = (a[:reads].tolist() for a in pool)
-    wa, wb = proto.cost_bits_a, proto.cost_bits_b
-    seeded = proto.referee_reads_randomness
-    rule = None if seeded else proto.rule()
-    errors = 0
-    violations = 0
-    for t in range(cfg.trials):
-        i = t % reads
-        rnd = HashRandomness(derive_seed(cfg.master_seed, "trial", cfg.family, n, label, t))
-        ma = proto.encode_a(xs[i], rnd)
-        mb = proto.encode_b(ys[i], rnd)
-        if ma.length != wa or mb.length != wb:
-            raise InputError("encoder produced a message of the wrong width")
-        if seeded:
-            rule = proto.rule(rnd)
-        verdict = rule.decide(rule.unpack(ma.value), rule.unpack(mb.value))
-        want = _expected_verdict(mode, ds[i] if ds[i] >= 0 else None, threshold)
+    wants = [_expected_verdict(mode, d, threshold) for d in ds]
+    rnds = (HashRandomness(derive_seed(cfg.master_seed, "trial", cfg.family, n, label, t))
+            for t in range(cfg.trials))
+    verdicts = proto.run_trials(itertools.cycle(zip(xs, ys)), rnds)
+    errors = violations = 0
+    for verdict, want in zip(verdicts, itertools.cycle(wants)):
         if verdict != want:
             errors += 1
-            if positive_verdict(want):
-                violations += 1
+            violations += positive_verdict(want)
     return _row(
         cfg, n, proto.name, label,
         pairs=size,
@@ -536,7 +530,7 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
         errors=errors,
         error_rate=str(Fraction(errors, cfg.trials)),
         violations=violations,
-        mean_bits=str(Fraction(wa + wb, 2)),
+        mean_bits=str(Fraction(proto.cost_bits_a + proto.cost_bits_b, 2)),
         formula_bits=str(formula),
         bound=str(bound),
     )
@@ -581,7 +575,8 @@ def label_pipeline(family, n, k, eps, out_dir, master_seed=0, delta=None) -> dic
     Draws the instance, runs the seed-bank construction against the
     family's sketch, writes the labeling as canonical JSON, reads the file
     back, and decodes **every** pair through the public decoder, comparing
-    with the BFS oracle.  Returns a small report; any decoding mismatch
+    with one all-pairs BFS.  Universes above ``ALL_PAIRS_CAP`` are refused
+    before a bank is drawn.  Returns a small report; any decoding mismatch
     counts in ``decode_errors`` (the bank construction itself would have
     raised long before, so nonzero means file corruption).
     """
@@ -593,6 +588,8 @@ def label_pipeline(family, n, k, eps, out_dir, master_seed=0, delta=None) -> dic
     proto, oracle_graph, threshold, _mode = _protocol_for(
         family, inst.payload, k, eps, "universal", budget_bits=8
     )
+    if oracle_graph.n > ALL_PAIRS_CAP:
+        raise CapacityError(f"universe of {oracle_graph.n} exceeds the label cap {ALL_PAIRS_CAP}")
     universe = range(oracle_graph.n)
     bank = newman_seed_bank(
         proto, universe, eps, delta, derive_seed(master_seed, "bank", family, n)
@@ -605,14 +602,8 @@ def label_pipeline(family, n, k, eps, out_dir, master_seed=0, delta=None) -> dic
     path.write_text(json.dumps(labeling_to_json(scheme), sort_keys=True, indent=2) + "\n")
 
     reread = labeling_from_json(json.loads(path.read_text()))
-    decode_errors = 0
-    for x in universe:
-        dist_x = bfs_from(oracle_graph, x)
-        for y in range(x, oracle_graph.n):
-            want = dist_x[y] <= threshold
-            got = decode_labels(reread, reread.labels[x], reread.labels[y])
-            if got != want:
-                decode_errors += 1
+    near = (all_pairs_distances(oracle_graph) <= threshold).tolist()
+    decode_errors = sum(1 for _ in scheme_mismatches(reread, lambda x, y: near[x][y]))
 
     log2n = max(1, (oracle_graph.n - 1).bit_length())
     return {

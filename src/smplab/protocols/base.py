@@ -7,15 +7,16 @@ of the messages alone, which is what lets the messages double as vertex
 labels in a fixed decision structure), while others may read the shared
 randomness (``referee_reads_randomness = True``).
 
-``exact_error`` enumerates the full labeled-draw space with rational
-arithmetic, so small instances get provable error probabilities rather than
-estimates.  ``symmetrize`` turns a protocol with distinct sender roles into
-a role-free one: both parties send both encodings, and the referee takes the
-more pessimistic of the two cross evaluations.
+``run_trials`` is the one trial loop; ``exact_error`` runs it over every
+draw assignment, so small instances get exact rational error probabilities
+rather than estimates.  ``symmetrize`` turns a protocol with distinct sender
+roles into a role-free one: both parties send both encodings, and the
+referee takes the more pessimistic of the two cross evaluations.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,34 +215,45 @@ class SmpProtocol:
     def draw_support(self, x: int, y: int):
         return merge_support(self.support_a(x), self.support_b(y))
 
-    def run(self, x: int, y: int, rnd: SharedRandomness) -> TrialResult:
+    def _messages(self, x: int, y: int, rnd: SharedRandomness) -> tuple[Bits, Bits]:
+        """Alice's message for x and Bob's for y, checked for width."""
         ma = self.encode_a(x, rnd)
         mb = self.encode_b(y, rnd)
         if ma.length != self.cost_bits_a or mb.length != self.cost_bits_b:
             raise InputError("encoder produced a message of the wrong width")
-        verdict = self.referee(ma, mb, rnd)
-        return TrialResult(x, y, ma, mb, verdict, self.expected(x, y))
+        return ma, mb
+
+    def run(self, x: int, y: int, rnd: SharedRandomness) -> TrialResult:
+        """One trial, decided through ``referee``, with its expected verdict."""
+        ma, mb = self._messages(x, y, rnd)
+        return TrialResult(x, y, ma, mb, self.referee(ma, mb, rnd), self.expected(x, y))
+
+    def run_trials(self, pairs, rnds):
+        """Lazily, the verdict of each trial in ``zip(pairs, rnds)``, as ``run``
+        decides it, by the protocol's ``Rule``: built once for a blind
+        referee and once per trial for one that reads the draws."""
+        blind = None if self.referee_reads_randomness else self.rule()
+        for (x, y), rnd in zip(pairs, rnds):
+            ma, mb = self._messages(x, y, rnd)
+            rule = blind or self.rule(rnd)
+            yield rule.decide(rule.unpack(ma.value), rule.unpack(mb.value))
+
+    def _errors(self, x: int, y: int, rnds) -> int:
+        """How many trials of the pair (x, y), one per rnd, miss its expected verdict."""
+        expected = self.expected(x, y)
+        return sum(v != expected for v in self.run_trials(itertools.repeat((x, y)), rnds))
 
     def exact_error(self, x: int, y: int, cap: int = 1 << 24) -> Fraction:
-        """P[verdict != expected] by enumerating every draw assignment."""
+        """P[verdict != expected] over every draw assignment, one trial each."""
         support = self.draw_support(x, y)
-        total = support_size(support)
-        bad = 0
-        expected = self.expected(x, y)
-        for assignment in enumerate_assignments(support, cap=cap):
-            rnd = TableRandomness(assignment)
-            if self.run(x, y, rnd).verdict != expected:
-                bad += 1
-        return Fraction(bad, total)
+        rnds = map(TableRandomness, enumerate_assignments(support, cap=cap))
+        return Fraction(self._errors(x, y, rnds), support_size(support))
 
     def monte_carlo_error(self, x: int, y: int, trials: int, seed: int) -> Fraction:
+        """The error rate over ``trials`` trials seeded from ``random.Random(seed)``."""
         master = random.Random(seed)
-        bad = 0
-        for _ in range(trials):
-            rnd = HashRandomness(master.getrandbits(63))
-            if not self.run(x, y, rnd).correct:
-                bad += 1
-        return Fraction(bad, trials)
+        rnds = (HashRandomness(master.getrandbits(63)) for _ in range(trials))
+        return Fraction(self._errors(x, y, rnds), trials)
 
 
 class SymmetrizedProtocol(SmpProtocol):

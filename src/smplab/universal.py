@@ -46,6 +46,7 @@ BRUTE_MESSAGE_CAP = 16  # widest message space decision_graph will enumerate
 ENUM_CAP = 5  # largest candidate size min_universal_graph enumerates
 FAMILY_CAP = 8
 MEMBER_CAP = 5
+WIDTH_CAP = 1 << 20  # widest message or label, in bits, built from outside input
 
 
 def positive_verdict(v: Verdict) -> bool:
@@ -532,6 +533,15 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
     return _scheme_vote(scheme)(lx, ly)
 
 
+def scheme_mismatches(scheme: LabelingScheme, want):
+    """Every label pair (i, j), i <= j, that decodes other than ``want(i, j)``."""
+    labels = scheme.labels
+    for i, lx in enumerate(labels):
+        for j in range(i, len(labels)):
+            if decode_labels(scheme, lx, labels[j]) != want(i, j):
+                yield i, j
+
+
 def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
                           margin: Fraction = Fraction(1, 32)) -> LabelingScheme:
     """Concatenate per-seed messages into labels and verify exactness.
@@ -567,14 +577,11 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
     if protocol.referee_reads_randomness:
         params["seeds"] = list(bank.seeds)
     scheme = LabelingScheme("seed-majority", params, bank.m * c, labels)
-    for i in range(len(xs)):
-        for j in range(i, len(xs)):
-            want = positive_verdict(protocol.expected(xs[i], xs[j]))
-            if decode_labels(scheme, labels[i], labels[j]) != want:
-                raise VerificationError(
-                    f"pair ({xs[i]}, {xs[j]}) decodes wrongly; "
-                    "the seed bank is insufficient"
-                )
+    for i, j in scheme_mismatches(
+            scheme, lambda a, b: positive_verdict(protocol.expected(xs[a], xs[b]))):
+        raise VerificationError(
+            f"pair ({xs[i]}, {xs[j]}) decodes wrongly; the seed bank is insufficient"
+        )
     return scheme
 
 
@@ -599,6 +606,8 @@ def labeling_from_json(doc: dict) -> LabelingScheme:
         raise InputError(f"labeling document missing field {e}") from None
     if type(label_bits) is not int or label_bits < 1:
         raise InputError("label_bits must be a positive integer")
+    if label_bits > WIDTH_CAP:
+        raise CapacityError(f"{label_bits}-bit labels exceed the {WIDTH_CAP}-bit cap")
     _bank_shape(params, label_bits)
     if not isinstance(labels, list):
         raise InputError("labels must be a list of hex strings")

@@ -282,6 +282,53 @@ class TestWeakSearchCapacity:
         assert dict(zip(header.split(","), row.split(",")))["status"].startswith("CapacityError")
 
 
+class TestWidthCapacity:
+    """Message and label widths from a config or a file stay under
+    ``WIDTH_CAP``, and a labeled universe under ``ALL_PAIRS_CAP``; beyond
+    them the command ends in exit 3 or a ``CapacityError`` row, in a child
+    with a capped address space."""
+
+    @staticmethod
+    def _wide_messages(doc):
+        doc["label_bits"] = 2**40
+        doc["params"].update(message_bits=2**40, bank_m=1)
+        doc["params"]["protocol"]["m"] = 2**40
+
+    @staticmethod
+    def _many_seeds(doc):
+        doc["label_bits"] = 10**9
+        doc["params"].update(message_bits=1, bank_m=10**9)
+        doc["params"]["protocol"].update(m=1, rounds=1, k=0)
+
+    @pytest.mark.parametrize("change", ["_wide_messages", "_many_seeds"])
+    def test_oversized_label_file_exit_code(self, scheme_dir, tmp_path, change):
+        doc = json.loads(next(scheme_dir.glob("labels-*.json")).read_text())
+        x, y = doc["labels"][0], doc["labels"][7]
+        getattr(self, change)(doc)
+        path = tmp_path / "labels-wide.json"
+        path.write_text(json.dumps(doc))
+        proc = capped_python("-c", CLI_MAIN, "decode", "--scheme", path, "--x", x, "--y", y)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+
+    def test_oversized_run_row_reports_capacity(self, tmp_path):
+        cfg = {"family": "hypercube", "n_range": [3], "k": 100000, "model": "universal",
+               "trials": 2, "output": str(tmp_path / "r.csv")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = capped_python("-c", CLI_MAIN, "run", "--config", path)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        header, row = (tmp_path / "r.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["status"].startswith("CapacityError")
+
+    def test_oversized_label_universe_exit_code(self, tmp_path):
+        proc = capped_python("-c", CLI_MAIN, "label", "--family", "tree", "--n", 10000,
+                             "--k", 1, "--eps", "1/5", "--out", tmp_path)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+
+
 def test_python_dash_m_prints_usage():
     proc = capped_python("-m", "smplab", "--help")
     assert proc.returncode == 0

@@ -1,14 +1,17 @@
-"""The trial engine: exact and Monte-Carlo error values pinned per protocol.
+"""The trial engine: exact and Monte-Carlo error values pinned per protocol,
+and ``run_trials`` against ``run`` on every experiment family.
 
 The values were computed by the per-trial ``run`` loop, so any change to how
 trials are encoded, decided or seeded shows up here as a changed fraction.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from smplab.generators import path_graph
+from smplab.lab import FAMILIES, _protocol_for, generate
 from smplab.lattices import boolean_lattice
 from smplab.protocols import (
     EqualitySketch,
@@ -18,6 +21,7 @@ from smplab.protocols import (
     WeakLatticeDistance,
     symmetrize,
 )
+from smplab.rng import HashRandomness
 from smplab.universal import fix_seed
 
 F = Fraction
@@ -74,3 +78,43 @@ def test_monte_carlo_error_values(kind):
     trials, cases = MONTE_CARLO[kind]
     assert [proto.monte_carlo_error(x, y, trials, seed=5) for x, y, _ in cases] == \
            [want for _, _, want in cases]
+
+
+# (family, n, k): one small instance per experiment family
+FAMILY_CASES = [
+    ("distributive", 5, 1),
+    ("hypercube", 3, 1),
+    ("tree", 12, 2),
+    ("arboricity", 12, 1),
+    ("planar2", 10, 2),
+    ("gadget:modular", 3, 1),
+    ("gadget:arboricity2", 5, 1),
+    ("gadget:interval", 4, 1),
+    ("gadget:allgraphs", 6, 1),
+]
+
+
+def test_family_cases_cover_every_family():
+    assert sorted(f for f, _, _ in FAMILY_CASES) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("model", ["universal", "weak"])
+@pytest.mark.parametrize("family,n,k", FAMILY_CASES)
+def test_run_trials_are_run_verdicts(family, n, k, model):
+    # a loose error budget keeps the sketches small
+    proto, graph, _, _ = _protocol_for(family, generate(family, n, 3).payload, k,
+                                       F(3, 4), model, budget_bits=8)
+    ys = range(0, graph.n, 1 + graph.n // 24)  # spread over the universe
+    pairs = [(x, y) for x in range(min(graph.n, 8)) for y in ys]
+    rnds = [HashRandomness(1000 + i) for i in range(len(pairs))]
+    verdicts = list(proto.run_trials(pairs, rnds))
+    assert verdicts == [proto.run(x, y, rnd).verdict for (x, y), rnd in zip(pairs, rnds)]
+    assert len(set(verdicts)) > 1
+
+
+def test_run_trials_is_lazy():
+    proto = _protocol("weak")
+    rnds = map(HashRandomness, itertools.count())
+    trials = proto.run_trials(itertools.repeat((0, 3)), rnds)
+    assert list(itertools.islice(trials, 3)) == [proto.run(0, 3, HashRandomness(s)).verdict
+                                                 for s in range(3)]
