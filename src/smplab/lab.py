@@ -392,10 +392,9 @@ def _protocol_for(family, payload, k, eps, model, budget_bits):
 
 
 def _expected_verdict(mode, d, k):
-    """The verdict a pool distance calls for; d is -1 when unreachable."""
     if mode == "tree":
         return distance_verdict(d) if d <= k else beyond_verdict(k)
-    return ACCEPT if 0 <= d <= k else REJECT
+    return ACCEPT if d is not None and d <= k else REJECT
 
 
 def _formula_bits(family, model, k, eps, proto) -> int:
@@ -504,7 +503,9 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
     """One report row: ``cfg.trials`` trials through ``proto.run_trials``, trial
     t on pair ``t % size`` under the seed derived for t; expected verdicts come
     from the pool's BFS distance alone."""
-    one_sided_clean = proto.one_sided and label != "beyond" and mode != "tree"
+    one_sided_clean = proto.one_sided and label != "beyond"
+    if mode == "tree":
+        one_sided_clean = False
     bound = Fraction(0) if one_sided_clean else (
         proto.error_bound if isinstance(proto, HashedAdjacency) else cfg.eps
     )
@@ -514,15 +515,17 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
                     formula_bits=str(formula), bound=str(bound))
     reads = min(cfg.trials, size)
     xs, ys, ds = (a[:reads].tolist() for a in pool)
-    wants = [_expected_verdict(mode, d, threshold) for d in ds]
+    wants = [_expected_verdict(mode, d if d >= 0 else None, threshold) for d in ds]
     rnds = (HashRandomness(derive_seed(cfg.master_seed, "trial", cfg.family, n, label, t))
             for t in range(cfg.trials))
     verdicts = proto.run_trials(itertools.cycle(zip(xs, ys)), rnds)
-    errors = violations = 0
+    errors = 0
+    violations = 0
     for verdict, want in zip(verdicts, itertools.cycle(wants)):
         if verdict != want:
             errors += 1
-            violations += positive_verdict(want)
+            if positive_verdict(want):
+                violations += 1
     return _row(
         cfg, n, proto.name, label,
         pairs=size,

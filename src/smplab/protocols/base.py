@@ -229,9 +229,8 @@ class SmpProtocol:
         return TrialResult(x, y, ma, mb, self.referee(ma, mb, rnd), self.expected(x, y))
 
     def run_trials(self, pairs, rnds):
-        """Lazily, the verdict of each trial in ``zip(pairs, rnds)``, as ``run``
-        decides it, by the protocol's ``Rule``: built once for a blind
-        referee and once per trial for one that reads the draws."""
+        """Lazily, each verdict ``run`` gives the trials ``zip(pairs, rnds)``, by the
+        ``Rule``, built once, or once per rnd for a referee that reads the draws."""
         blind = None if self.referee_reads_randomness else self.rule()
         for (x, y), rnd in zip(pairs, rnds):
             ma, mb = self._messages(x, y, rnd)

@@ -535,10 +535,9 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
 
 def scheme_mismatches(scheme: LabelingScheme, want):
     """Every label pair (i, j), i <= j, that decodes other than ``want(i, j)``."""
-    labels = scheme.labels
-    for i, lx in enumerate(labels):
-        for j in range(i, len(labels)):
-            if decode_labels(scheme, lx, labels[j]) != want(i, j):
+    for i, lx in enumerate(scheme.labels):
+        for j, ly in enumerate(scheme.labels[i:], i):
+            if decode_labels(scheme, lx, ly) != want(i, j):
                 yield i, j
 
 

@@ -57,6 +57,7 @@ from smplab.universal import (
     newman_seed_bank,
     positive_verdict,
     protocol_map_sampler,
+    scheme_mismatches,
     weak_to_universal_family,
 )
 
@@ -429,6 +430,14 @@ class TestDerandomizedLabeling:
                 want = bfs_distance(tree, x, y) <= 2
                 got = decode_labels(scheme, scheme.labels[x], scheme.labels[y])
                 assert got == want
+
+    def test_mismatches_are_the_pairs_decoded_against_want(self):
+        tree, _, _, scheme = self.tree_scheme()
+        near = {(x, y) for x in range(16) for y in range(x, 16) if bfs_distance(tree, x, y) <= 2}
+        assert list(scheme_mismatches(scheme, lambda x, y: (x, y) in near)) == []
+        flipped = {(0, 5), (3, 14), (7, 7), (15, 15)}
+        wrong = scheme_mismatches(scheme, lambda x, y: ((x, y) in near) != ((x, y) in flipped))
+        assert list(wrong) == sorted(flipped)
 
     def test_decoding_is_symmetric(self):
         _, _, _, scheme = self.tree_scheme()
