@@ -229,8 +229,8 @@ class SmpProtocol:
         return TrialResult(x, y, ma, mb, self.referee(ma, mb, rnd), self.expected(x, y))
 
     def run_trials(self, pairs, rnds):
-        """Lazily, each verdict ``run`` gives the trials ``zip(pairs, rnds)``, by the
-        ``Rule``, built once, or once per rnd for a referee that reads the draws."""
+        """The verdicts ``run`` gives the trials ``zip(pairs, rnds)``, lazily, by the
+        ``Rule``: built once, or once per rnd for a referee that reads the draws."""
         blind = None if self.referee_reads_randomness else self.rule()
         for (x, y), rnd in zip(pairs, rnds):
             ma, mb = self._messages(x, y, rnd)
