@@ -53,7 +53,7 @@ FAMILY_TAGS = ("modular", "arboricity2", "interval", "allgraphs")
 
 MODULAR_SOURCE_CAP = 5  # every isomorphism class up to this size is realizable
 ARBORICITY2_SOURCE_CAP = 64  # keeps the all-pairs BFS verification affordable
-ALLGRAPHS_SOURCE_CAP = 4096
+ALLGRAPHS_SOURCE_CAP = 1536  # builds in a 1 GiB address space, with room to spare
 
 SUBSPACE_DIMENSION = 5  # ambient F_2^d for the modular construction
 

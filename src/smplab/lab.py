@@ -123,6 +123,7 @@ FAMILIES = (
 HYPERCUBE_DIM_CAP = 12
 GRAPH_FAMILY_CAP = 10_000
 ALL_PAIRS_CAP = 600  # largest universe enumerated exhaustively per stratum
+PAIR_SAMPLE_CAP = 1 << 20  # most pairs a 'sampled:N' policy may draw
 
 _ERRORS = (InputError, PreconditionError, CapacityError, VerificationError)
 
@@ -190,11 +191,13 @@ class ExperimentConfig:
 
 
 def _parse_pair_policy(policy: str) -> int | None:
-    """None for exhaustive pairs, else the sample count."""
+    """None for exhaustive pairs, else the sample count, at most PAIR_SAMPLE_CAP."""
     if policy == "all":
         return None
     head, sep, count = policy.partition(":")
     if head == "sampled" and sep and count.isdigit() and int(count) > 0:
+        if int(count) > PAIR_SAMPLE_CAP:
+            raise CapacityError(f"pair_policy samples {count} pairs (cap {PAIR_SAMPLE_CAP})")
         return int(count)
     raise InputError(f"pair_policy must be 'all' or 'sampled:N', got {policy!r}")
 
@@ -240,11 +243,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if kwargs.get("output") is not None and not isinstance(kwargs["output"], str):
         raise InputError("output must be a path string or null")
     if "eps" in kwargs:
-        eps = kwargs["eps"]
-        if (not isinstance(eps, list) or len(eps) != 2
-                or any(type(x) is not int for x in eps) or eps[1] == 0):
-            raise InputError(f"eps must be [numerator, denominator], got {eps!r}")
-        kwargs["eps"] = eps_from_json(eps)
+        kwargs["eps"] = eps_from_json(kwargs["eps"])
     return ExperimentConfig(**kwargs)
 
 

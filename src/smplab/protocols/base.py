@@ -1,17 +1,21 @@
 """Simultaneous-message sketches: the shared machinery.
 
-A protocol encodes each input into a fixed-width bit message using labeled
-shared randomness, and a referee maps the two messages to a verdict.  Two
-referee disciplines coexist: most referees here are *blind* (a fixed function
-of the messages alone, which is what lets the messages double as vertex
-labels in a fixed decision structure), while others may read the shared
-randomness (``referee_reads_randomness = True``).
+A protocol is an encoder and a rule: ``encode`` (or ``encode_a`` and
+``encode_b`` for distinct sender roles) maps an input to a fixed-width bit
+message using labeled shared randomness, and ``rule_from_params`` (or an
+overridden ``rule``) maps two message values to a verdict.  With ``expected``,
+``params`` and ``cost_bits`` that is the contract.  ``support`` is recorded
+from one encode under ``RecordingRandomness``, and ``referee`` checks the
+widths and decides through the rule.  Most rules are *blind* (a fixed
+function of the messages alone, which is what lets the messages double as
+vertex labels in a fixed decision structure); others read the shared
+randomness (``referee_reads_randomness = True``) and are built per seed.
 
 ``run_trials`` is the one trial loop; ``exact_error`` runs it over every
 draw assignment, so small instances get exact rational error probabilities
 rather than estimates.  ``symmetrize`` turns a protocol with distinct sender
 roles into a role-free one: both parties send both encodings, and the
-referee takes the more pessimistic of the two cross evaluations.
+rule takes the more pessimistic of the two cross evaluations.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from ..bits import Bits
 from ..errors import InputError
 from ..rng import (
     HashRandomness,
+    RecordingRandomness,
     SharedRandomness,
     TableRandomness,
     enumerate_assignments,
@@ -39,15 +44,10 @@ class Verdict:
     value: int | None = None
 
     def sort_key(self):
-        if self.kind == "accept":
-            return (0, 0)
-        if self.kind == "reject":
-            return (1, 0)
-        if self.kind == "distance":
-            return (0, self.value)
-        if self.kind == "beyond":
-            return (1, self.value)
-        raise InputError(f"unknown verdict kind {self.kind!r}")
+        rank = {"accept": 0, "distance": 0, "reject": 1, "beyond": 1}.get(self.kind)
+        if rank is None:
+            raise InputError(f"unknown verdict kind {self.kind!r}")
+        return (rank, self.value or 0)
 
     def __str__(self):
         if self.value is None:
@@ -79,7 +79,8 @@ class Rule(NamedTuple):
     ``unpack`` cuts a ``width``-bit message value into the fields the rule
     reads (``int`` keeps it whole); ``decide`` maps two such field sets to
     the verdict.  Calling the rule on two ``Bits`` is the referee itself, and
-    a caller that meets a message many times unpacks it once.
+    a caller that meets a message many times unpacks it once.  A role-split
+    protocol's rule has the a-side width; ``SmpProtocol.referee`` checks both.
     """
 
     width: int
@@ -105,6 +106,11 @@ def int_params(params: dict, **least: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def field_width(m: int) -> int:
+    """Bits of a field holding any value in range(m)."""
+    return max(1, (m - 1).bit_length())
+
+
 def fields_of(value: int, count: int, width: int) -> tuple[int, ...]:
     """``count`` big-endian ``width``-bit fields of value, first field first."""
     mask = (1 << width) - 1
@@ -128,21 +134,21 @@ class TrialResult:
 
 def merge_support(*supports):
     """Deduplicate (label, cardinality) lists; clashing cardinalities fail."""
-    seen = {}
-    out = []
-    for sup in supports:
-        for label, card in sup:
-            if label in seen:
-                if seen[label] != card:
-                    raise InputError(f"label {label!r} declared with two cardinalities")
-                continue
-            seen[label] = card
-            out.append((label, card))
-    return out
+    rnd = RecordingRandomness()
+    for label, card in itertools.chain(*supports):
+        rnd.integer(label, card)
+    return list(rnd.reads.items())
+
+
+def recorded_support(encoder, v: int) -> list[tuple]:
+    """The (label, cardinality) pairs one ``encoder(v, rnd)`` call reads."""
+    rnd = RecordingRandomness()
+    encoder(v, rnd)
+    return list(rnd.reads.items())
 
 
 class SmpProtocol:
-    """Base class; subclasses fill in encoders, referee, and ground truth."""
+    """Base class; subclasses state an encoder, a rule and ground truth."""
 
     name = "abstract"
     one_sided = False
@@ -155,13 +161,6 @@ class SmpProtocol:
     def encode(self, v: int, rnd: SharedRandomness) -> Bits:
         raise NotImplementedError
 
-    def support(self, v: int):
-        """Labeled draws ``encode(v)`` may read: list of (label, cardinality)."""
-        raise NotImplementedError
-
-    def referee(self, ma: Bits, mb: Bits, rnd: SharedRandomness | None = None) -> Verdict:
-        raise NotImplementedError
-
     def expected(self, x: int, y: int) -> Verdict:
         raise NotImplementedError
 
@@ -169,22 +168,32 @@ class SmpProtocol:
         raise NotImplementedError
 
     def rule(self, rnd: SharedRandomness | None = None) -> Rule:
-        """The referee as a ``Rule``, for the draws of rnd.
-
-        Blind rules ignore rnd.  A protocol with no rule of its own gets
-        one that keeps each message whole and calls ``referee`` per pair;
-        its width is the a-side message width.
-        """
-        if type(self).rule_from_params is not None:
-            return type(self).rule_from_params(self.params(), rnd)
-        wa, wb = self.cost_bits_a, self.cost_bits_b
-        return Rule(wa, int, lambda a, b: self.referee(Bits(a, wa), Bits(b, wb), rnd))
+        """The referee as a ``Rule`` for the draws of rnd (blind rules ignore it),
+        by ``rule_from_params``; a protocol without that overrides this."""
+        rebuild = type(self).rule_from_params
+        if rebuild is None:
+            raise NotImplementedError(f"{type(self).__name__} states no rule")
+        return rebuild(self.params(), rnd)
 
     @property
     def cost_bits(self) -> int:
         raise NotImplementedError
 
-    # -- role split (overridden by symmetrize wrappers) ------------------
+    # -- derived from the encoder and the rule ---------------------------
+    def support(self, v: int):
+        """Labeled draws ``encode(v)`` reads, as (label, cardinality) pairs; an
+        encoder whose labels depend on its draws overrides this with them all."""
+        return recorded_support(self.encode, v)
+
+    def referee(self, ma: Bits, mb: Bits, rnd: SharedRandomness | None = None) -> Verdict:
+        """The verdict on Alice's message ma and Bob's mb, by the rule for rnd."""
+        if ma.length != self.cost_bits_a or mb.length != self.cost_bits_b:
+            raise InputError(f"messages must be {self.cost_bits_a} and {self.cost_bits_b} "
+                             f"bits, got {ma.length} and {mb.length}")
+        rule = self.rule(rnd)
+        return rule.decide(rule.unpack(ma.value), rule.unpack(mb.value))
+
+    # -- role split (overridden by role-split protocols) -----------------
     def encode_a(self, v, rnd):
         return self.encode(v, rnd)
 
@@ -192,10 +201,10 @@ class SmpProtocol:
         return self.encode(v, rnd)
 
     def support_a(self, v):
-        return self.support(v)
+        return self.support(v) if self.symmetric else recorded_support(self.encode_a, v)
 
     def support_b(self, v):
-        return self.support(v)
+        return self.support(v) if self.symmetric else recorded_support(self.encode_b, v)
 
     @property
     def cost_bits_a(self):
@@ -258,7 +267,7 @@ class SmpProtocol:
 class SymmetrizedProtocol(SmpProtocol):
     """Role-free wrapper: send both encodings, judge both cross pairings.
 
-    The referee evaluates the inner protocol on (a-part of x, b-part of y)
+    The rule evaluates the inner protocol on (a-part of x, b-part of y)
     and on (a-part of y, b-part of x) and returns the more pessimistic
     verdict, so a one-sided inner protocol stays one-sided and the cost is
     the sum of the two inner widths on each side.
@@ -281,15 +290,16 @@ class SymmetrizedProtocol(SmpProtocol):
         return self.inner.encode_a(v, rnd).concat(self.inner.encode_b(v, rnd))
 
     def support(self, v):
+        # the inner supports, so an inner override (the weak sketch's) holds
         return merge_support(self.inner.support_a(v), self.inner.support_b(v))
 
-    def referee(self, ma, mb, rnd=None):
-        wa = self.inner.cost_bits_a
-        xa, xb = ma.take(0, wa), ma.take(wa, ma.length - wa)
-        ya, yb = mb.take(0, wa), mb.take(wa, mb.length - wa)
-        forward = self.inner.referee(xa, yb, rnd)
-        backward = self.inner.referee(ya, xb, rnd)
-        return verdict_max(forward, backward)
+    def rule(self, rnd=None):
+        """The inner rule on (a-part of x, b-part of y) and on (a-part of
+        y, b-part of x), the more pessimistic verdict of the two."""
+        inner, wb = self.inner.rule(rnd), self.inner.cost_bits_b
+        return Rule(self.cost_bits,
+                    lambda value: tuple(map(inner.unpack, divmod(value, 1 << wb))),
+                    lambda x, y: verdict_max(inner.decide(x[0], y[1]), inner.decide(y[0], x[1])))
 
     def expected(self, x, y):
         return self.inner.expected(x, y)
@@ -311,6 +321,9 @@ def eps_to_json(eps: Fraction):
 
 
 def eps_from_json(doc) -> Fraction:
+    if (not isinstance(doc, list) or len(doc) != 2
+            or any(type(x) is not int for x in doc) or doc[1] == 0):
+        raise InputError(f"eps must be [numerator, denominator], got {doc!r}")
     return Fraction(doc[0], doc[1])
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, graph_from_json, graph_to_json
-from .base import ACCEPT, REJECT, Rule, SmpProtocol
+from .base import ACCEPT, REJECT, Rule, SmpProtocol, int_params
 
 BUDGET_CAP = 24  # bucket tables above 2**24 would be silly, not useful
 
@@ -72,10 +72,7 @@ class HashedAdjacency(SmpProtocol):
 
     @classmethod
     def from_payload(cls, params, payload):
-        return cls(graph_from_json(payload["graph"]), params["bits"])
-
-    def support(self, v):
-        return [(("bucket", v), self.buckets)]
+        return cls(graph_from_json(payload.get("graph")), *int_params(params, bits=1))
 
     def encode(self, v, rnd):
         return Bits(rnd.integer(("bucket", v), self.buckets), self.bits)
@@ -91,9 +88,6 @@ class HashedAdjacency(SmpProtocol):
             return ACCEPT if self._adj[np.ix_(bucket == a, bucket == b)].any() else REJECT
 
         return Rule(self.bits, int, decide)
-
-    def referee(self, ma, mb, rnd=None):
-        return self.rule(rnd)(ma, mb)
 
     def expected(self, x, y):
         return ACCEPT if self.graph.adjacent(x, y) else REJECT

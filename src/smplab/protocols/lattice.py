@@ -83,10 +83,14 @@ def weak_sketch_width(m: int, k: int, eps) -> int:
     return ceil_log2(candidates / as_fraction(eps))
 
 
+def weak_bucket_count(k: int, eps) -> int:
+    """Bucket count m of the weak-referee sketch."""
+    return math.ceil((k + 2) ** 2 / as_fraction(eps))
+
+
 def weak_sketch_params(k: int, eps) -> tuple[int, int]:
     """Bucket count m and message width q for the weak-referee sketch."""
-    eps = as_fraction(eps)
-    m = math.ceil((k + 2) ** 2 / eps)
+    m = weak_bucket_count(k, eps)
     return m, weak_sketch_width(m, k, eps)
 
 
@@ -130,7 +134,7 @@ class WeakLatticeDistance(_LatticeSketch):
         values are for toy-scale exhaustive analysis and forfeit the
         error bound."""
         super().__init__(L, k, eps)
-        self.m = math.ceil((k + 2) ** 2 / self.eps) if m is None else int(m)
+        self.m = weak_bucket_count(k, self.eps) if m is None else int(m)
         if self.m < 1:
             raise InputError("bucket count must be positive")
         _check_xor_side(self.m, k)  # before the width formula sums C(m, i) up to k
@@ -146,9 +150,9 @@ class WeakLatticeDistance(_LatticeSketch):
     @classmethod
     def from_payload(cls, params, payload):
         # birkhoff() re-certifies distributivity, so skip the generic pass
-        L = build_lattice(poset_from_json(payload["poset"]), validate=False)
-        return cls(L, params["k"], eps_from_json(params["eps"]),
-                   m=params["m"], q=params["q"])
+        L = build_lattice(poset_from_json(payload.get("poset")), validate=False)
+        k, m, q = int_params(params, k=0, m=1, q=1)
+        return cls(L, k, eps_from_json(params.get("eps")), m=m, q=q)
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):
@@ -159,6 +163,7 @@ class WeakLatticeDistance(_LatticeSketch):
         return self.q
 
     def support(self, v):
+        # which vectors encode reads depends on its bucket draws: declare all m
         idx = [(("idx", j), self.m) for j in self._jset[v]]
         vecs = [(("s", i), 2**self.q) for i in range(self.m)]
         return idx + vecs
@@ -194,13 +199,8 @@ def weak_xor_rule(m: int, q: int, k: int, rnd) -> Rule:
 
 
 def weak_xor_referee(ma: Bits, mb: Bits, rnd, m: int, q: int, k: int):
-    """The weak rule on two messages under rnd; see ``weak_xor_rule``."""
+    """``weak_xor_rule`` on two messages, kept as ``bench/tracer.py``'s named hook."""
     return weak_xor_rule(m, q, k, rnd)(ma, mb)
-
-
-def _small_xor_hit(target: int, vecs: np.ndarray, k: int) -> bool:
-    """Is target the XOR of at most k of the given vectors?"""
-    return _xor_hit(target, *_xor_sides(vecs, k))
 
 
 def _xor_sides(vecs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,9 +255,9 @@ class UniversalLatticeDistance(_LatticeSketch):
 
     @classmethod
     def from_payload(cls, params, payload):
-        L = build_lattice(poset_from_json(payload["poset"]), validate=False)
-        return cls(L, params["k"], eps_from_json(params["eps"]),
-                   m=params["m"], rounds=params["rounds"])
+        L = build_lattice(poset_from_json(payload.get("poset")), validate=False)
+        k, m, rounds = int_params(params, k=0, m=1, rounds=1)
+        return cls(L, k, eps_from_json(params.get("eps")), m=m, rounds=rounds)
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):
@@ -266,13 +266,6 @@ class UniversalLatticeDistance(_LatticeSketch):
     @property
     def cost_bits(self):
         return self.m * self.rounds
-
-    def support(self, v):
-        return [
-            (("idx", t, j), self.m)
-            for t in range(self.rounds)
-            for j in self._jset[v]
-        ]
 
     def encode(self, v, rnd):
         parts = []
@@ -303,5 +296,5 @@ def parity_blocks_rule(m: int, rounds: int, k: int) -> Rule:
 
 
 def parity_blocks_referee(ma: Bits, mb: Bits, m: int, k: int):
-    """The parity-blocks rule on two messages; see ``parity_blocks_rule``."""
+    """``parity_blocks_rule`` on two messages, kept as ``bench/tracer.py``'s named hook."""
     return parity_blocks_rule(m, ma.length // m, k)(ma, mb)

@@ -7,7 +7,7 @@ class's ``from_payload`` so a decoder never needs the original process.
 
 from __future__ import annotations
 
-from ..errors import InputError
+from ..errors import InputError, PreconditionError
 from .arboricity import ArboricityAdjacency
 from .hashing import HashedAdjacency
 from .lattice import UniversalLatticeDistance, WeakLatticeDistance
@@ -32,10 +32,15 @@ def protocol_from_document(doc: dict):
         params, payload = doc["params"], doc["payload"]
     except (TypeError, KeyError):
         raise InputError("protocol document needs 'params' and 'payload'") from None
+    if not (isinstance(params, dict) and isinstance(payload, dict)):
+        raise InputError("protocol 'params' and 'payload' must be objects")
     name = params.get("name")
-    if name not in PROTOCOLS:
+    if not isinstance(name, str) or name not in PROTOCOLS:
         raise InputError(f"unknown protocol {name!r}")
-    return PROTOCOLS[name].from_payload(params, payload)
+    try:
+        return PROTOCOLS[name].from_payload(params, payload)
+    except PreconditionError as exc:  # say, a stored poset that is no lattice
+        raise InputError(f"{name} document: {exc}") from None
 
 
 def protocol_to_document(protocol) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..bits import Bits
 from ..errors import InputError
-from .base import ACCEPT, REJECT, SmpProtocol
+from .base import ACCEPT, REJECT, Rule, SmpProtocol
 
 
 class EqualitySketch(SmpProtocol):
@@ -56,17 +56,12 @@ class EqualitySketch(SmpProtocol):
         self._check(v)
         return self._hash_bits(v, self.rounds_b, rnd)
 
-    def support_a(self, v):
-        return [(("h", t, v), 2) for t in range(self.rounds_a)]
-
-    def support_b(self, v):
-        return [(("h", t, v), 2) for t in range(self.rounds_b)]
-
-    def referee(self, ma, mb, rnd=None):
-        overlap = min(ma.length, mb.length)
-        if ma.take(0, overlap) == mb.take(0, overlap):
-            return ACCEPT
-        return REJECT
+    def rule(self, rnd=None):
+        """Accept iff the first min(rounds) bits of the two messages agree."""
+        overlap = min(self.rounds_a, self.rounds_b)
+        shift_a, shift_b = self.rounds_a - overlap, self.rounds_b - overlap
+        return Rule(self.rounds_a, int,
+                    lambda a, b: ACCEPT if a >> shift_a == b >> shift_b else REJECT)
 
     def expected(self, x, y):
         return ACCEPT if x == y else REJECT

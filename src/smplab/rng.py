@@ -19,7 +19,10 @@ unchanged, ``integers`` returns exactly the ``integer`` loop's values, and
 
 ``TableRandomness`` replaces the hash with an explicit assignment of values
 to labels; exhaustive error computations enumerate all assignments of the
-labels a protocol declares it may touch.
+labels a protocol declares it may touch.  ``RecordingRandomness`` answers 0
+to every draw and records each (label, cardinality) read: one encode under
+it lists the labels that encoder reads, and a label the list misses is one
+the table refuses.
 """
 
 from __future__ import annotations
@@ -167,6 +170,20 @@ class TableRandomness(SharedRandomness):
         if not 0 <= value < n:
             raise InputError(f"assigned value {value} out of range for {label!r}")
         return value
+
+
+class RecordingRandomness(SharedRandomness):
+    """All-zero draws; ``reads`` keeps each label's one cardinality, in read order."""
+
+    def __init__(self):
+        self.reads = {}
+
+    def integer(self, label, n: int) -> int:
+        if n <= 0:
+            raise InputError("draw cardinality must be positive")
+        if self.reads.setdefault(label, n) != n:
+            raise InputError(f"draw {label!r} read with two cardinalities")
+        return 0
 
 
 def derive_seed(master: int, *parts) -> int:

@@ -170,14 +170,8 @@ class FixedSeedProtocol(SmpProtocol):
     def cost_bits(self):
         return self.inner.cost_bits
 
-    def support(self, v):
-        return []
-
     def encode(self, v, rnd=None):
         return self.inner.encode(v, self._rnd)
-
-    def referee(self, ma, mb, rnd=None):
-        return self.inner.referee(ma, mb, self._rnd)
 
     def rule(self, rnd=None):
         return self.inner.rule(self._rnd)

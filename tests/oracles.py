@@ -269,3 +269,70 @@ def planar2_encode_fields(proto, v, rnd):
                for p in proto.closure_orientation.parents[v]]
     closure += [own2] * (CLOSURE_SLOTS - len(closure))
     return concat_all([Bits.pack(colors, proto.w1), Bits.pack([own2] + closure, proto.w2)])
+
+
+# -- draw supports and role-split referees as first written ---------------
+# Each protocol once stated the draws its encoder reads by hand; the library
+# now records them from one encode, and tests require the same (label,
+# cardinality) pairs on every vertex.  The equality and symmetrized referees
+# cut messages with Bits.take; the library states both as rules on ints.
+
+
+def declared_supports(proto, v):
+    """The (a-side, b-side) draw supports proto once declared for input v."""
+    from smplab.protocols import (
+        ArboricityAdjacency,
+        EqualitySketch,
+        HashedAdjacency,
+        PlanarTwoDistance,
+        SymmetrizedProtocol,
+        TreeKDistance,
+        UniversalLatticeDistance,
+        WeakLatticeDistance,
+    )
+    from smplab.universal import FixedSeedProtocol
+
+    if isinstance(proto, SymmetrizedProtocol):
+        a, b = declared_supports(proto.inner, v)
+        return a + b, a + b
+    if isinstance(proto, FixedSeedProtocol):
+        return [], []
+    if isinstance(proto, EqualitySketch):
+        return ([(("h", t, v), 2) for t in range(proto.rounds_a)],
+                [(("h", t, v), 2) for t in range(proto.rounds_b)])
+    if isinstance(proto, TreeKDistance):
+        _, _, window = proto._window_vertices(v)
+        one = [(("c", u), proto.m) for kind, u in window if kind == "real"]
+    elif isinstance(proto, PlanarTwoDistance):
+        one = [(("c1", u), proto.m1) for u in proto._tree_slots(v) if u is not None]
+        one += [(("c2", u), proto.m2) for u in (v, *proto.closure_orientation.parents[v])]
+    elif isinstance(proto, ArboricityAdjacency):
+        one = [(("c", u), proto.m) for u in (v, *proto.orientation.parents[v])]
+    elif isinstance(proto, HashedAdjacency):
+        one = [(("bucket", v), proto.buckets)]
+    elif isinstance(proto, UniversalLatticeDistance):
+        one = [(("idx", t, j), proto.m) for t in range(proto.rounds) for j in proto._jset[v]]
+    elif isinstance(proto, WeakLatticeDistance):
+        one = [(("idx", j), proto.m) for j in proto._jset[v]]
+        one += [(("s", i), 2**proto.q) for i in range(proto.m)]
+    else:
+        raise TypeError(f"no declared support for {type(proto).__name__}")
+    return one, one
+
+
+def equality_take(ma, mb, rnd=None):
+    """Accept iff the overlapping leading rounds of the two messages agree."""
+    from smplab.protocols import ACCEPT, REJECT
+
+    overlap = min(ma.length, mb.length)
+    return ACCEPT if ma.take(0, overlap) == mb.take(0, overlap) else REJECT
+
+
+def symmetrized_take(inner_referee, wa, ma, mb, rnd=None):
+    """The more pessimistic of ``inner_referee`` on (x's a-part, y's b-part)
+    and on (y's a-part, x's b-part), each message cut after wa bits."""
+    from smplab.protocols import verdict_max
+
+    xa, xb = ma.take(0, wa), ma.take(wa, ma.length - wa)
+    ya, yb = mb.take(0, wa), mb.take(wa, mb.length - wa)
+    return verdict_max(inner_referee(xa, yb, rnd), inner_referee(ya, xb, rnd))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from smplab.cli import main
+from smplab.gadgets import ALLGRAPHS_SOURCE_CAP
 from smplab.lattices import boolean_lattice
 from smplab.protocols import WeakLatticeDistance
 from smplab.universal import derandomized_labeling, labeling_to_json, newman_seed_bank
@@ -333,3 +334,26 @@ def test_python_dash_m_prints_usage():
     proc = capped_python("-m", "smplab", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: smplab")
+
+
+class TestSizeCaps:
+    """A pair sample or a random source beyond its cap ends in exit 3
+    before anything is drawn or built, in a child with a capped address
+    space where building it would end in a MemoryError."""
+
+    def test_oversized_pair_sample_exit_code(self, tmp_path):
+        cfg = {"family": "tree", "n_range": [10000], "k": 1, "trials": 2,
+               "pair_policy": "sampled:1000000000"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = capped_python("-c", CLI_MAIN, "run", "--config", path)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+
+    @pytest.mark.parametrize("n", [ALLGRAPHS_SOURCE_CAP + 1, 4096])
+    def test_oversized_random_source_exit_code(self, tmp_path, n):
+        proc = capped_python("-c", CLI_MAIN, "gen", "--family", "gadget:allgraphs",
+                             "--n", n, "--out", tmp_path / "g.json")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+        assert not (tmp_path / "g.json").exists()

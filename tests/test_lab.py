@@ -18,6 +18,7 @@ from smplab.lab import (
     ALL_PAIRS_CAP,
     FAMILIES,
     LABEL_FAMILIES,
+    PAIR_SAMPLE_CAP,
     REPORT_COLUMNS,
     ExperimentConfig,
     config_from_json,
@@ -133,6 +134,9 @@ class TestConfig:
             ExperimentConfig(**{**good, "trials": 0})
         with pytest.raises(InputError):
             ExperimentConfig(**{**good, "pair_policy": "sampled:-3"})
+        assert ExperimentConfig(**{**good, "pair_policy": f"sampled:{PAIR_SAMPLE_CAP}"})
+        with pytest.raises(CapacityError):
+            ExperimentConfig(**{**good, "pair_policy": f"sampled:{PAIR_SAMPLE_CAP + 1}"})
         with pytest.raises(InputError):
             ExperimentConfig(**{**good, "model": "psychic"})
         with pytest.raises(InputError):

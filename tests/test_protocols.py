@@ -1,5 +1,6 @@
 """Protocol-level tests: exact errors, one-sidedness, referee duals."""
 
+import copy
 import functools
 import itertools
 import math
@@ -25,6 +26,7 @@ from smplab.graphs import Graph
 from smplab.lattices import boolean_lattice
 from smplab.protocols import (
     ACCEPT,
+    PROTOCOLS,
     REJECT,
     ArboricityAdjacency,
     EqualitySketch,
@@ -42,9 +44,15 @@ from smplab.protocols import (
     verdict_max,
     weak_sketch_params,
 )
-from smplab.protocols.base import merge_support
-from smplab.protocols.lattice import XOR_SIDE_CAP, _small_xor_hit, weak_xor_rule, xor_side_size
-from smplab.rng import HashRandomness, SharedRandomness
+from smplab.protocols.base import SmpProtocol, field_width, merge_support
+from smplab.protocols.lattice import (
+    XOR_SIDE_CAP,
+    weak_bucket_count,
+    weak_xor_rule,
+    xor_side_size,
+)
+from smplab.rng import HashRandomness, SharedRandomness, TableRandomness
+from smplab.universal import fix_seed
 
 
 class TestVerdicts:
@@ -195,7 +203,9 @@ class TestSmallXorHit:
             for size in range(k + 1)
             for c in itertools.combinations(range(m), size)
         )
-        assert _small_xor_hit(target, vecs, k) == brute
+        # the weak rule over exactly these vectors, drawn from a table
+        table = TableRandomness({("s", i): int(vec) for i, vec in enumerate(vecs)})
+        assert weak_xor_rule(m, 6, k, table).decide(target, 0) == (ACCEPT if brute else REJECT)
 
     @pytest.mark.parametrize("m,q,k", [(12, 8, 3), (20, 10, 2), (10, 10, 4), (5, 4, 0), (30, 12, 1)])
     def test_one_rule_decides_many_pairs(self, m, q, k):
@@ -555,14 +565,15 @@ class TestBlindRules:
         with pytest.raises(InputError):
             rule(Bits(0, rule.width), Bits(0, rule.width + 1))
 
-    def test_wrapped_protocol_rule_calls_its_referee(self):
-        # a protocol with no rule of its own keeps messages whole
+    def test_symmetrized_rule_is_its_slicing_oracle(self):
+        # the rule built from the inner one, on every pair of 5-bit messages
         proto = symmetrize(EqualitySketch(4, 2, 3))
         rule = proto.rule()
         assert rule.width == proto.cost_bits == 5
         for a, b in itertools.product(range(32), repeat=2):
             ma, mb = Bits(a, 5), Bits(b, 5)
-            assert rule(ma, mb) == proto.referee(ma, mb)
+            want = oracles.symmetrized_take(oracles.equality_take, 2, ma, mb)
+            assert rule(ma, mb) == proto.referee(ma, mb) == want
 
 
 @functools.cache
@@ -627,3 +638,212 @@ class TestSeedReadingRules:
             hashed.rule()
         # the hashed rule needs the whole graph, so no rule rebuilds from params
         assert HashedAdjacency.rule_from_params is None
+
+
+# -- supports recorded from the encoder, referees decided by the rule ---------
+
+
+SUPPORT_CASES = ["tree", "planar2", "sparse", "hashed", "universal", "weak", "equality",
+                 "symmetrized-equality", "symmetrized-weak", "fixed-seed-weak",
+                 "fixed-seed-hashed"]
+
+
+@functools.cache
+def _support_cases():
+    """name -> (protocol, input count), for every protocol that once
+    declared its draw support by hand."""
+    L = boolean_lattice(3)
+    weak = WeakLatticeDistance(L, 2, Fraction(1, 4), m=12)
+    hashed = HashedAdjacency(oracles.random_graph(random.Random(4), 9, p=0.3), 3)
+    return {
+        "tree": (TreeKDistance(random_tree(random.Random(1), 30), 3, Fraction(1, 4), root=5), 30),
+        "planar2": (PlanarTwoDistance(stacked_triangulation(random.Random(2), 30),
+                                      Fraction(1, 3)), 30),
+        "sparse": (ArboricityAdjacency(union_of_two_trees(random.Random(3), 20),
+                                       Fraction(1, 3)), 20),
+        "hashed": (hashed, 9),
+        "universal": (UniversalLatticeDistance(L, 1, Fraction(1, 10)), L.n),
+        "weak": (weak, L.n),
+        "equality": (EqualitySketch(6, 3, 1), 6),
+        "symmetrized-equality": (symmetrize(EqualitySketch(6, 1, 4)), 6),
+        "symmetrized-weak": (symmetrize(weak), L.n),
+        "fixed-seed-weak": (fix_seed(weak, 3), L.n),
+        "fixed-seed-hashed": (fix_seed(hashed, 3), 9),
+    }
+
+
+class TestRecordedSupports:
+    @pytest.mark.parametrize("name", SUPPORT_CASES)
+    def test_recorded_support_is_the_declared_one(self, name):
+        proto, n = _support_cases()[name]
+        for v in range(n):
+            want_a, want_b = oracles.declared_supports(proto, v)
+            for got, want in ((proto.support_a(v), want_a), (proto.support_b(v), want_b)):
+                assert len({label for label, _ in got}) == len(got)
+                assert set(got) == set(want)
+
+    def test_undeclared_dependent_draws_raise_rather_than_undercount(self):
+        # without its support override the weak sketch records only the
+        # bucket-0 vector; enumeration must then refuse, not miscount
+        class RecordedWeak(WeakLatticeDistance):
+            support = SmpProtocol.support
+
+        proto = RecordedWeak(boolean_lattice(2), 1, Fraction(1, 2), m=3, q=2)
+        assert (("s", 1), 4) not in proto.support(3)
+        with pytest.raises(InputError, match="missing from assignment"):
+            proto.exact_error(0, 3)
+
+
+def _messages(widths):
+    return st.tuples(*(st.integers(0, (1 << w) - 1).map(lambda v, w=w: Bits(v, w))
+                       for w in widths))
+
+
+class TestRoleSplitRules:
+    """The equality and symmetrized rules on ints against the referees that
+    cut messages with ``Bits.take``."""
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equality_rule_is_its_slicing_oracle(self, ra, rb, data):
+        proto = EqualitySketch(4, ra, rb)
+        ma, mb = data.draw(_messages((ra, rb)))
+        if data.draw(st.booleans()):  # agree on the overlap
+            overlap = min(ra, rb)
+            mb = Bits(ma.value >> (ra - overlap) << (rb - overlap)
+                      | mb.value & ((1 << (rb - overlap)) - 1), rb)
+        assert proto.referee(ma, mb) == oracles.equality_take(ma, mb)
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetrized_equality_rule_is_its_slicing_oracle(self, ra, rb, data):
+        proto = symmetrize(EqualitySketch(4, ra, rb))
+        ma, mb = data.draw(_messages((ra + rb, ra + rb)))
+        want = oracles.symmetrized_take(oracles.equality_take, ra, ma, mb)
+        assert proto.referee(ma, mb) == proto.rule()(ma, mb) == want
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_symmetrized_tree_rule_is_its_slicing_oracle(self, seed, data):
+        inner, _, _ = _rule_case("tree")
+        proto = symmetrize(inner)
+        rnd = HashRandomness(seed)
+        x, y = data.draw(st.integers(0, 11)), data.draw(st.integers(0, 11))
+        ma, mb = proto.encode(x, rnd), proto.encode(y, rnd)
+
+        def referee(a, b, rnd):
+            return oracles.window_scan_slices(a, b, inner.k, inner.res_width, inner.color_width)
+
+        want = oracles.symmetrized_take(referee, inner.cost_bits, ma, mb)
+        assert proto.referee(ma, mb) == want
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetrized_weak_rule_is_its_slicing_oracle(self, seed, data):
+        inner, _, n = _seed_case("weak")
+        proto = symmetrize(inner)
+        rnd = HashRandomness(seed)
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        ma, mb = proto.encode(x, rnd), proto.encode(y, rnd)
+
+        def referee(a, b, rnd):
+            return oracles.weak_xor_subsets(a, b, rnd, inner.m, inner.q, inner.k)
+
+        want = oracles.symmetrized_take(referee, inner.q, ma, mb, rnd)
+        assert proto.referee(ma, mb, rnd) == proto.rule(rnd)(ma, mb) == want
+
+    def test_referee_checks_both_widths(self):
+        proto = EqualitySketch(4, 3, 1)
+        assert proto.referee(Bits(5, 3), Bits(1, 1)) == ACCEPT
+        for ma, mb in [(Bits(5, 3), Bits(1, 3)), (Bits(1, 1), Bits(5, 3))]:
+            with pytest.raises(InputError):
+                proto.referee(ma, mb)
+
+    def test_a_protocol_without_a_rule_says_so(self):
+        class Ruleless(EqualitySketch):
+            rule = SmpProtocol.rule
+
+        with pytest.raises(NotImplementedError, match="states no rule"):
+            Ruleless(4).referee(Bits(0, 2), Bits(0, 2))
+
+
+class TestSizingFormulas:
+    def test_each_formula_is_shared(self):
+        for k, eps in [(1, Fraction(1, 3)), (2, Fraction(1, 7)), (3, Fraction(1, 4))]:
+            proto = WeakLatticeDistance(boolean_lattice(2), k, eps)
+            assert (proto.m, proto.q) == weak_sketch_params(k, eps)
+            assert proto.m == weak_bucket_count(k, eps)
+        proto = ArboricityAdjacency(union_of_two_trees(random.Random(7), 12), Fraction(1, 5))
+        assert proto.color_width == field_width(proto.m)
+        assert ArboricityAdjacency.rule_from_params(proto.params()).width == proto.cost_bits
+
+
+# -- documents: damaged ones end in InputError or CapacityError ---------------
+
+
+@functools.cache
+def _documents():
+    """A valid document of each registered protocol."""
+    L = boolean_lattice(2)
+    protos = [
+        WeakLatticeDistance(L, 1, Fraction(1, 3)),
+        UniversalLatticeDistance(L, 1, Fraction(1, 3)),
+        TreeKDistance(random_tree(random.Random(1), 6), 2, Fraction(1, 3)),
+        ArboricityAdjacency(union_of_two_trees(random.Random(2), 6), Fraction(1, 3)),
+        PlanarTwoDistance(stacked_triangulation(random.Random(3), 6), Fraction(1, 3)),
+        HashedAdjacency(cycle_graph(5), 3),
+    ]
+    assert sorted(p.name for p in protos) == sorted(PROTOCOLS)
+    return [protocol_to_document(p) for p in protos]
+
+
+def _key_paths(node, path=()):
+    """Every path of dict keys in a document, outermost first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+
+
+_RETYPED = st.sampled_from([None, "x", [], {}, 1.5, True, -1, 0, 2, [1], [1, 0]])
+
+
+class TestProtocolDocuments:
+    @given(st.integers(0, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_document_is_refused_cleanly(self, which, data):
+        doc = copy.deepcopy(_documents()[which])
+        path = data.draw(st.sampled_from(list(_key_paths(doc))))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_RETYPED)
+        try:
+            proto = protocol_from_document(doc)
+        except (InputError, CapacityError):
+            return
+        assert proto.name in PROTOCOLS
+
+    @pytest.mark.parametrize("doc", [
+        {"params": [], "payload": {}},
+        {"params": {"name": ["tree-distance"]}, "payload": {}},
+        {"params": {"name": "tree-distance", "k": 1, "eps": [1, 3]}, "payload": []},
+    ])
+    def test_misshapen_document_is_an_input_error(self, doc):
+        with pytest.raises(InputError):
+            protocol_from_document(doc)
+
+    def test_lattice_document_whose_poset_is_no_lattice(self):
+        doc = copy.deepcopy(_documents()[0])
+        doc["payload"]["poset"]["covers"] = []  # an antichain: no bottom
+        with pytest.raises(InputError, match="lattice-distance-weak document"):
+            protocol_from_document(doc)
+
+    def test_tree_document_without_its_graph(self):
+        doc = _documents()[2]
+        for part, key in [("payload", "graph"), ("params", "k"), ("params", "eps")]:
+            damaged = copy.deepcopy(doc)
+            del damaged[part][key]
+            with pytest.raises(InputError):
+                protocol_from_document(damaged)

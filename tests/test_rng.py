@@ -15,7 +15,13 @@ import pytest
 
 from smplab import rng
 from smplab.errors import InputError
-from smplab.rng import HashRandomness, SharedRandomness, TableRandomness, derive_seed
+from smplab.rng import (
+    HashRandomness,
+    RecordingRandomness,
+    SharedRandomness,
+    TableRandomness,
+    derive_seed,
+)
 
 SEEDS = [0, -1, 2**62]
 NS = [1, 2, 3, 2**24, 2**63 + 1]
@@ -253,3 +259,21 @@ class TestIntegers:
             t.integers("s", 3, 3)
         with pytest.raises(InputError):
             t.integer(("s", 2), 3)
+
+
+class TestRecordingRandomness:
+    def test_draws_zero_and_records_first_reads_in_order(self):
+        r = RecordingRandomness()
+        assert r.integer(("c", 3), 5) == 0
+        assert r.integers("s", 3, 4) == [0, 0, 0]
+        assert r.integer(("c", 3), 5) == 0
+        assert list(r.reads.items()) == [(("c", 3), 5), (("s", 0), 4), (("s", 1), 4),
+                                         (("s", 2), 4)]
+
+    def test_a_second_cardinality_or_an_empty_range_raises(self):
+        r = RecordingRandomness()
+        r.integer(("c", 3), 5)
+        with pytest.raises(InputError, match="two cardinalities"):
+            r.integer(("c", 3), 6)
+        with pytest.raises(InputError):
+            r.integer(("c", 4), 0)

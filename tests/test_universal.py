@@ -38,7 +38,7 @@ from smplab.protocols import (
     WeakLatticeDistance,
     symmetrize,
 )
-from smplab.protocols.base import SmpProtocol
+from smplab.protocols.base import Rule, SmpProtocol
 from smplab.rng import HashRandomness
 from smplab.universal import (
     DecisionGraph,
@@ -74,11 +74,8 @@ class OneBitEquality(SmpProtocol):
     def encode(self, v, rnd):
         return Bits(v & 1, 1)
 
-    def support(self, v):
-        return []
-
-    def referee(self, ma, mb, rnd=None):
-        return ACCEPT if ma == mb else REJECT
+    def rule(self, rnd=None):
+        return Rule(1, int, lambda a, b: ACCEPT if a == b else REJECT)
 
     def expected(self, x, y):
         return ACCEPT if (x & 1) == (y & 1) else REJECT
@@ -88,10 +85,10 @@ class OneBitEquality(SmpProtocol):
 
 
 class LessThanReferee(OneBitEquality):
-    """Deliberately order-dependent referee, for the symmetry guard."""
+    """Deliberately order-dependent rule, for the symmetry guard."""
 
-    def referee(self, ma, mb, rnd=None):
-        return ACCEPT if ma.value < mb.value else REJECT
+    def rule(self, rnd=None):
+        return Rule(1, int, lambda a, b: ACCEPT if a < b else REJECT)
 
 
 class TestDecisionGraph:
@@ -611,29 +608,27 @@ class TestDerandomizedLabeling:
             for ly in labels:
                 assert decode_labels(fresh, lx, ly) == decode_labels(warm, lx, ly)
 
-    def test_bank_check_matches_the_per_seed_referee(self):
-        # a wrapper without a rule takes the per-seed referee path
-        class Plain(SmpProtocol):
-            def __init__(self, inner):
-                self.inner = inner
+    def test_symmetrized_bank_check_matches_its_slicing_oracle(self):
+        # the symmetrized rule, built from the inner one, against the
+        # Bits.take referee over the inner Bits-slicing referee, per seed
+        _, proto, bank, _ = self.tree_scheme()
+        sym = symmetrize(proto)
+        c = proto.cost_bits
 
-            @property
-            def cost_bits(self):
-                return self.inner.cost_bits
+        def inner(ma, mb, rnd):
+            return oracles.window_scan_slices(ma, mb, proto.k, proto.res_width, proto.color_width)
 
-            def encode(self, v, rnd):
-                return self.inner.encode(v, rnd)
-
-            def referee(self, ma, mb, rnd=None):
-                return self.inner.referee(ma, mb, rnd)
-
-            def expected(self, x, y):
-                return self.inner.expected(x, y)
-
-        tree, proto, bank, _ = self.tree_scheme()
-        assert type(Plain(proto)).rule_from_params is None
-        assert Plain(proto).rule().unpack is int
-        assert bank_bad_fraction(Plain(proto), 16, bank) == bank_bad_fraction(proto, 16, bank)
+        pairs = [(x, y) for x in range(16) for y in range(x, 16)]
+        bad = {pair: 0 for pair in pairs}
+        for seed in bank.seeds:
+            msgs = [sym.encode(v, HashRandomness(seed)) for v in range(16)]
+            for x, y in pairs:
+                verdict = oracles.symmetrized_take(inner, c, msgs[x], msgs[y])
+                bad[x, y] += verdict != proto.expected(x, y)
+        worst = max(pairs, key=lambda pair: bad[pair])  # first of the worst
+        assert bad[worst] > 0
+        assert bank_bad_fraction(sym, 16, bank) == (Fraction(bad[worst], bank.m), worst)
+        assert bank_bad_fraction(sym, 16, bank) == bank_bad_fraction(proto, 16, bank)
 
     def test_seed_reading_bank_check_matches_the_referee(self):
         # one rule per seed draws the buckets once; the worst pair and its
