@@ -54,6 +54,7 @@ FAMILY_TAGS = ("modular", "arboricity2", "interval", "allgraphs")
 MODULAR_SOURCE_CAP = 5  # every isomorphism class up to this size is realizable
 ARBORICITY2_SOURCE_CAP = 64  # keeps the all-pairs BFS verification affordable
 ALLGRAPHS_SOURCE_CAP = 1536  # builds in a 1 GiB address space, with room to spare
+INTERVAL_ORDER_CAP = 768  # about 1.5 n^2 edges; generated and re-verified in 1 GiB
 
 SUBSPACE_DIMENSION = 5  # ambient F_2^d for the modular construction
 
@@ -334,6 +335,8 @@ def interval_gt_instance(n: int) -> IntervalGtInstance:
     """Intervals [1, i] and [i, n] for i in 1..n, with all intersections."""
     if n < 2:
         raise PreconditionError("order comparison needs n >= 2")
+    if n > INTERVAL_ORDER_CAP:
+        raise CapacityError(f"interval orders supported up to n={INTERVAL_ORDER_CAP}")
     intervals = [(1, i) for i in range(1, n + 1)] + [(i, n) for i in range(1, n + 1)]
     edges = []
     for i, (a1, b1) in enumerate(intervals):
@@ -379,22 +382,26 @@ def gadget_to_json(inst: GadgetInstance) -> dict:
 
 
 def gadget_from_json(doc: dict) -> GadgetInstance:
+    if not isinstance(doc, dict):
+        raise InputError("gadget document must be an object")
     try:
-        family = doc["family"]
-        source = graph_from_json(doc["source"])
-        product_doc = doc["product"]
-        image = tuple(int(x) for x in doc["injection"])
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"gadget document missing field: {exc}") from None
+        family, source_doc = doc["family"], doc["source"]
+        product_doc, image = doc["product"], doc["injection"]
+    except KeyError as e:
+        raise InputError(f"gadget document missing field {e}") from None
+    if not (isinstance(image, list) and all(type(x) is int for x in image)):
+        raise InputError("gadget injection must be a list of vertex ids")
+    if not isinstance(product_doc, dict):
+        raise InputError("gadget product must be an object")
+    source = graph_from_json(source_doc)
+    # a missing part reads as None, which its loader rejects
     if product_doc.get("kind") == "lattice":
-        product = build_lattice(poset_from_json(product_doc["poset"]), validate=True)
-        codomain = product.n
+        product = build_lattice(poset_from_json(product_doc.get("poset")), validate=True)
     elif product_doc.get("kind") == "graph":
-        product = graph_from_json(product_doc["graph"])
-        codomain = product.n
+        product = graph_from_json(product_doc.get("graph"))
     else:
         raise InputError("product kind must be 'lattice' or 'graph'")
-    return GadgetInstance(source, product, VertexMap(image, codomain), family)
+    return GadgetInstance(source, product, VertexMap(tuple(image), product.n), family)
 
 
 def verify_gadget(inst: GadgetInstance) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 
 DENSE_CAP = 4096  # largest n for which a dense adjacency matrix is materialized
+GRAPH_FAMILY_CAP = 10_000  # most vertices a generated or loaded graph may have
 SEARCH_CAP = 8  # default cap for brute-force map searches
 
 
@@ -415,6 +416,8 @@ def graph_from_json(data: dict) -> Graph:
         policy = data["self_loops"]
     except KeyError as e:
         raise InputError(f"graph document missing field {e}") from None
+    if isinstance(n, int) and n > GRAPH_FAMILY_CAP:
+        raise CapacityError(f"graph documents are capped at {GRAPH_FAMILY_CAP} vertices")
     if policy not in ("all", "none", "explicit"):
         raise InputError(f"unknown self-loop policy {policy!r}")
     if policy == "explicit":

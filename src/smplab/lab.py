@@ -17,9 +17,10 @@ Three moving parts, all deterministic given a master seed:
   to disk, read it back, and re-check every pair through the public decoder
   against the BFS oracle.
 
-Experiment rows carry both the measured message width and the width the
-protocol's sizing formula promises, so a drifting encoder shows up as a
-column mismatch rather than a silent change.
+Experiment rows carry the mean message width of the two senders and the
+width the protocol's sizing formula sets (``cost_bits``); an encoder that
+drifts from that width is refused by ``SmpProtocol`` on its first message,
+not reported as a column mismatch.
 
 Conventions worth stating once:
 
@@ -66,7 +67,15 @@ from .generators import (
     stacked_triangulation,
     union_of_two_trees,
 )
-from .graphs import Graph, all_pairs_distances, bfs_from, graph_from_json, graph_to_json, k_closure
+from .graphs import (
+    GRAPH_FAMILY_CAP,
+    Graph,
+    all_pairs_distances,
+    bfs_from,
+    graph_from_json,
+    graph_to_json,
+    k_closure,
+)
 from .lattices import (
     DOWNSET_BASE_CAP,
     Lattice,
@@ -84,8 +93,6 @@ from .protocols import (
     TreeKDistance,
     UniversalLatticeDistance,
     WeakLatticeDistance,
-    universal_sketch_params,
-    weak_sketch_params,
 )
 from .protocols.base import (
     as_fraction,
@@ -121,7 +128,6 @@ FAMILIES = (
 )
 
 HYPERCUBE_DIM_CAP = 12
-GRAPH_FAMILY_CAP = 10_000
 ALL_PAIRS_CAP = 600  # largest universe enumerated exhaustively per stratum
 PAIR_SAMPLE_CAP = 1 << 20  # most pairs a 'sampled:N' policy may draw
 
@@ -179,8 +185,6 @@ class ExperimentConfig:
         if self.k < 0:
             raise InputError("k must be nonnegative")
         object.__setattr__(self, "eps", as_fraction(self.eps))
-        if not 0 < self.eps < 1:
-            raise InputError(f"eps must be in (0, 1), got {self.eps}")
         if self.trials < 1:
             raise InputError("trials must be positive")
         _parse_pair_policy(self.pair_policy)
@@ -396,17 +400,6 @@ def _expected_verdict(mode, d, k):
     return ACCEPT if d is not None and d <= k else REJECT
 
 
-def _formula_bits(family, model, k, eps, proto) -> int:
-    """The width the sizing formulas promise, recomputed from scratch."""
-    if family in ("distributive", "hypercube"):
-        if model == "universal":
-            m, rounds = universal_sketch_params(k, eps)
-            return m * rounds
-        m, q = weak_sketch_params(k, eps)
-        return q
-    return proto.cost_bits
-
-
 def _stratum_labels(threshold, mode, k):
     upto = k if mode == "tree" else threshold
     return [str(d) for d in range(upto + 1)] + ["beyond"]
@@ -498,7 +491,7 @@ def _row(cfg, n, proto_name, stratum, **kw):
     return row
 
 
-def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
+def _run_stratum(cfg, proto, pool, label, n, mode, threshold):
     """One report row: ``cfg.trials`` trials through ``proto.run_trials``, trial
     t on pair ``t % size`` under the seed derived for t; expected verdicts come
     from the pool's BFS distance alone."""
@@ -511,7 +504,7 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
     size = len(pool[0])
     if not size:
         return _row(cfg, n, proto.name, label,
-                    formula_bits=str(formula), bound=str(bound))
+                    formula_bits=str(proto.cost_bits), bound=str(bound))
     reads = min(cfg.trials, size)
     xs, ys, ds = (a[:reads].tolist() for a in pool)
     wants = [_expected_verdict(mode, d if d >= 0 else None, threshold) for d in ds]
@@ -533,7 +526,7 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold, formula):
         error_rate=str(Fraction(errors, cfg.trials)),
         violations=violations,
         mean_bits=str(Fraction(proto.cost_bits_a + proto.cost_bits_b, 2)),
-        formula_bits=str(formula),
+        formula_bits=str(proto.cost_bits),
         bound=str(bound),
     )
 
@@ -555,14 +548,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             proto, oracle_graph, threshold, mode = _protocol_for(
                 cfg.family, inst.payload, cfg.k, cfg.eps, cfg.model, cfg.budget_bits
             )
-            formula = _formula_bits(cfg.family, cfg.model, cfg.k, cfg.eps, proto)
             pair_rng = random.Random(derive_seed(cfg.master_seed, "pairs", cfg.family, n))
             pools = _strata_pools(oracle_graph, threshold, mode, cfg.k, policy_count, pair_rng)
         except _ERRORS as exc:
             rows.append(_row(cfg, n, "-", "-", status=f"{type(exc).__name__}: {exc}"))
             continue
         for label in _stratum_labels(threshold, mode, cfg.k):
-            rows.append(_run_stratum(cfg, proto, pools[label], label, n, mode, threshold, formula))
+            rows.append(_run_stratum(cfg, proto, pools[label], label, n, mode, threshold))
     return ExperimentReport(cfg, rows)
 
 

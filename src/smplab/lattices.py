@@ -165,6 +165,8 @@ def poset_from_json(data: dict) -> Poset:
         n, covers = data["n"], data["covers"]
     except KeyError as e:
         raise InputError(f"poset document missing field {e}") from None
+    if isinstance(n, int) and n > 1 << DOWNSET_BASE_CAP:  # the largest lattice generated
+        raise CapacityError(f"poset documents are capped at {1 << DOWNSET_BASE_CAP} elements")
     if not isinstance(covers, list):
         raise InputError("poset covers must be a list of element pairs")
     for c in covers:

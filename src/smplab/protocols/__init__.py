@@ -21,7 +21,7 @@ from .lattice import (
     weak_sketch_params,
 )
 from .planar import PlanarTwoDistance
-from .registry import PROTOCOLS, protocol_from_document, protocol_to_document
+from .registry import PROTOCOLS
 from .toy import EqualitySketch
 from .tree import TreeKDistance
 
@@ -42,8 +42,6 @@ __all__ = [
     "WeakLatticeDistance",
     "beyond_verdict",
     "distance_verdict",
-    "protocol_from_document",
-    "protocol_to_document",
     "symmetrize",
     "universal_sketch_params",
     "verdict_max",

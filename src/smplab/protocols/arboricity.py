@@ -16,14 +16,13 @@ import math
 
 from ..bits import Bits
 from ..errors import InputError
-from ..graphs import Graph, Orientation, degeneracy_orientation, graph_from_json, graph_to_json
+from ..graphs import Graph, Orientation, degeneracy_orientation
 from .base import (
     ACCEPT,
     REJECT,
     Rule,
     SmpProtocol,
     as_fraction,
-    eps_from_json,
     eps_to_json,
     field_width,
     fields_of,
@@ -54,21 +53,6 @@ class ArboricityAdjacency(SmpProtocol):
     @property
     def cost_bits(self):
         return (1 + self.outdeg) * self.color_width
-
-    def to_payload(self):
-        return {"graph": graph_to_json(self.graph),
-                "parents": [list(p) for p in self.orientation.parents]}
-
-    @classmethod
-    def from_payload(cls, params, payload):
-        G = graph_from_json(payload.get("graph"))
-        rows = payload.get("parents")
-        if not isinstance(rows, list) or len(rows) != G.n or not all(isinstance(p, list) and all(
-                type(u) is int and 0 <= u < G.n for u in p) for p in rows):
-            raise InputError("parents must be a list of n lists of vertex ids")
-        parents = tuple(map(tuple, rows))
-        orient = Orientation(parents, max(len(p) for p in parents) if parents else 0)
-        return cls(G, eps_from_json(params.get("eps")), orient)
 
     def encode(self, v, rnd):
         own = rnd.integer(("c", v), self.m)

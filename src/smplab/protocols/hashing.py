@@ -27,8 +27,8 @@ import numpy as np
 
 from ..bits import Bits
 from ..errors import InputError
-from ..graphs import Graph, graph_from_json, graph_to_json
-from .base import ACCEPT, REJECT, Rule, SmpProtocol, int_params
+from ..graphs import Graph
+from .base import ACCEPT, REJECT, Rule, SmpProtocol
 
 BUDGET_CAP = 24  # bucket tables above 2**24 would be silly, not useful
 
@@ -66,13 +66,6 @@ class HashedAdjacency(SmpProtocol):
         near = 2 * max(degs, default=0)
         bound = Fraction(near, self.buckets) + Fraction(ordered, self.buckets**2)
         return min(bound, Fraction(1))
-
-    def to_payload(self):
-        return {"graph": graph_to_json(self.graph)}
-
-    @classmethod
-    def from_payload(cls, params, payload):
-        return cls(graph_from_json(payload.get("graph")), *int_params(params, bits=1))
 
     def encode(self, v, rnd):
         return Bits(rnd.integer(("bucket", v), self.buckets), self.bits)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..bits import Bits, concat_all
 from ..errors import CapacityError, InputError
-from ..lattices import Lattice, birkhoff, poset_from_json, poset_to_json, build_lattice
+from ..lattices import Lattice, birkhoff
 from .base import (
     ACCEPT,
     REJECT,
@@ -40,7 +40,6 @@ from .base import (
     SmpProtocol,
     as_fraction,
     ceil_log2,
-    eps_from_json,
     eps_to_json,
     fields_of,
     int_params,
@@ -121,9 +120,6 @@ class _LatticeSketch(SmpProtocol):
         d = (self.rep.downsets[x] ^ self.rep.downsets[y]).bit_count()
         return ACCEPT if d <= self.k else REJECT
 
-    def to_payload(self):
-        return {"poset": poset_to_json(self.lattice.poset)}
-
 
 class WeakLatticeDistance(_LatticeSketch):
     name = "lattice-distance-weak"
@@ -146,13 +142,6 @@ class WeakLatticeDistance(_LatticeSketch):
     def params(self):
         return {"name": self.name, "k": self.k, "eps": eps_to_json(self.eps),
                 "n": self.lattice.n, "m": self.m, "q": self.q}
-
-    @classmethod
-    def from_payload(cls, params, payload):
-        # birkhoff() re-certifies distributivity, so skip the generic pass
-        L = build_lattice(poset_from_json(payload.get("poset")), validate=False)
-        k, m, q = int_params(params, k=0, m=1, q=1)
-        return cls(L, k, eps_from_json(params.get("eps")), m=m, q=q)
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):
@@ -252,12 +241,6 @@ class UniversalLatticeDistance(_LatticeSketch):
     def params(self):
         return {"name": self.name, "k": self.k, "eps": eps_to_json(self.eps),
                 "n": self.lattice.n, "m": self.m, "rounds": self.rounds}
-
-    @classmethod
-    def from_payload(cls, params, payload):
-        L = build_lattice(poset_from_json(payload.get("poset")), validate=False)
-        k, m, rounds = int_params(params, k=0, m=1, rounds=1)
-        return cls(L, k, eps_from_json(params.get("eps")), m=m, rounds=rounds)
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

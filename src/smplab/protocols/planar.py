@@ -28,8 +28,6 @@ from ..errors import VerificationError
 from ..graphs import bfs_from, degeneracy_orientation
 from ..planar import (
     PlanarEmbedding,
-    embedding_from_json,
-    embedding_to_json,
     head_to_head_closure,
     schnyder_wood,
     triangulate,
@@ -40,7 +38,6 @@ from .base import (
     Rule,
     SmpProtocol,
     as_fraction,
-    eps_from_json,
     eps_to_json,
     field_width,
     fields_of,
@@ -80,14 +77,6 @@ class PlanarTwoDistance(SmpProtocol):
     @property
     def cost_bits(self):
         return 13 * self.w1 + (1 + CLOSURE_SLOTS) * self.w2
-
-    def to_payload(self):
-        return {"embedding": embedding_to_json(self.embedding)}
-
-    @classmethod
-    def from_payload(cls, params, payload):
-        return cls(embedding_from_json(payload.get("embedding")),
-                   eps_from_json(params.get("eps")))
 
     # -- slots ---------------------------------------------------------------
     def _tree_slots(self, v):

@@ -19,7 +19,7 @@ import math
 
 from ..bits import Bits
 from ..errors import InputError
-from ..graphs import Graph, bfs_from, graph_from_json, graph_to_json
+from ..graphs import Graph, bfs_from
 from .base import (
     Rule,
     SmpProtocol,
@@ -27,7 +27,6 @@ from .base import (
     as_fraction,
     beyond_verdict,
     distance_verdict,
-    eps_from_json,
     eps_to_json,
     field_width,
     fields_of,
@@ -71,14 +70,6 @@ class TreeKDistance(SmpProtocol):
     @property
     def cost_bits(self):
         return 2 + self.res_width + 2 * self.k * self.color_width
-
-    def to_payload(self):
-        return {"graph": graph_to_json(self.tree)}
-
-    @classmethod
-    def from_payload(cls, params, payload):
-        return cls(graph_from_json(payload.get("graph")), *int_params(params, k=1),
-                   eps_from_json(params.get("eps")), params.get("root", 0))
 
     # -- ancestor window ---------------------------------------------------
     def _window_vertices(self, v):

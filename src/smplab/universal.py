@@ -456,8 +456,7 @@ def _bank_shape(params, label_bits: int) -> tuple[int, int]:
 def _labelable_class(proto_params: dict):
     """The registered class whose rule rebuilds from these params, or None."""
     name = proto_params.get("name")
-    cls = PROTOCOLS.get(name) if isinstance(name, str) else None
-    return None if cls is None or cls.rule_from_params is None else cls
+    return PROTOCOLS.get(name) if isinstance(name, str) else None
 
 
 def _table_vote(rules: list[Rule], c: int):

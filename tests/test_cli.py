@@ -1,6 +1,8 @@
 """Command line surface: document flow, output formats, exit codes."""
 
+import contextlib
 import copy
+import functools
 import json
 import os
 import resource
@@ -10,9 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smplab.cli import main
-from smplab.gadgets import ALLGRAPHS_SOURCE_CAP
+from smplab.gadgets import ALLGRAPHS_SOURCE_CAP, INTERVAL_ORDER_CAP
+from smplab.lab import FAMILIES, generate, instance_to_json
 from smplab.lattices import boolean_lattice
 from smplab.protocols import WeakLatticeDistance
 from smplab.universal import derandomized_labeling, labeling_to_json, newman_seed_bank
@@ -117,8 +122,16 @@ class TestVerifyAndOracle:
         ("tree", lambda doc: doc["graph"].update(edges=5)),
         ("tree", lambda doc: doc["graph"]["edges"].append([0, "1"])),
         ("tree", lambda doc: doc["graph"].update(self_loops="explicit", loops=2)),
+        ("gadget:modular", lambda doc: doc["gadget"].update(product=3)),
+        ("gadget:modular", lambda doc: doc["gadget"]["product"].pop("poset")),
+        ("gadget:arboricity2", lambda doc: doc["gadget"]["product"].pop("graph")),
+        ("gadget:allgraphs", lambda doc: doc["gadget"]["injection"].__setitem__(0, "x")),
+        ("gadget:allgraphs", lambda doc: doc["gadget"].update(
+            injection=[v + 0.5 for v in doc["gadget"]["injection"]])),
     ], ids=["no-poset", "covers-not-list", "cover-not-ints", "no-order_n",
-            "intervals-not-list", "edges-not-list", "edge-not-ints", "loops-not-list"])
+            "intervals-not-list", "edges-not-list", "edge-not-ints", "loops-not-list",
+            "product-not-object", "no-product-poset", "no-product-graph",
+            "injection-holds-string", "injection-holds-floats"])
     def test_damaged_instance_exit_code(self, tmp_path, family, damage):
         path = gen(tmp_path, family, 4)
         doc = json.loads(path.read_text())
@@ -337,9 +350,10 @@ def test_python_dash_m_prints_usage():
 
 
 class TestSizeCaps:
-    """A pair sample or a random source beyond its cap ends in exit 3
-    before anything is drawn or built, in a child with a capped address
-    space where building it would end in a MemoryError."""
+    """A pair sample, a random source, an interval order or a document's
+    vertex or element count beyond its cap ends in exit 3 before anything
+    is drawn or built, in a child with a capped address space where
+    building it would end in a MemoryError."""
 
     def test_oversized_pair_sample_exit_code(self, tmp_path):
         cfg = {"family": "tree", "n_range": [10000], "k": 1, "trials": 2,
@@ -357,3 +371,96 @@ class TestSizeCaps:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("n", [INTERVAL_ORDER_CAP + 1, 10**6])
+    def test_oversized_interval_order_exit_code(self, tmp_path, n):
+        proc = capped_python("-c", CLI_MAIN, "gen", "--family", "gadget:interval",
+                             "--n", n, "--out", tmp_path / "g.json")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("family,resize,commands", [
+        ("tree", lambda doc: doc["graph"].update(n=10**8), ["verify", "oracle"]),
+        ("hypercube", lambda doc: doc["poset"].update(n=10**6), ["verify", "oracle"]),
+        ("gadget:interval", lambda doc: doc.update(order_n=10**6), ["verify"]),
+    ], ids=["graph-n", "poset-n", "order_n"])
+    def test_oversized_document_exit_code(self, tmp_path, family, resize, commands):
+        path = gen(tmp_path, family, 3)
+        doc = json.loads(path.read_text())
+        resize(doc)
+        path.write_text(json.dumps(doc))
+        for command in commands:
+            extra = ["--query", "dist", 0, 1] if command == "oracle" else []
+            proc = capped_python("-c", CLI_MAIN, command, "--instance", path, *extra)
+            assert "Traceback" not in proc.stderr
+            assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+
+
+# -- fuzzing: every document the command line reads fails cleanly -------------
+
+
+@pytest.fixture(scope="module")
+def tree_scheme_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tree-labels")
+    assert run("label", "--family", "tree", "--n", 8, "--k", 2, "--eps", "1/5",
+               "--out", out) == 0
+    return json.loads(next(out.glob("labels-*.json")).read_text())
+
+
+@functools.cache
+def _instance_documents():
+    """A small valid instance document of every family."""
+    sizes = {"distributive": 4, "hypercube": 2, "gadget:modular": 3, "gadget:interval": 3}
+    return [instance_to_json(generate(family, sizes.get(family, 5), 1)) for family in FAMILIES]
+
+
+_CONFIG = {"family": "tree", "n_range": [5], "k": 1, "eps": [1, 4], "trials": 4,
+           "pair_policy": "all", "master_seed": 1, "output": None, "model": "universal",
+           "budget_bits": 4}
+
+
+def _paths(node, path=()):
+    """Every path of keys and list indices in a document, outermost first."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+_RETYPED = st.sampled_from([None, "x", [], {}, 1.5, True, -1, 0, 2, [1], [1, 0], [[0, 1]]])
+
+
+class TestDocumentFuzz:
+    """Each document the command line reads, with one key or list entry at any
+    depth dropped or retyped to a small value, ends in exit 0, 2 or 3: instance
+    documents through ``verify`` and ``oracle``, label files through ``decode``
+    and experiment configs through ``run``."""
+
+    @given(st.integers(0, len(FAMILIES) + 2), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_damaged_document_exits_cleanly(self, tree_scheme_doc, weak_scheme_doc,
+                                            tmp_path_factory, which, data):
+        docs = [*_instance_documents(), tree_scheme_doc, weak_scheme_doc, _CONFIG]
+        doc = copy.deepcopy(docs[which])
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_RETYPED)
+        work = tmp_path_factory.getbasetemp() / "fuzz"
+        work.mkdir(exist_ok=True)
+        file = work / "doc.json"
+        file.write_text(json.dumps(doc))
+        if which < len(FAMILIES):
+            commands = [["verify"], ["oracle", "--query", "dist", 0, 1]]
+            codes = [run(command[0], "--instance", file, *command[1:]) for command in commands]
+        elif which < len(docs) - 1:
+            labels = docs[which]["labels"]
+            codes = [run("decode", "--scheme", file, "--x", labels[0], "--y", labels[1])]
+        else:
+            with contextlib.chdir(work):  # a retyped "output" names a file here
+                codes = [run("run", "--config", file)]
+        assert set(codes) <= {0, 2, 3}

@@ -1,6 +1,5 @@
 """Protocol-level tests: exact errors, one-sidedness, referee duals."""
 
-import copy
 import functools
 import itertools
 import math
@@ -37,8 +36,6 @@ from smplab.protocols import (
     WeakLatticeDistance,
     beyond_verdict,
     distance_verdict,
-    protocol_from_document,
-    protocol_to_document,
     symmetrize,
     universal_sketch_params,
     verdict_max,
@@ -172,15 +169,6 @@ class TestWeakLatticeDistance:
         proto = WeakLatticeDistance(L, 1, Fraction(1, 2))
         with pytest.raises(CapacityError):
             proto.exact_error(0, L.n - 1)
-
-    def test_rebuild_from_document(self):
-        L = boolean_lattice(3)
-        proto = WeakLatticeDistance(L, 1, Fraction(1, 3))
-        doc = protocol_to_document(proto)
-        again = protocol_from_document(doc)
-        assert again.params() == proto.params()
-        rnd = HashRandomness(9)
-        assert again.encode(2, rnd) == proto.encode(2, rnd)
 
 
 class TestSmallXorHit:
@@ -328,15 +316,6 @@ class TestTreeDistance:
             for y in range(0, 45, 7):
                 assert proto.true_distance(x, y) == bfs_distance(tree, x, y)
 
-    def test_rebuild_from_document(self):
-        tree = random_tree(random.Random(6), 20)
-        proto = TreeKDistance(tree, 2, Fraction(1, 5))
-        again = protocol_from_document(protocol_to_document(proto))
-        rnd = HashRandomness(77)
-        for v in (0, 7, 19):
-            assert again.encode(v, rnd) == proto.encode(v, rnd)
-        assert again.params() == proto.params()
-
 
 class TestArboricityAdjacency:
     def test_reflexive_diagonal_accepts(self):
@@ -383,14 +362,6 @@ class TestArboricityAdjacency:
         assert proto.outdeg == 1
         assert proto.cost_bits == 2 * proto.color_width
 
-    def test_rebuild_from_document(self):
-        g = union_of_two_trees(random.Random(5), 15)
-        proto = ArboricityAdjacency(g, Fraction(1, 3))
-        again = protocol_from_document(protocol_to_document(proto))
-        rnd = HashRandomness(31)
-        for v in range(15):
-            assert again.encode(v, rnd) == proto.encode(v, rnd)
-
 
 class TestPlanarTwoDistance:
     def test_close_pairs_always_accept(self):
@@ -428,16 +399,6 @@ class TestPlanarTwoDistance:
         emb = stacked_triangulation(random.Random(15), 20)
         proto = PlanarTwoDistance(emb, Fraction(1, 2))
         assert proto.cost_bits == 13 * proto.w1 + 18 * proto.w2
-
-    def test_rebuild_from_document(self):
-        emb = stacked_triangulation(random.Random(16), 25)
-        proto = PlanarTwoDistance(emb, Fraction(1, 3))
-        again = protocol_from_document(protocol_to_document(proto))
-        rnd = HashRandomness(551)
-        for v in (0, 5, 24):
-            assert again.encode(v, rnd) == proto.encode(v, rnd)
-        ma, mb = proto.encode(3, rnd), proto.encode(21, rnd)
-        assert again.referee(ma, mb) == proto.referee(ma, mb)
 
     def test_works_on_non_triangulated_input(self):
         from smplab.generators import cycle_embedding
@@ -638,6 +599,9 @@ class TestSeedReadingRules:
             hashed.rule()
         # the hashed rule needs the whole graph, so no rule rebuilds from params
         assert HashedAdjacency.rule_from_params is None
+        # and the label decoder's registry lists only classes whose rule does
+        assert HashedAdjacency.name not in PROTOCOLS
+        assert all(cls.rule_from_params is not None for cls in PROTOCOLS.values())
 
 
 # -- supports recorded from the encoder, referees decided by the rule ---------
@@ -776,74 +740,3 @@ class TestSizingFormulas:
         proto = ArboricityAdjacency(union_of_two_trees(random.Random(7), 12), Fraction(1, 5))
         assert proto.color_width == field_width(proto.m)
         assert ArboricityAdjacency.rule_from_params(proto.params()).width == proto.cost_bits
-
-
-# -- documents: damaged ones end in InputError or CapacityError ---------------
-
-
-@functools.cache
-def _documents():
-    """A valid document of each registered protocol."""
-    L = boolean_lattice(2)
-    protos = [
-        WeakLatticeDistance(L, 1, Fraction(1, 3)),
-        UniversalLatticeDistance(L, 1, Fraction(1, 3)),
-        TreeKDistance(random_tree(random.Random(1), 6), 2, Fraction(1, 3)),
-        ArboricityAdjacency(union_of_two_trees(random.Random(2), 6), Fraction(1, 3)),
-        PlanarTwoDistance(stacked_triangulation(random.Random(3), 6), Fraction(1, 3)),
-        HashedAdjacency(cycle_graph(5), 3),
-    ]
-    assert sorted(p.name for p in protos) == sorted(PROTOCOLS)
-    return [protocol_to_document(p) for p in protos]
-
-
-def _key_paths(node, path=()):
-    """Every path of dict keys in a document, outermost first."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield path + (key,)
-            yield from _key_paths(value, path + (key,))
-
-
-_RETYPED = st.sampled_from([None, "x", [], {}, 1.5, True, -1, 0, 2, [1], [1, 0]])
-
-
-class TestProtocolDocuments:
-    @given(st.integers(0, 5), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_damaged_document_is_refused_cleanly(self, which, data):
-        doc = copy.deepcopy(_documents()[which])
-        path = data.draw(st.sampled_from(list(_key_paths(doc))))
-        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
-        if data.draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = data.draw(_RETYPED)
-        try:
-            proto = protocol_from_document(doc)
-        except (InputError, CapacityError):
-            return
-        assert proto.name in PROTOCOLS
-
-    @pytest.mark.parametrize("doc", [
-        {"params": [], "payload": {}},
-        {"params": {"name": ["tree-distance"]}, "payload": {}},
-        {"params": {"name": "tree-distance", "k": 1, "eps": [1, 3]}, "payload": []},
-    ])
-    def test_misshapen_document_is_an_input_error(self, doc):
-        with pytest.raises(InputError):
-            protocol_from_document(doc)
-
-    def test_lattice_document_whose_poset_is_no_lattice(self):
-        doc = copy.deepcopy(_documents()[0])
-        doc["payload"]["poset"]["covers"] = []  # an antichain: no bottom
-        with pytest.raises(InputError, match="lattice-distance-weak document"):
-            protocol_from_document(doc)
-
-    def test_tree_document_without_its_graph(self):
-        doc = _documents()[2]
-        for part, key in [("payload", "graph"), ("params", "k"), ("params", "eps")]:
-            damaged = copy.deepcopy(doc)
-            del damaged[part][key]
-            with pytest.raises(InputError):
-                protocol_from_document(damaged)
