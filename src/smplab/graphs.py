@@ -14,6 +14,7 @@ maps into faithfully.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from math import inf
@@ -356,19 +357,25 @@ def degeneracy_orientation(G: Graph) -> Orientation:
 
     Each vertex points at the neighbors removed after it, so the maximum
     out-degree equals the graph's degeneracy.  Self-loops are ignored.
+    The peel pops (remaining degree, index) from a heap; a vertex whose
+    degree drops is pushed again, and an entry whose degree is no longer
+    the vertex's (so also every entry left of a removed vertex) is skipped.
     """
     remaining_deg = [G.degree(v) for v in range(G.n)]
     alive = [True] * G.n
     parents: list[tuple[int, ...]] = [()] * G.n
-    # Linear-scan peel; n is small enough everywhere this is used that a
-    # bucket queue is not worth the code.
-    for _ in range(G.n):
-        v = min((u for u in range(G.n) if alive[u]), key=lambda u: (remaining_deg[u], u))
+    heap = [(d, v) for v, d in enumerate(remaining_deg)]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != remaining_deg[v]:
+            continue
         alive[v] = False
         outs = sorted(w for w in G.neighbors(v) if alive[w])
         parents[v] = tuple(outs)
         for w in outs:
             remaining_deg[w] -= 1
+            heapq.heappush(heap, (remaining_deg[w], w))
     maxdeg = max((len(p) for p in parents), default=0)
     return Orientation(tuple(parents), maxdeg)
 

@@ -79,18 +79,22 @@ class Rule(NamedTuple):
     ``unpack`` cuts a ``width``-bit message value into the fields the rule
     reads (``int`` keeps it whole); ``decide`` maps two such field sets to
     the verdict.  Calling the rule on two ``Bits`` is the referee itself, and
-    a caller that meets a message many times unpacks it once.  A role-split
-    protocol's rule has the a-side width; ``SmpProtocol.referee`` checks both.
+    a caller that meets a message many times unpacks it once.  ``width`` is
+    the a-side width; a role-split protocol's rule gives its b-side width in
+    ``width_b``, which otherwise defaults to ``width``.
     """
 
     width: int
     unpack: Callable[[int], object]
     decide: Callable[[object, object], "Verdict"]
+    width_b: int | None = None
 
     def __call__(self, ma: Bits, mb: Bits) -> "Verdict":
-        if ma.length != self.width or mb.length != self.width:
+        width_b = self.width if self.width_b is None else self.width_b
+        if ma.length != self.width or mb.length != width_b:
             raise InputError(
-                f"messages must be {self.width} bits, got {ma.length} and {mb.length}"
+                f"messages must be {self.width} and {width_b} bits, "
+                f"got {ma.length} and {mb.length}"
             )
         return self.decide(self.unpack(ma.value), self.unpack(mb.value))
 

@@ -61,7 +61,8 @@ class EqualitySketch(SmpProtocol):
         overlap = min(self.rounds_a, self.rounds_b)
         shift_a, shift_b = self.rounds_a - overlap, self.rounds_b - overlap
         return Rule(self.rounds_a, int,
-                    lambda a, b: ACCEPT if a >> shift_a == b >> shift_b else REJECT)
+                    lambda a, b: ACCEPT if a >> shift_a == b >> shift_b else REJECT,
+                    self.rounds_b)
 
     def expected(self, x, y):
         return ACCEPT if x == y else REJECT

@@ -20,9 +20,10 @@ errors on its instance, checked before anything is returned.
 Decoding cost: a scheme holds one rule per bank seed -- the protocol's
 rule, built once for that seed's draws, or the same blind rule m times.
 Each label a scheme meets is cut into its m per-seed messages and each
-message is unpacked once, so a scheme over n vertices costs at most n*m
-unpacks, and every pair after that costs m ``decide`` calls.  The tables
-live on the scheme object.
+message is unpacked at most once, so a scheme over n vertices costs at most
+n*m unpacks.  A pair costs m // 2 + 1 ``decide`` calls when those first
+seeds agree, which settles the vote, and m otherwise.  The tables live on
+the scheme object.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ ENUM_CAP = 5  # largest candidate size min_universal_graph enumerates
 FAMILY_CAP = 8
 MEMBER_CAP = 5
 WIDTH_CAP = 1 << 20  # widest message or label, in bits, built from outside input
+
+
+_verdict_key = operator.attrgetter("kind", "value")  # what Verdict equality compares
 
 
 def positive_verdict(v: Verdict) -> bool:
@@ -363,7 +367,10 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     """Worst per-pair fraction of seeds with a wrong verdict: (fraction, pair).
 
     Pairs run over unordered input pairs, diagonal included, for role-free
-    protocols, and over all ordered pairs otherwise.
+    protocols, and over all ordered pairs otherwise; the worst pair is the
+    first of those with the most bad seeds.  Verdicts are compared as
+    (kind, value) tuples: the test ``Verdict`` equality makes, without a
+    Python-level ``__eq__`` call per pair and seed.
     """
     xs = _input_list(inputs)
     n = len(xs)
@@ -371,7 +378,7 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
-    expected = [protocol.expected(xs[i], xs[j]) for i, j in pairs]
+    expected = [_verdict_key(protocol.expected(xs[i], xs[j])) for i, j in pairs]
     bad = [0] * len(pairs)
     for seed in bank.seeds:
         rnd = HashRandomness(seed)
@@ -380,7 +387,7 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
         fb = fa if protocol.symmetric else [
             rule.unpack(protocol.encode_b(v, rnd).value) for v in xs]
         for idx, (i, j) in enumerate(pairs):
-            if rule.decide(fa[i], fb[j]) != expected[idx]:
+            if _verdict_key(rule.decide(fa[i], fb[j])) != expected[idx]:
                 bad[idx] += 1
     worst_idx = max(range(len(pairs)), key=lambda i: (bad[i], -i))
     i, j = pairs[worst_idx]
@@ -462,26 +469,42 @@ def _labelable_class(proto_params: dict):
 def _table_vote(rules: list[Rule], c: int):
     """Majority vote over per-label field tables, one rule per bank seed.
 
-    A label value met for the first time is cut into its m per-seed
-    messages, each unpacked once by its seed's rule and kept; every pair
-    after that costs m ``decide`` calls.
+    The vote reads the first h = m // 2 + 1 seeds first: all h positive is
+    already a strict majority, and none positive leaves the other m - h
+    seeds short of one, so such a pair is settled after h ``decide`` calls.
+    Any other pair reads the remaining seeds as well, m calls in all.  A
+    label value's head messages are cut and unpacked on first need and
+    kept, and its tail messages likewise, so a label whose pairs all
+    settle never unpacks its tail.
     """
     m = len(rules)
-    decides = [rule.decide for rule in rules]
+    h = m // 2 + 1
     mask = (1 << c) - 1
     shifts = range((m - 1) * c, -1, -c)
-    table = {}
+    cuts = list(zip([rule.unpack for rule in rules], shifts))
+    head_cut, tail_cut = cuts[:h], cuts[h:]
+    decides = [rule.decide for rule in rules]
+    head_decides, tail_decides = decides[:h], decides[h:]
+    heads, tails = {}, {}
 
-    def fields(value):
+    def fields(table, cut, value):
         row = table.get(value)
         if row is None:
-            row = table[value] = [rule.unpack(value >> shift & mask)
-                                  for rule, shift in zip(rules, shifts)]
+            row = table[value] = [unpack(value >> shift & mask) for unpack, shift in cut]
         return row
 
     def vote(lx: Bits, ly: Bits) -> bool:
-        verdicts = map(operator.call, decides, fields(lx.value), fields(ly.value))
-        return 2 * sum(map(positive_verdict, verdicts)) > m
+        x, y = lx.value, ly.value
+        verdicts = map(operator.call, head_decides,
+                       fields(heads, head_cut, x), fields(heads, head_cut, y))
+        positives = sum(map(positive_verdict, verdicts))
+        if positives == h:
+            return True
+        if positives == 0:
+            return False
+        verdicts = map(operator.call, tail_decides,
+                       fields(tails, tail_cut, x), fields(tails, tail_cut, y))
+        return 2 * (positives + sum(map(positive_verdict, verdicts))) > m
 
     return vote
 
@@ -516,7 +539,8 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
     """Majority vote of the per-seed referee verdicts on two labels.
 
     Pure and symmetric; a strict majority of positive verdicts decodes to
-    True, everything else (ties included) to False.
+    True, everything else (ties included) to False.  A pair whose first
+    m // 2 + 1 seeds agree is settled there, at about m/2 decisions.
     """
     if lx.length != scheme.label_bits or ly.length != scheme.label_bits:
         raise InputError(
@@ -528,9 +552,14 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
 
 def scheme_mismatches(scheme: LabelingScheme, want):
     """Every label pair (i, j), i <= j, that decodes other than ``want(i, j)``."""
-    for i, lx in enumerate(scheme.labels):
-        for j, ly in enumerate(scheme.labels[i:], i):
-            if decode_labels(scheme, lx, ly) != want(i, j):
+    labels = scheme.labels
+    for i, label in enumerate(labels):
+        if label.length != scheme.label_bits:
+            raise InputError(f"label {i} is {label.length} bits, not {scheme.label_bits}")
+    vote = _scheme_vote(scheme)
+    for i, lx in enumerate(labels):
+        for j in range(i, len(labels)):
+            if vote(lx, labels[j]) != want(i, j):
                 yield i, j
 
 

@@ -336,3 +336,23 @@ def symmetrized_take(inner_referee, wa, ma, mb, rnd=None):
     xa, xb = ma.take(0, wa), ma.take(wa, ma.length - wa)
     ya, yb = mb.take(0, wa), mb.take(wa, mb.length - wa)
     return verdict_max(inner_referee(xa, yb, rnd), inner_referee(ya, xb, rnd))
+
+
+# -- degeneracy peel as first written ---------------------------------------
+# The library pops (remaining degree, index) from a heap; this is the
+# linear-scan peel it replaced, and tests require equal orientations.
+
+
+def degeneracy_orientation_scan(G: Graph):
+    """Min-degree peel by a linear scan per step; (parents, max out-degree)."""
+    remaining_deg = [G.degree(v) for v in range(G.n)]
+    alive = [True] * G.n
+    parents = [()] * G.n
+    for _ in range(G.n):
+        v = min((u for u in range(G.n) if alive[u]), key=lambda u: (remaining_deg[u], u))
+        alive[v] = False
+        outs = sorted(w for w in G.neighbors(v) if alive[w])
+        parents[v] = tuple(outs)
+        for w in outs:
+            remaining_deg[w] -= 1
+    return tuple(parents), max((len(p) for p in parents), default=0)

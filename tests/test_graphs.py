@@ -24,6 +24,9 @@ from smplab.graphs import (
     orientation_covers,
     twin_reduction,
 )
+from smplab.lab import generate
+from smplab.planar import head_to_head_closure, schnyder_wood, triangulate
+from smplab.rng import derive_seed
 
 import oracles
 
@@ -249,6 +252,25 @@ class TestOrientation:
         rng = random.Random(41)
         g = oracles.random_graph(rng, 9, p=0.4, loop_p=0)
         assert degeneracy_orientation(g) == degeneracy_orientation(g)
+
+    def test_heap_peel_matches_the_linear_scan(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            g = oracles.random_graph(rng, n, p=rng.choice([0.05, 0.15, 0.4, 0.8]))
+            o = degeneracy_orientation(g)
+            assert (o.parents, o.max_outdegree) == oracles.degeneracy_orientation_scan(g)
+
+    @pytest.mark.parametrize("family, n", [("arboricity", 400), ("planar2", 250)])
+    def test_heap_peel_matches_on_the_sweep_instances(self, family, n):
+        # the graphs the sparse and planar2 sketches orient on the bench's
+        # experiment_sweep configs at seed 1
+        graph = generate(family, n, derive_seed(1, "gen", family, n)).payload
+        if family == "planar2":
+            wood = schnyder_wood(triangulate(graph))
+            graph = head_to_head_closure(graph.base_graph(), wood).union
+        o = degeneracy_orientation(graph)
+        assert (o.parents, o.max_outdegree) == oracles.degeneracy_orientation_scan(graph)
 
     @given(st.integers(2, 7), st.integers(0, 2**21 - 1))
     @settings(max_examples=60, deadline=None)

@@ -723,6 +723,16 @@ class TestRoleSplitRules:
             with pytest.raises(InputError):
                 proto.referee(ma, mb)
 
+    def test_role_split_rule_checks_each_side_against_its_own_width(self):
+        proto = EqualitySketch(4, 3, 1)
+        rule = proto.rule()
+        assert (rule.width, rule.width_b) == (3, 1)
+        assert rule(Bits(5, 3), Bits(1, 1)) == proto.referee(Bits(5, 3), Bits(1, 1)) == ACCEPT
+        assert rule(Bits(1, 3), Bits(1, 1)) == proto.referee(Bits(1, 3), Bits(1, 1)) == REJECT
+        for ma, mb in [(Bits(5, 3), Bits(1, 3)), (Bits(1, 1), Bits(5, 3))]:
+            with pytest.raises(InputError, match="must be 3 and 1 bits"):
+                rule(ma, mb)
+
     def test_a_protocol_without_a_rule_says_so(self):
         class Ruleless(EqualitySketch):
             rule = SmpProtocol.rule

@@ -27,6 +27,7 @@ from smplab.graphs import (
     reduced_size,
     twin_reduction,
 )
+from smplab.lab import generate, label_pipeline
 from smplab.lattices import boolean_lattice, cover_graph, lattice_distance
 from smplab.protocols import (
     ACCEPT,
@@ -36,12 +37,15 @@ from smplab.protocols import (
     TreeKDistance,
     UniversalLatticeDistance,
     WeakLatticeDistance,
+    beyond_verdict,
+    distance_verdict,
     symmetrize,
 )
 from smplab.protocols.base import Rule, SmpProtocol
-from smplab.rng import HashRandomness
+from smplab.rng import HashRandomness, derive_seed
 from smplab.universal import (
     DecisionGraph,
+    _table_vote,
     LabelingScheme,
     SeedBank,
     bank_bad_fraction,
@@ -647,6 +651,128 @@ class TestDerandomizedLabeling:
         worst = max(pairs, key=lambda pair: bad[pair])  # first of the worst
         assert bad[worst] > 0
         assert bank_bad_fraction(proto, 10, bank) == (Fraction(bad[worst], bank.m), worst)
+
+
+def bit_rules(m, calls=None):
+    """m one-bit rules whose verdict is positive iff the a-side bit is set;
+    even seeds answer accept/reject, odd ones distance/beyond.  Each decide
+    is appended to ``calls`` when given."""
+    def rule(s):
+        yes, no = (ACCEPT, REJECT) if s % 2 == 0 else (distance_verdict(s), beyond_verdict(s))
+
+        def decide(a, b):
+            if calls is not None:
+                calls.append(s)
+            return yes if a else no
+
+        return Rule(1, int, decide)
+
+    return [rule(s) for s in range(m)]
+
+
+class TestSettledVote:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_every_verdict_pattern_is_a_strict_majority(self, m):
+        # label x's bit s is seed s's verdict, so every pattern of m
+        # verdicts is met, ties at even m included
+        vote = _table_vote(bit_rules(m), 1)
+        zero = Bits(0, m)
+        for pattern in range(1 << m):
+            want = 2 * bin(pattern).count("1") > m
+            assert vote(Bits(pattern, m), zero) == want
+            assert vote(Bits(pattern, m), Bits(pattern, m)) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 63])
+    def test_settled_pairs_decide_half_the_seeds(self, m):
+        calls = []
+        vote = _table_vote(bit_rules(m, calls), 1)
+        counts = {(1 << m) - 1: m // 2 + 1, 0: m // 2 + 1}
+        if m > 1:  # seed 0 against all the others, either way round: unsettled
+            counts.update({1 << (m - 1): m, (1 << (m - 1)) - 1: m})
+        for pattern, count in counts.items():
+            calls.clear()
+            assert vote(Bits(pattern, m), Bits(0, m)) == (2 * bin(pattern).count("1") > m)
+            assert len(calls) == count
+
+    def test_tree_label_file_decodes_as_the_per_seed_vote(self, tmp_path):
+        master, eps = 20191108, Fraction(1, 5)
+        report = label_pipeline("tree", 8, 2, eps, tmp_path, master_seed=master)
+        scheme = labeling_from_json(json.loads(open(report["path"]).read()))
+        tree = generate("tree", 8, derive_seed(master, "gen", "tree", 8)).payload
+        proto = TreeKDistance(tree, 2, eps)
+        assert proto.params() == scheme.params["protocol"]
+        m, c = scheme.params["bank_m"], proto.cost_bits
+
+        def referee(ma, mb, rnd):
+            return oracles.window_scan_slices(ma, mb, proto.k, proto.res_width,
+                                              proto.color_width)
+
+        for lx in scheme.labels:
+            for ly in scheme.labels:
+                # the tree rule is blind, so the seeds handed to it do not matter
+                want = oracles.seed_vote_slices(referee, m, c, range(m), lx, ly)
+                assert decode_labels(scheme, lx, ly) == want
+
+    def test_weak_golden_labels_decode_as_the_per_seed_vote(self):
+        # the weak-lattice label file of tests/test_golden.py
+        eps = Fraction(1, 5)
+        proto = WeakLatticeDistance(boolean_lattice(3), 2, eps)
+        bank = newman_seed_bank(proto, range(8), eps, eps, 20191108)
+        scheme = labeling_from_json(labeling_to_json(derandomized_labeling(proto, range(8), bank)))
+
+        def referee(ma, mb, rnd):
+            return oracles.weak_xor_subsets(ma, mb, rnd, proto.m, proto.q, proto.k)
+
+        for lx in scheme.labels:
+            for ly in scheme.labels:
+                want = oracles.seed_vote_slices(referee, bank.m, proto.cost_bits,
+                                                bank.seeds, lx, ly)
+                assert decode_labels(scheme, lx, ly) == want
+
+    def test_mismatches_check_every_label_width(self):
+        _, _, _, scheme = TestDerandomizedLabeling().tree_scheme()
+        short = LabelingScheme(scheme.decoder, scheme.params, scheme.label_bits,
+                               scheme.labels[:-1] + (Bits(0, 3),))
+        with pytest.raises(InputError, match="label 15 is 3 bits"):
+            next(scheme_mismatches(short, lambda x, y: True))
+
+
+def exhaustive_bad_fraction(protocol, xs, bank):
+    """Bad seeds per pair by ``run`` on every pair and seed; the worst pair is
+    the first, in pair order, of those with the most."""
+    n = len(xs)
+    if protocol.symmetric:
+        pairs = [(xs[i], xs[j]) for i in range(n) for j in range(i, n)]
+    else:
+        pairs = [(x, y) for x in xs for y in xs]
+    bad = [sum(not protocol.run(x, y, HashRandomness(seed)).correct for seed in bank.seeds)
+           for x, y in pairs]
+    worst = max(bad)
+    return bad, Fraction(worst, bank.m), pairs[bad.index(worst)]
+
+
+class TestBankBadFractionEdges:
+    BANK = SeedBank(tuple(range(500, 509)), Fraction(1, 8), Fraction(1, 8))
+
+    def test_one_input_universe(self):
+        for proto, xs in [(OneBitEquality(), [5]), (EqualitySketch(4, 3, 1), [2]),
+                          (TreeKDistance(random_tree(random.Random(1), 1), 1,
+                                         Fraction(1, 4)), [0])]:
+            _, fraction, pair = exhaustive_bad_fraction(proto, xs, self.BANK)
+            assert bank_bad_fraction(proto, xs, self.BANK) == (fraction, pair)
+            assert pair == (xs[0], xs[0])
+
+    def test_role_split_protocol_and_its_tie_break(self):
+        # a one-round overlap false-accepts about half the seeds, so many
+        # ordered pairs tie for the worst and the first of them must win
+        proto = EqualitySketch(5, 3, 1)
+        xs = [4, 0, 3, 1, 2]
+        bad, fraction, pair = exhaustive_bad_fraction(proto, xs, self.BANK)
+        assert bad.count(max(bad)) > 1 and max(bad) > 0
+        assert bank_bad_fraction(proto, xs, self.BANK) == (fraction, pair)
+        sym = symmetrize(proto)
+        _, fraction, pair = exhaustive_bad_fraction(sym, xs, self.BANK)
+        assert bank_bad_fraction(sym, xs, self.BANK) == (fraction, pair)
 
 
 class TestHierarchyLengths:
