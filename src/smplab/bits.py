@@ -63,7 +63,9 @@ class Bits:
 
 
 def concat_all(parts: list[Bits]) -> Bits:
-    out = Bits(0, 0)
+    """The parts joined first to last, built and checked as one ``Bits``."""
+    value = length = 0
     for p in parts:
-        out = out.concat(p)
-    return out
+        value = value << p.length | p.value
+        length += p.length
+    return Bits(value, length)

@@ -8,6 +8,7 @@ verification or input check fails, 3 when a size cap is exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,9 @@ def _parse_eps(text: str):
     return Fraction(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused."""
     parser = argparse.ArgumentParser(
         prog="smplab", description="sketch experiments over structured inputs"
     )

@@ -74,9 +74,10 @@ class ArboricityAdjacency(SmpProtocol):
 
 def color_slots_rule(slots: int, color_width: int) -> Rule:
     """Accept iff the messages agree or either lists the other's own color."""
+    cut = fields_of(slots, color_width)
 
     def unpack(value):
-        return value, fields_of(value, slots, color_width)
+        return value, cut(value)
 
     def decide(fa, fb):
         va, a = fa

@@ -37,6 +37,8 @@ from ..rng import (
     support_size,
 )
 
+WIDTH_CAP = 1 << 20  # widest message or label, in bits, built from outside input
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -115,11 +117,22 @@ def field_width(m: int) -> int:
     return max(1, (m - 1).bit_length())
 
 
-def fields_of(value: int, count: int, width: int) -> tuple[int, ...]:
-    """``count`` big-endian ``width``-bit fields of value, first field first."""
+def fields_of(count: int, width: int) -> Callable[[int], tuple[int, ...]]:
+    """The cutter of a value into ``count`` big-endian ``width``-bit fields,
+    first field first; a rule builds it once and calls it per unpack.  The
+    shifts stay a ``range``, so a huge ``count`` read from a file costs
+    nothing until the rule's width check refuses it, and a field wider than
+    ``WIDTH_CAP``, which no message can hold, is refused before its mask is
+    built."""
+    if width > WIDTH_CAP:
+        raise InputError(f"{width}-bit fields exceed the {WIDTH_CAP}-bit message cap")
     mask = (1 << width) - 1
-    return tuple(value >> shift & mask
-                 for shift in range((count - 1) * width, -1, -width))
+    shifts = range((count - 1) * width, -1, -width)
+
+    def cut(value: int) -> tuple[int, ...]:
+        return tuple([value >> shift & mask for shift in shifts])
+
+    return cut
 
 
 @dataclass(frozen=True)

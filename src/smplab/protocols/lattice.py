@@ -266,16 +266,13 @@ class UniversalLatticeDistance(_LatticeSketch):
 def parity_blocks_rule(m: int, rounds: int, k: int) -> Rule:
     """Accept iff every m-bit round block XORs to weight at most k."""
 
-    def unpack(value):
-        return fields_of(value, rounds, m)
-
     def decide(a, b):
         for block_a, block_b in zip(a, b):
             if (block_a ^ block_b).bit_count() > k:
                 return REJECT
         return ACCEPT
 
-    return Rule(m * rounds, unpack, decide)
+    return Rule(m * rounds, fields_of(rounds, m), decide)
 
 
 def parity_blocks_referee(ma: Bits, mb: Bits, m: int, k: int):

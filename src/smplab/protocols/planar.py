@@ -155,10 +155,11 @@ def two_hop_rule(w1: int, w2: int) -> Rule:
     by 1 + CLOSURE_SLOTS closure colors (self, then closure parents).
     """
     closure_bits = (1 + CLOSURE_SLOTS) * w2
+    tree_cut = fields_of(13, w1)
+    closure_cut = fields_of(1 + CLOSURE_SLOTS, w2)
 
     def unpack(value):
-        return (value, fields_of(value >> closure_bits, 13, w1),
-                fields_of(value, 1 + CLOSURE_SLOTS, w2))
+        return value, tree_cut(value >> closure_bits), closure_cut(value)
 
     def decide(fa, fb):
         va, a, a2 = fa

@@ -152,11 +152,12 @@ def window_rule(k: int, res_width: int, color_width: int) -> Rule:
     """
     colors_bits = 2 * k * color_width
     res_mask = (1 << res_width) - 1
+    cut = fields_of(2 * k, color_width)
 
     def unpack(value):
         band3 = value >> (res_width + colors_bits) & 3
         res = min(value >> colors_bits & res_mask, k - 1)
-        return band3, res, fields_of(value, 2 * k, color_width)
+        return band3, res, cut(value)
 
     beyond = beyond_verdict(k)
     within = {}  # distance -> verdict, made as distances first occur

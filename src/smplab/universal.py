@@ -14,7 +14,8 @@ graphs maps into.
 The derandomization half: sample a bank of seeds, verify per input pair
 that only a small fraction of seeds mislead the referee, then concatenate
 the per-seed messages into one label per vertex and decode by majority
-vote.  After verification the scheme is deterministic and exact -- zero
+vote.  The bank keeps the messages its check encoded, so each (seed,
+input) pair is encoded once per label run.  After verification the scheme is deterministic and exact -- zero
 errors on its instance, checked before anything is returned.
 
 Decoding cost: a scheme holds one rule per bank seed -- the protocol's
@@ -39,7 +40,7 @@ import numpy as np
 from .bits import Bits, concat_all
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
 from .graphs import Graph, VertexMap, find_faithful_map, reduced_size
-from .protocols.base import Rule, SmpProtocol, Verdict, as_fraction
+from .protocols.base import WIDTH_CAP, Rule, SmpProtocol, Verdict, as_fraction
 from .protocols.registry import PROTOCOLS
 from .rng import HashRandomness, SharedRandomness
 
@@ -47,7 +48,6 @@ BRUTE_MESSAGE_CAP = 16  # widest message space decision_graph will enumerate
 ENUM_CAP = 5  # largest candidate size min_universal_graph enumerates
 FAMILY_CAP = 8
 MEMBER_CAP = 5
-WIDTH_CAP = 1 << 20  # widest message or label, in bits, built from outside input
 
 
 _verdict_key = operator.attrgetter("kind", "value")  # what Verdict equality compares
@@ -351,16 +351,37 @@ class SeedBank:
 
     ``worst_bad`` records the largest per-pair fraction of misleading
     seeds observed at verification time (None for hand-built banks).
+    A bank checked against a role-free protocol keeps, in ``_messages``,
+    that protocol object, its inputs and the messages ``encode`` gave them
+    under each seed, so labels built from the bank reuse them; the private
+    field takes no part in equality or repr.
     """
 
     seeds: tuple[int, ...]
     eps: Fraction
     delta: Fraction
     worst_bad: Fraction | None = field(default=None, compare=False)
+    _messages: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.seeds)
+
+
+def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list[Bits]]:
+    """Per bank seed, ``protocol.encode`` of each input, in order.
+
+    The messages a bank keeps for this very protocol object and these
+    inputs are returned as they are; otherwise every seed is encoded and
+    the result is kept on the bank.
+    """
+    kept = bank._messages
+    if kept is not None and kept[0] is protocol and kept[1] == xs:
+        return kept[2]
+    messages = [[protocol.encode(v, rnd) for v in xs]
+                for rnd in map(HashRandomness, bank.seeds)]
+    object.__setattr__(bank, "_messages", (protocol, xs, messages))
+    return messages
 
 
 def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
@@ -370,22 +391,27 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     protocols, and over all ordered pairs otherwise; the worst pair is the
     first of those with the most bad seeds.  Verdicts are compared as
     (kind, value) tuples: the test ``Verdict`` equality makes, without a
-    Python-level ``__eq__`` call per pair and seed.
+    Python-level ``__eq__`` call per pair and seed.  A role-free protocol's
+    messages come from ``_seed_messages``, so the bank keeps them for the
+    labeling; a role-split one encodes both sides per seed.
     """
     xs = _input_list(inputs)
     n = len(xs)
     if protocol.symmetric:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        messages = _seed_messages(protocol, xs, bank)
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     expected = [_verdict_key(protocol.expected(xs[i], xs[j])) for i, j in pairs]
     bad = [0] * len(pairs)
-    for seed in bank.seeds:
+    for s, seed in enumerate(bank.seeds):
         rnd = HashRandomness(seed)
         rule = protocol.rule(rnd)
-        fa = [rule.unpack(protocol.encode_a(v, rnd).value) for v in xs]
-        fb = fa if protocol.symmetric else [
-            rule.unpack(protocol.encode_b(v, rnd).value) for v in xs]
+        if protocol.symmetric:
+            fa = fb = [rule.unpack(message.value) for message in messages[s]]
+        else:
+            fa = [rule.unpack(protocol.encode_a(v, rnd).value) for v in xs]
+            fb = [rule.unpack(protocol.encode_b(v, rnd).value) for v in xs]
         for idx, (i, j) in enumerate(pairs):
             if _verdict_key(rule.decide(fa[i], fb[j])) != expected[idx]:
                 bad[idx] += 1
@@ -400,7 +426,10 @@ def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
 
     The returned bank satisfies, for every input pair, that at most an
     eps+delta fraction of its seeds make the referee err -- checked
-    exhaustively, not assumed.
+    exhaustively, not assumed.  Each attempt is one ``bank_bad_fraction``
+    call, and the returned bank keeps the messages its check encoded, so
+    ``derandomized_labeling`` over the same protocol and inputs encodes
+    nothing again.
     """
     eps = as_fraction(eps)
     delta = as_fraction(delta)
@@ -415,7 +444,9 @@ def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
         bank = SeedBank(seeds, eps, delta)
         worst, pair = bank_bad_fraction(protocol, xs, bank)
         if worst <= bound:
-            return SeedBank(seeds, eps, delta, worst)
+            verified = SeedBank(seeds, eps, delta, worst)
+            object.__setattr__(verified, "_messages", bank._messages)
+            return verified
     raise VerificationError(
         f"seed bank failed verification {retries} times; worst pair "
         f"{pair} errs on {worst} of the seeds (budget {bound})"
@@ -570,7 +601,10 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
     Requires a bank whose guarantee leaves a real majority margin: with at
     most an eps+delta < 1/2 fraction of bad seeds per pair, the correct
     verdict always holds a strict majority, so the decoded predicate has
-    zero errors -- which is checked on every pair before returning.
+    zero errors -- which is checked on every pair before returning.  The
+    per-seed messages are the ones the bank kept from its check when it was
+    checked against this protocol object and these inputs, and are encoded
+    here otherwise.
     """
     if _labelable_class(protocol.params()) is None:
         raise PreconditionError(f"protocol {protocol.name!r} is not registered with a "
@@ -582,14 +616,7 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
         )
     xs = _input_list(inputs)
     c = protocol.cost_bits
-    per_seed = []
-    for seed in bank.seeds:
-        rnd = HashRandomness(seed)
-        per_seed.append([protocol.encode(v, rnd) for v in xs])
-    labels = tuple(
-        concat_all([per_seed[s][i] for s in range(bank.m)])
-        for i in range(len(xs))
-    )
+    labels = tuple(map(concat_all, zip(*_seed_messages(protocol, xs, bank))))
     params = {
         "protocol": protocol.params(),
         "bank_m": bank.m,

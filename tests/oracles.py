@@ -100,6 +100,14 @@ def _fields(msg, start, count, width):
     return [msg.take(start + i * width, width).value for i in range(count)]
 
 
+def fields_formula(value, count, width):
+    """``count`` big-endian ``width``-bit fields of value, as the rules once
+    cut them: a generator over the shifts, with the mask made per call."""
+    mask = (1 << width) - 1
+    return tuple(value >> shift & mask
+                 for shift in range((count - 1) * width, -1, -width))
+
+
 def window_scan_slices(ma, mb, k, res_width, color_width):
     from smplab.protocols import beyond_verdict, distance_verdict
 

@@ -235,9 +235,10 @@ class TestLabelDecode:
         lambda doc: doc["labels"].__setitem__(1, "f" * (doc["label_bits"] // 4 + 2)),
         lambda doc: doc["params"]["protocol"].update(k="1"),
         lambda doc: doc["params"]["protocol"].update(rounds=10**30),
+        lambda doc: doc["params"]["protocol"].update(m=10**30),
     ], ids=["params-not-object", "no-bank_m", "zero-bank_m", "string-message_bits",
             "width-mismatch", "no-protocol", "label-not-hex", "label-too-wide",
-            "string-k", "huge-rounds"])
+            "string-k", "huge-rounds", "huge-m"])
     def test_damaged_label_file_exit_code(self, scheme_dir, tmp_path, damage):
         doc = json.loads(next(scheme_dir.glob("labels-*.json")).read_text())
         x, y = doc["labels"][0], doc["labels"][2]
@@ -256,6 +257,36 @@ class TestLabelDecode:
     def test_label_rejects_gadget_families(self, tmp_path):
         assert run("label", "--family", "gadget:interval", "--n", 4, "--k", 1,
                    "--eps", "1/4", "--out", tmp_path) == 2
+
+
+class TestParserReuse:
+    @staticmethod
+    def call(argv, capsys):
+        """``main(argv)`` in this process: (exit code, stdout, stderr)."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_back_to_back_calls_match_separate_processes(self, tmp_path, capsys):
+        # label, then a usage error, then decode, all on this process's one parser
+        label = ["label", "--family", "tree", "--n", "6", "--k", "1", "--eps", "1/5",
+                 "--out", str(tmp_path)]
+        results = [self.call(label, capsys)]
+        labels = json.loads(next(tmp_path.glob("labels-*.json")).read_text())["labels"]
+        usage = ["decode", "--scheme", str(tmp_path), "--x", labels[0]]
+        decode = usage + ["--y", labels[5]]
+        results += [self.call(usage, capsys), self.call(decode, capsys)]
+        assert [code for code, _, _ in results] == [0, 2, 0]
+        assert results[2][1].strip() in ("accept", "reject")
+        separate = [capped_python("-c", CLI_MAIN, *argv) for argv in (label, usage, decode)]
+        assert [(r.returncode, r.stdout, r.stderr) for r in separate] == results
+
+    def test_import_builds_no_parser(self):
+        probe = "import smplab.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        assert capped_python("-c", probe).stdout == "0\n"
 
 
 @pytest.fixture(scope="module")

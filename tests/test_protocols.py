@@ -41,7 +41,7 @@ from smplab.protocols import (
     verdict_max,
     weak_sketch_params,
 )
-from smplab.protocols.base import SmpProtocol, field_width, merge_support
+from smplab.protocols.base import WIDTH_CAP, SmpProtocol, field_width, fields_of, merge_support
 from smplab.protocols.lattice import (
     XOR_SIDE_CAP,
     weak_bucket_count,
@@ -739,6 +739,24 @@ class TestRoleSplitRules:
 
         with pytest.raises(NotImplementedError, match="states no rule"):
             Ruleless(4).referee(Bits(0, 2), Bits(0, 2))
+
+
+class TestFieldCutter:
+    @given(st.integers(0, 12), st.integers(1, 40), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cutter_is_the_per_call_formula(self, count, width, data):
+        # values wider than the fields too: the top field is masked like the rest
+        value = data.draw(st.integers(0, (1 << (count * width + 3)) - 1))
+        cut = fields_of(count, width)
+        assert cut(value) == oracles.fields_formula(value, count, width)
+        assert cut(value) == cut(value)  # the cutter keeps no state between calls
+
+    def test_huge_count_builds_and_wide_field_is_refused(self):
+        assert fields_of(10**30, 14) is not None  # the shifts stay a range
+        assert fields_of(1, WIDTH_CAP)((1 << WIDTH_CAP) - 1) == ((1 << WIDTH_CAP) - 1,)
+        for width in (WIDTH_CAP + 1, 10**30):
+            with pytest.raises(InputError, match="fields exceed"):
+                fields_of(1, width)
 
 
 class TestSizingFormulas:

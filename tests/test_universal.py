@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import faithful_maps_brute, parity_blocks_slices
-from smplab.bits import Bits
+from smplab.bits import Bits, concat_all
 from smplab.errors import (
     CapacityError,
     InputError,
@@ -43,6 +43,7 @@ from smplab.protocols import (
 )
 from smplab.protocols.base import Rule, SmpProtocol
 from smplab.rng import HashRandomness, derive_seed
+from smplab import universal
 from smplab.universal import (
     DecisionGraph,
     _table_vote,
@@ -735,6 +736,90 @@ class TestSettledVote:
                                scheme.labels[:-1] + (Bits(0, 3),))
         with pytest.raises(InputError, match="label 15 is 3 bits"):
             next(scheme_mismatches(short, lambda x, y: True))
+
+
+class CountingTree(TreeKDistance):
+    """A tree sketch that counts its ``encode`` calls."""
+
+    encodes = 0
+
+    def encode(self, v, rnd):
+        self.encodes += 1
+        return super().encode(v, rnd)
+
+
+def fresh_labels(protocol, xs, seeds):
+    """Labels by encoding every input under every seed, nothing reused."""
+    return tuple(concat_all([protocol.encode(v, HashRandomness(s)) for s in seeds])
+                 for v in xs)
+
+
+class TestSharedEncodes:
+    """The bank check's per-seed messages are the labels' messages."""
+
+    EPS = Fraction(1, 10)
+
+    def test_label_run_encodes_each_seed_and_input_once(self, monkeypatch):
+        attempts = []
+        checked = universal.bank_bad_fraction
+
+        def counting_check(protocol, inputs, bank):
+            attempts.append(bank.seeds)
+            return checked(protocol, inputs, bank)
+
+        monkeypatch.setattr(universal, "bank_bad_fraction", counting_check)
+        proto = CountingTree(random_tree(random.Random(5), 16), 2, self.EPS)
+        bank = newman_seed_bank(proto, 16, self.EPS, self.EPS, 77)
+        scheme = derandomized_labeling(proto, 16, bank)
+        assert len(attempts) >= 1 and attempts[-1] == bank.seeds
+        assert proto.encodes == len(attempts) * bank.m * 16
+        assert scheme.labels == fresh_labels(proto, range(16), bank.seeds)
+
+    def test_verified_and_hand_built_banks_give_equal_schemes(self):
+        proto = TreeKDistance(random_tree(random.Random(5), 16), 2, self.EPS)
+        bank = newman_seed_bank(proto, 16, self.EPS, self.EPS, 77)
+        hand = SeedBank(bank.seeds, self.EPS, self.EPS)
+        kept = derandomized_labeling(proto, 16, bank)
+        fresh = derandomized_labeling(proto, 16, hand)
+        assert kept == fresh
+        assert labeling_to_json(kept) == labeling_to_json(fresh)
+
+    def test_other_protocol_or_inputs_get_their_own_labels(self):
+        # every pair of the 4-element lattice is within distance 2, so at
+        # k = 2 and k = 3 any bank is exact and labels always build
+        eps, delta = Fraction(1, 3), Fraction(1, 8)
+        checked = UniversalLatticeDistance(boolean_lattice(2), 2, eps)
+        bank = newman_seed_bank(checked, 4, eps, delta, 5)
+        for proto, xs in [(UniversalLatticeDistance(boolean_lattice(2), 3, eps), range(4)),
+                          (UniversalLatticeDistance(boolean_lattice(2), 2, eps), range(4)),
+                          (checked, [3, 2, 1, 0]),
+                          (checked, range(3)),
+                          (checked, range(4))]:
+            scheme = derandomized_labeling(proto, xs, bank)
+            assert scheme.labels == fresh_labels(proto, xs, bank.seeds)
+            assert scheme == derandomized_labeling(proto, xs, SeedBank(bank.seeds, eps, delta))
+
+    def test_another_object_of_equal_params_encodes_again(self):
+        tree = random_tree(random.Random(5), 16)
+        checked = CountingTree(tree, 2, self.EPS)
+        bank = newman_seed_bank(checked, 16, self.EPS, self.EPS, 77)
+        twin = CountingTree(tree, 2, self.EPS)
+        assert derandomized_labeling(twin, 16, bank) == derandomized_labeling(checked, 16, bank)
+        assert twin.encodes == bank.m * 16
+
+    def test_kept_messages_leave_equality_and_repr_alone(self):
+        proto = UniversalLatticeDistance(boolean_lattice(2), 2, Fraction(1, 3))
+        bank = newman_seed_bank(proto, 4, Fraction(1, 3), Fraction(1, 8), 5)
+        hand = SeedBank(bank.seeds, bank.eps, bank.delta, bank.worst_bad)
+        assert bank._messages is not None and hand._messages is None
+        assert bank == hand and hash(bank) == hash(hand)
+        assert repr(bank) == repr(hand)
+        assert "_messages" not in repr(bank)
+
+    def test_role_split_check_keeps_no_messages(self):
+        bank = SeedBank(tuple(range(500, 509)), Fraction(1, 8), Fraction(1, 8))
+        bank_bad_fraction(EqualitySketch(4, 3, 1), range(4), bank)
+        assert bank._messages is None
 
 
 def exhaustive_bad_fraction(protocol, xs, bank):
