@@ -12,6 +12,7 @@ graphs: adjacency instances are expected to carry all self-loops.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..bits import Bits
@@ -20,6 +21,7 @@ from ..graphs import Graph, Orientation, degeneracy_orientation
 from .base import (
     ACCEPT,
     REJECT,
+    RULE_CACHE_SIZE,
     Rule,
     SmpProtocol,
     as_fraction,
@@ -72,6 +74,7 @@ class ArboricityAdjacency(SmpProtocol):
         return ACCEPT if self.graph.adjacent(x, y) else REJECT
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def color_slots_rule(slots: int, color_width: int) -> Rule:
     """Accept iff the messages agree or either lists the other's own color."""
     cut = fields_of(slots, color_width)

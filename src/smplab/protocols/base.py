@@ -38,6 +38,9 @@ from ..rng import (
 )
 
 WIDTH_CAP = 1 << 20  # widest message or label, in bits, built from outside input
+# rules kept by each blind rule builder's lru_cache; a builder's arguments
+# are a few ints, so a run meets only a handful of distinct rules
+RULE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)

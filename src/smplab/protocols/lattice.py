@@ -11,11 +11,12 @@ a small-set-difference problem, solved two ways:
   accepts iff the two messages differ by an XOR of at most k bucket
   vectors.  Yes instances always pass; message width is q bits.  The test
   is an exact meet in the middle over distinct vectors: the XORs of at
-  most ceil(k/2) of them are built by combinations and sorted once per
-  rule, and each of target ^ (XOR of at most floor(k/2)) is looked up with
-  ``searchsorted`` - m + 1 lookups per pair for k <= 3.  That sorted side
-  holds sum_{i <= ceil(k/2)} C(m, i) entries; it and m are capped at
-  ``XOR_SIDE_CAP``.
+  most ceil(k/2) of them are gathered by a subset plan cached per (m,
+  subset size) and sorted once per rule, and each of target ^ (XOR of at
+  most floor(k/2)) is looked up with ``searchsorted`` - m + 1 lookups per
+  pair for k <= 3.  The sides are 32-bit words when q <= 32 and 64-bit
+  otherwise.  The sorted side holds sum_{i <= ceil(k/2)} C(m, i) entries;
+  it and m are capped at ``XOR_SIDE_CAP``.
 
 * ``UniversalLatticeDistance`` sends, per round, the parity vector of its
   hashed set occupancy.  The referee accepts iff every round's XOR has
@@ -25,6 +26,7 @@ a small-set-difference problem, solved two ways:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from ..lattices import Lattice, birkhoff
 from .base import (
     ACCEPT,
     REJECT,
+    RULE_CACHE_SIZE,
     Rule,
     SmpProtocol,
     as_fraction,
@@ -47,6 +50,7 @@ from .base import (
 
 
 XOR_SIDE_CAP = 1 << 22  # entries on the weak referee's sorted XOR side
+PLAN_CACHE_SIZE = 8  # subset plans kept by ``_subset_plan``, one per (m, size)
 
 
 def xor_side_size(m: int, k: int) -> int:
@@ -171,14 +175,16 @@ class WeakLatticeDistance(_LatticeSketch):
 def weak_xor_rule(m: int, q: int, k: int, rnd) -> Rule:
     """Accept iff the messages differ by an XOR of at most k of rnd's m
     bucket vectors.  The vectors are the draws ``("s", 0) ... ("s", m - 1)``,
-    taken in one ``rnd.integers`` call, and their search sides are built
-    once per rule; widths beyond 63 bits and search sides beyond
-    ``XOR_SIDE_CAP`` are refused before anything is drawn."""
+    taken in one ``rnd.integers`` call into 32-bit words when q <= 32 and
+    64-bit words otherwise, and their search sides are gathered once per
+    rule by the cached subset plan; widths beyond 63 bits and search sides
+    beyond ``XOR_SIDE_CAP`` are refused before anything is drawn."""
     if rnd is None:
         raise InputError("weak referee needs the shared randomness")
     _check_width(q)
     _check_xor_side(m, k)
-    vecs = np.array(rnd.integers("s", m, 2**q), dtype=np.uint64)
+    dtype = np.uint32 if q <= 32 else np.uint64
+    vecs = np.array(rnd.integers("s", m, 2**q), dtype=dtype)
     big, small = _xor_sides(vecs, k)
 
     def decide(a, b):
@@ -197,31 +203,66 @@ def _xor_sides(vecs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the sorted XORs of at most ceil(k/2) of them, and the XORs of at most
     floor(k/2).  A target hits iff target ^ xor(A) == xor(B) for some A on
     the small side and B on the big one; then target == xor(A ^ B) with
-    |A ^ B| <= k, so the test is exact, not just one-sided."""
-    return np.sort(_xor_subsets(vecs, (k + 1) // 2)), _xor_subsets(vecs, k // 2)
+    |A ^ B| <= k, so the test is exact, not just one-sided.
+    ``_xor_subsets`` lists subsets by size, so the small side is the
+    prefix of the unsorted big one that ``xor_side_size`` counts."""
+    side = _xor_subsets(vecs, (k + 1) // 2)
+    return np.sort(side), side[:xor_side_size(len(vecs), 2 * (k // 2))]
 
 
 def _xor_hit(target: int, big: np.ndarray, small: np.ndarray) -> bool:
-    keys = small ^ np.uint64(target)
+    keys = small ^ big.dtype.type(target)
     found = big.take(np.searchsorted(big, keys), mode="clip")
     return bool(np.any(found == keys))
 
 
 def _xor_subsets(vecs: np.ndarray, size: int) -> np.ndarray:
     """XORs of every subset of at most ``size`` distinct vectors, one per
-    subset: each subset of one level is extended by the vectors above its
-    highest index."""
+    subset, in the vectors' dtype: the empty subset, the vectors, then each
+    larger level gathered from the one below by ``_subset_plan``."""
+    if size == 0:
+        return np.zeros(1, vecs.dtype)
     m = len(vecs)
-    level = np.zeros(1, dtype=np.uint64)
-    top = np.full(1, -1)  # highest vector index in each subset of the level
-    out = [level]
-    for _ in range(size):
-        counts = (m - 1) - top
-        starts = np.cumsum(counts) - counts
-        top = np.arange(counts.sum()) - np.repeat(starts - top - 1, counts)
-        level = np.repeat(level, counts) ^ vecs[top]
-        out.append(level)
-    return np.concatenate(out)
+    levels = _subset_plan(m, size)
+    side = np.empty(1 + m + sum(len(rows) for rows, _ in levels), vecs.dtype)
+    side[0] = 0
+    side[1:m + 1] = vecs
+    lo, hi = 1, m + 1  # rows of the level below
+    for rows, counts in levels:
+        level = side[hi:hi + len(rows)]
+        np.take(side[lo:hi], rows, out=level, mode="clip")  # rows are in range
+        level ^= np.repeat(vecs, counts)
+        lo, hi = hi, hi + len(rows)
+    return side
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _subset_plan(m: int, size: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Gather plan for the subsets of 2 ... ``size`` of m vectors, one
+    read-only ``(rows, counts)`` pair per level, in colex order.
+
+    Level i lists, for each top vector j, the (i-1)-subsets of the vectors
+    below j - the first C(j, i-1) subsets of level i - 1 - each with j
+    added: its XORs are ``level_below[rows] ^ np.repeat(vecs, counts)``,
+    with ``counts[j] = C(j, i-1)``.  Levels 0 and 1 (the empty subset and
+    the vectors) need no plan.
+
+    Cost: one intp row index per subset of two or more vectors, so under
+    8 * XOR_SIDE_CAP bytes (32 MiB) for a side at the cap, plus m intp
+    counts per level; m <= 2897 once a side holds pairs, so counts stay
+    under 64 KiB.  The cache holds at most PLAN_CACHE_SIZE plans, 256 MiB
+    at worst, reached only by sketches sized near the cap.  The
+    formula-sized sketch at k = 3, eps = 1/8 (m = 200) plans 19 900 rows,
+    about 160 KiB."""
+    levels = []
+    counts = np.arange(m)  # C(j, 1): the level-2 counts
+    for _ in range(size - 1):
+        starts = np.cumsum(counts) - counts  # C(j, i): also the next level's counts
+        rows = np.arange(counts.sum()) - np.repeat(starts, counts)
+        counts.flags.writeable = rows.flags.writeable = False
+        levels.append((rows, counts))
+        counts = starts
+    return tuple(levels)
 
 
 class UniversalLatticeDistance(_LatticeSketch):
@@ -263,6 +304,7 @@ class UniversalLatticeDistance(_LatticeSketch):
         return parity_blocks_referee(ma, mb, self.m, self.k)
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def parity_blocks_rule(m: int, rounds: int, k: int) -> Rule:
     """Accept iff every m-bit round block XORs to weight at most k."""
 

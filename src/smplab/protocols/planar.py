@@ -21,6 +21,7 @@ probability 1/m against fresh colors, so the two bucket counts scale as
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..bits import Bits
@@ -35,6 +36,7 @@ from ..planar import (
 from .base import (
     ACCEPT,
     REJECT,
+    RULE_CACHE_SIZE,
     Rule,
     SmpProtocol,
     as_fraction,
@@ -148,6 +150,7 @@ def two_hop_widths(m1: int, m2: int) -> tuple[int, int]:
     return field_width(m1), field_width(m2)
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def two_hop_rule(w1: int, w2: int) -> Rule:
     """Accept on equal messages or on any of the four two-hop patterns.
 

@@ -15,12 +15,14 @@ which is why this one is *not* one-sided.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, bfs_from
 from .base import (
+    RULE_CACHE_SIZE,
     Rule,
     SmpProtocol,
     Verdict,
@@ -141,6 +143,7 @@ def window_widths(k: int, m: int) -> tuple[int, int]:
     return field_width(k), field_width(m + 1)  # colors and the pad m
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def window_rule(k: int, res_width: int, color_width: int) -> Rule:
     """Smallest distance at which the two ancestor windows can meet.
 

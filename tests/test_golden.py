@@ -51,6 +51,15 @@ REPORT_CASES = {
                                        "master_seed": MASTER},
     "experiment-arboricity2-gadget.json": {"family": "gadget:arboricity2", "n_range": [5, 6],
                                            "trials": 40, "master_seed": MASTER},
+    # the weak sketch at k = 3 on both word widths of its XOR search:
+    # m = 200, q = 24 (32-bit) and m = 1000, q = 33 (64-bit); both beyond
+    # strata hold false accepts
+    "experiment-hypercube-weak-k3-q24.json": {"family": "hypercube", "n_range": [5], "k": 3,
+                                              "eps": [1, 8], "model": "weak", "trials": 40,
+                                              "master_seed": MASTER},
+    "experiment-hypercube-weak-k3-q33.json": {"family": "hypercube", "n_range": [5], "k": 3,
+                                              "eps": [1, 40], "model": "weak", "trials": 20,
+                                              "master_seed": MASTER},
 }
 
 

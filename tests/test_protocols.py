@@ -41,13 +41,20 @@ from smplab.protocols import (
     verdict_max,
     weak_sketch_params,
 )
+from smplab.protocols.arboricity import color_slots_rule
 from smplab.protocols.base import WIDTH_CAP, SmpProtocol, field_width, fields_of, merge_support
 from smplab.protocols.lattice import (
+    PLAN_CACHE_SIZE,
     XOR_SIDE_CAP,
+    _subset_plan,
+    _xor_subsets,
+    parity_blocks_rule,
     weak_bucket_count,
     weak_xor_rule,
     xor_side_size,
 )
+from smplab.protocols.planar import two_hop_rule
+from smplab.protocols.tree import window_rule
 from smplab.rng import HashRandomness, SharedRandomness, TableRandomness
 from smplab.universal import fix_seed
 
@@ -195,7 +202,9 @@ class TestSmallXorHit:
         table = TableRandomness({("s", i): int(vec) for i, vec in enumerate(vecs)})
         assert weak_xor_rule(m, 6, k, table).decide(target, 0) == (ACCEPT if brute else REJECT)
 
-    @pytest.mark.parametrize("m,q,k", [(12, 8, 3), (20, 10, 2), (10, 10, 4), (5, 4, 0), (30, 12, 1)])
+    @pytest.mark.parametrize("m,q,k", [(12, 8, 3), (20, 10, 2), (10, 10, 4), (5, 4, 0), (30, 12, 1),
+                                       # both word widths, at their edge and at the top
+                                       (12, 32, 3), (12, 33, 3), (9, 63, 4), (7, 63, 0)])
     def test_one_rule_decides_many_pairs(self, m, q, k):
         # the rule's search sides are built once; 300 calls in a row must
         # each agree with an exhaustive search under the same draws
@@ -217,6 +226,37 @@ class TestSmallXorHit:
                 assert rule(ma, mb) == want
                 verdicts.add(want)
             assert verdicts == {ACCEPT, REJECT}
+
+
+class TestSubsetPlan:
+    @given(st.integers(0, 12), st.integers(0, 3), st.lists(st.integers(0, 2**32 - 1), max_size=12),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_side_is_the_combinations_multiset(self, m, size, values, few_values):
+        # zero and duplicate vectors, none at all, and fewer vectors than size
+        values = (values + [0] * m)[:m]
+        if few_values:
+            values = [v % 4 for v in values]
+        for dtype in (np.uint32, np.uint64):
+            side = _xor_subsets(np.array(values, dtype=dtype), size)
+            rows = 1 + (m if size else 0) + sum(len(r) for r, _ in _subset_plan(m, size))
+            assert len(side) == rows == xor_side_size(m, 2 * size)
+            brute = [functools.reduce(lambda a, b: a ^ b, c, 0)
+                     for i in range(size + 1) for c in itertools.combinations(values, i)]
+            assert side.dtype == dtype
+            assert sorted(side.tolist()) == sorted(brute)
+
+    def test_plan_is_read_only(self):
+        for rows, counts in _subset_plan(9, 3):
+            assert not rows.flags.writeable and not counts.flags.writeable
+
+    def test_cache_stays_bounded(self):
+        # k = 3 rules for more distinct m than the cache keeps
+        for m in range(4, 4 + 2 * PLAN_CACHE_SIZE):
+            table = TableRandomness({("s", i): i % 7 for i in range(m)})
+            weak_xor_rule(m, 8, 3, table)
+            assert _subset_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+        assert _subset_plan.cache_info().maxsize == PLAN_CACHE_SIZE
 
 
 class TestUniversalLatticeDistance:
@@ -247,6 +287,19 @@ class TestUniversalLatticeDistance:
             rnd = HashRandomness(100 + seed)
             for x, y in near:
                 assert proto.run(x, y, rnd).verdict == ACCEPT
+
+    def test_run_verdicts_are_the_slicing_oracle(self):
+        # run decides through the cached rule; 200 seeds over random pairs
+        L = boolean_lattice(4)
+        proto = UniversalLatticeDistance(L, 2, Fraction(1, 3))
+        pick = random.Random(8)
+        verdicts = set()
+        for seed in range(200):
+            res = proto.run(pick.randrange(L.n), pick.randrange(L.n), HashRandomness(seed))
+            want = oracles.parity_blocks_slices(res.message_a, res.message_b, proto.m, proto.k)
+            assert res.verdict == want
+            verdicts.add(want)
+        assert verdicts == {ACCEPT, REJECT}
 
     def test_far_error_shrinks_with_rounds(self):
         L = boolean_lattice(5)
@@ -525,6 +578,14 @@ class TestBlindRules:
         assert rule.width == proto.cost_bits
         with pytest.raises(InputError):
             rule(Bits(0, rule.width), Bits(0, rule.width + 1))
+
+    @pytest.mark.parametrize("build,args", [(parity_blocks_rule, (14, 1, 1)),
+                                            (window_rule, (2, 1, 3)),
+                                            (two_hop_rule, (3, 4)),
+                                            (color_slots_rule, (3, 2))])
+    def test_builders_return_one_rule_per_arguments(self, build, args):
+        assert build(*args) is build(*args)
+        assert build.cache_info().maxsize is not None
 
     def test_symmetrized_rule_is_its_slicing_oracle(self):
         # the rule built from the inner one, on every pair of 5-bit messages
