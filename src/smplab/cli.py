@@ -34,7 +34,10 @@ from .universal import decode_labels, labeling_from_json
 def _parse_eps(text: str):
     from fractions import Fraction
 
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 @functools.cache
@@ -243,8 +246,11 @@ def main(argv=None) -> int:
     except (VerificationError, InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: not valid JSON: {exc}", file=sys.stderr)

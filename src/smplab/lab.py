@@ -19,8 +19,8 @@ Three moving parts, all deterministic given a master seed:
 
 Experiment rows carry the mean message width of the two senders and the
 width the protocol's sizing formula sets (``cost_bits``); an encoder that
-drifts from that width is refused by ``SmpProtocol`` on its first message,
-not reported as a column mismatch.
+drifts from that width is refused by the protocol's ``Rule`` on its first
+message, not reported as a column mismatch.
 
 Conventions worth stating once:
 
@@ -400,12 +400,11 @@ def _expected_verdict(mode, d, k):
     return ACCEPT if d is not None and d <= k else REJECT
 
 
-def _stratum_labels(threshold, mode, k):
-    upto = k if mode == "tree" else threshold
-    return [str(d) for d in range(upto + 1)] + ["beyond"]
+def _stratum_labels(threshold):
+    return [str(d) for d in range(threshold + 1)] + ["beyond"]
 
 
-def _strata_pools(oracle_graph, threshold, mode, k, policy_count, rng):
+def _strata_pools(oracle_graph, threshold, mode, policy_count, rng):
     """Pairs bucketed by BFS distance: label -> index arrays (xs, ys, ds).
 
     Each pool holds pairs x <= y in (x, y) order, with ds their distance,
@@ -440,9 +439,8 @@ def _strata_pools(oracle_graph, threshold, mode, k, policy_count, rng):
     if mode == "tree" and unreachable.any():
         raise PreconditionError("tree-mode strata need a connected oracle graph")
     ds = np.where(unreachable, -1, dist).astype(np.int64)
-    upto = k if mode == "tree" else threshold
-    masks = {str(d): ds == d for d in range(upto + 1)}
-    masks["beyond"] = unreachable | (ds > upto)
+    masks = {str(d): ds == d for d in range(threshold + 1)}
+    masks["beyond"] = unreachable | (ds > threshold)
     return {label: (xs[mask], ys[mask], ds[mask]) for label, mask in masks.items()}
 
 
@@ -496,8 +494,6 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold):
     t on pair ``t % size`` under the seed derived for t; expected verdicts come
     from the pool's BFS distance alone."""
     one_sided_clean = proto.one_sided and label != "beyond"
-    if mode == "tree":
-        one_sided_clean = False
     bound = Fraction(0) if one_sided_clean else (
         proto.error_bound if isinstance(proto, HashedAdjacency) else cfg.eps
     )
@@ -549,11 +545,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 cfg.family, inst.payload, cfg.k, cfg.eps, cfg.model, cfg.budget_bits
             )
             pair_rng = random.Random(derive_seed(cfg.master_seed, "pairs", cfg.family, n))
-            pools = _strata_pools(oracle_graph, threshold, mode, cfg.k, policy_count, pair_rng)
+            pools = _strata_pools(oracle_graph, threshold, mode, policy_count, pair_rng)
         except _ERRORS as exc:
             rows.append(_row(cfg, n, "-", "-", status=f"{type(exc).__name__}: {exc}"))
             continue
-        for label in _stratum_labels(threshold, mode, cfg.k):
+        for label in _stratum_labels(threshold):
             rows.append(_run_stratum(cfg, proto, pools[label], label, n, mode, threshold))
     return ExperimentReport(cfg, rows)
 

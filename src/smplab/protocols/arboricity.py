@@ -68,7 +68,7 @@ class ArboricityAdjacency(SmpProtocol):
         return color_slots_rule(1 + outdegree, field_width(m))
 
     def referee(self, ma, mb, rnd=None):
-        return color_slots_referee(ma, mb, self.color_width)
+        return color_slots_referee(ma, mb, 1 + self.outdeg, self.color_width)
 
     def expected(self, x, y):
         return ACCEPT if self.graph.adjacent(x, y) else REJECT
@@ -92,6 +92,6 @@ def color_slots_rule(slots: int, color_width: int) -> Rule:
     return Rule(slots * color_width, unpack, decide)
 
 
-def color_slots_referee(ma: Bits, mb: Bits, color_width: int):
+def color_slots_referee(ma: Bits, mb: Bits, slots: int, color_width: int):
     """``color_slots_rule`` on two messages, kept as ``bench/tracer.py``'s named hook."""
-    return color_slots_rule(ma.length // color_width, color_width)(ma, mb)
+    return color_slots_rule(slots, color_width)(ma, mb)

@@ -5,8 +5,8 @@ A protocol is an encoder and a rule: ``encode`` (or ``encode_a`` and
 message using labeled shared randomness, and ``rule_from_params`` (or an
 overridden ``rule``) maps two message values to a verdict.  With ``expected``,
 ``params`` and ``cost_bits`` that is the contract.  ``support`` is recorded
-from one encode under ``RecordingRandomness``, and ``referee`` checks the
-widths and decides through the rule.  Most rules are *blind* (a fixed
+from one encode under ``RecordingRandomness``, and ``referee`` calls the
+rule, the one check of both message widths.  Most rules are *blind* (a fixed
 function of the messages alone, which is what lets the messages double as
 vertex labels in a fixed decision structure); others read the shared
 randomness (``referee_reads_randomness = True``) and are built per seed.
@@ -83,10 +83,11 @@ class Rule(NamedTuple):
 
     ``unpack`` cuts a ``width``-bit message value into the fields the rule
     reads (``int`` keeps it whole); ``decide`` maps two such field sets to
-    the verdict.  Calling the rule on two ``Bits`` is the referee itself, and
-    a caller that meets a message many times unpacks it once.  ``width`` is
-    the a-side width; a role-split protocol's rule gives its b-side width in
-    ``width_b``, which otherwise defaults to ``width``.
+    the verdict.  Calling the rule on two ``Bits`` is the referee itself and
+    the only width check; a caller that meets a message many times unpacks
+    it once.  ``width`` is the a-side width; a role-split protocol's rule
+    gives its b-side width in ``width_b``, which otherwise defaults to
+    ``width``.
     """
 
     width: int
@@ -207,11 +208,7 @@ class SmpProtocol:
 
     def referee(self, ma: Bits, mb: Bits, rnd: SharedRandomness | None = None) -> Verdict:
         """The verdict on Alice's message ma and Bob's mb, by the rule for rnd."""
-        if ma.length != self.cost_bits_a or mb.length != self.cost_bits_b:
-            raise InputError(f"messages must be {self.cost_bits_a} and {self.cost_bits_b} "
-                             f"bits, got {ma.length} and {mb.length}")
-        rule = self.rule(rnd)
-        return rule.decide(rule.unpack(ma.value), rule.unpack(mb.value))
+        return self.rule(rnd)(ma, mb)
 
     # -- role split (overridden by role-split protocols) -----------------
     def encode_a(self, v, rnd):
@@ -244,17 +241,9 @@ class SmpProtocol:
     def draw_support(self, x: int, y: int):
         return merge_support(self.support_a(x), self.support_b(y))
 
-    def _messages(self, x: int, y: int, rnd: SharedRandomness) -> tuple[Bits, Bits]:
-        """Alice's message for x and Bob's for y, checked for width."""
-        ma = self.encode_a(x, rnd)
-        mb = self.encode_b(y, rnd)
-        if ma.length != self.cost_bits_a or mb.length != self.cost_bits_b:
-            raise InputError("encoder produced a message of the wrong width")
-        return ma, mb
-
     def run(self, x: int, y: int, rnd: SharedRandomness) -> TrialResult:
         """One trial, decided through ``referee``, with its expected verdict."""
-        ma, mb = self._messages(x, y, rnd)
+        ma, mb = self.encode_a(x, rnd), self.encode_b(y, rnd)
         return TrialResult(x, y, ma, mb, self.referee(ma, mb, rnd), self.expected(x, y))
 
     def run_trials(self, pairs, rnds):
@@ -262,9 +251,8 @@ class SmpProtocol:
         ``Rule``: built once, or once per rnd for a referee that reads the draws."""
         blind = None if self.referee_reads_randomness else self.rule()
         for (x, y), rnd in zip(pairs, rnds):
-            ma, mb = self._messages(x, y, rnd)
-            rule = blind or self.rule(rnd)
-            yield rule.decide(rule.unpack(ma.value), rule.unpack(mb.value))
+            ma, mb = self.encode_a(x, rnd), self.encode_b(y, rnd)
+            yield (blind or self.rule(rnd))(ma, mb)
 
     def _errors(self, x: int, y: int, rnds) -> int:
         """How many trials of the pair (x, y), one per rnd, miss its expected verdict."""

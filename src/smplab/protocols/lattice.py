@@ -301,7 +301,7 @@ class UniversalLatticeDistance(_LatticeSketch):
         return concat_all(parts)
 
     def referee(self, ma, mb, rnd=None):
-        return parity_blocks_referee(ma, mb, self.m, self.k)
+        return parity_blocks_referee(ma, mb, self.m, self.rounds, self.k)
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -317,6 +317,6 @@ def parity_blocks_rule(m: int, rounds: int, k: int) -> Rule:
     return Rule(m * rounds, fields_of(rounds, m), decide)
 
 
-def parity_blocks_referee(ma: Bits, mb: Bits, m: int, k: int):
+def parity_blocks_referee(ma: Bits, mb: Bits, m: int, rounds: int, k: int):
     """``parity_blocks_rule`` on two messages, kept as ``bench/tracer.py``'s named hook."""
-    return parity_blocks_rule(m, ma.length // m, k)(ma, mb)
+    return parity_blocks_rule(m, rounds, k)(ma, mb)

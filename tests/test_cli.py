@@ -107,6 +107,15 @@ class TestVerifyAndOracle:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run("verify", "--instance", tmp_path / "absent.json") == 2
+        # a directory, or bytes that are not UTF-8, where a document is read
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"caf\xe9": 1}')
+        for path in (tmp_path, latin):
+            assert run("run", "--config", path) == 2
+            assert run("verify", "--instance", path) == 2
+            assert run("oracle", "--instance", path, "--query", "dist", 0, 1) == 2
+        assert run("decode", "--scheme", latin, "--x", "0", "--y", "0") == 2
+        assert run("gen", "--family", "tree", "--n", 5, "--out", tmp_path) == 2
 
     def test_garbage_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -283,6 +292,14 @@ class TestParserReuse:
         assert results[2][1].strip() in ("accept", "reject")
         separate = [capped_python("-c", CLI_MAIN, *argv) for argv in (label, usage, decode)]
         assert [(r.returncode, r.stdout, r.stderr) for r in separate] == results
+
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    def test_zero_denominator_is_a_usage_error(self, tmp_path, capsys, flag):
+        argv = ["label", "--family", "tree", "--n", "6", "--k", "1", "--eps", "1/5",
+                "--out", str(tmp_path), flag, "1/0"]
+        code, out, err = self.call(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: zero denominator" in err
 
     def test_import_builds_no_parser(self):
         probe = "import smplab.cli as cli; print(cli._build_parser.cache_info().currsize)"

@@ -1,5 +1,6 @@
 """Experiment plumbing: generators, stratified reports, labeling pipeline."""
 
+import copy
 import json
 import math
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from smplab.bits import Bits
 from smplab.errors import CapacityError, InputError, PreconditionError
 from smplab.gadgets import GadgetInstance, IntervalGtInstance
 from smplab.generators import random_tree
@@ -29,11 +31,19 @@ from smplab.lab import (
     label_pipeline,
     run_experiment,
 )
-from smplab.lattices import Lattice, cover_graph
+from smplab.lattices import Lattice, boolean_lattice, cover_graph
 from smplab.planar import PlanarEmbedding
-from smplab.protocols import ACCEPT, REJECT, beyond_verdict, distance_verdict
+from smplab.protocols import (
+    ACCEPT,
+    REJECT,
+    EqualitySketch,
+    WeakLatticeDistance,
+    beyond_verdict,
+    distance_verdict,
+    symmetrize,
+)
 from smplab.rng import HashRandomness, derive_seed
-from smplab.universal import positive_verdict
+from smplab.universal import fix_seed, positive_verdict
 
 
 class TestGenerate:
@@ -288,8 +298,8 @@ class TestStrataPools:
             # sparse graphs are often disconnected, dense ones rarely
             graph = oracles.random_graph(rng, n, p=rng.choice([0.05, 0.15, 0.5]))
             threshold = rng.randint(1, 3)
-            got = _pool_tuples(_strata_pools(graph, threshold, "accept", threshold,
-                                             policy, random.Random(case)))
+            got = _pool_tuples(_strata_pools(graph, threshold, "accept", policy,
+                                             random.Random(case)))
             want = oracles.strata_pools_tuples(graph, threshold, "accept", threshold,
                                                policy, random.Random(case))
             assert got == want
@@ -300,7 +310,7 @@ class TestStrataPools:
     def test_tree_mode_pools_match_the_tuple_reference(self, policy):
         for seed in range(10):
             tree = random_tree(random.Random(seed), 3 + 2 * seed)
-            got = _pool_tuples(_strata_pools(tree, 2, "tree", 2, policy, random.Random(seed)))
+            got = _pool_tuples(_strata_pools(tree, 2, "tree", policy, random.Random(seed)))
             want = oracles.strata_pools_tuples(tree, 2, "tree", 2, policy,
                                                random.Random(seed))
             assert got == want
@@ -308,9 +318,10 @@ class TestStrataPools:
     @pytest.mark.parametrize("policy", [None, 50])
     def test_tree_mode_refuses_a_disconnected_graph(self, policy):
         graph = Graph(6, [(0, 1), (2, 3)], loops="all")
-        for build in (_strata_pools, oracles.strata_pools_tuples):
-            with pytest.raises(PreconditionError):
-                build(graph, 1, "tree", 1, policy, random.Random(3))
+        with pytest.raises(PreconditionError):
+            _strata_pools(graph, 1, "tree", policy, random.Random(3))
+        with pytest.raises(PreconditionError):
+            oracles.strata_pools_tuples(graph, 1, "tree", 1, policy, random.Random(3))
 
 
 # (family, n, k) for each family, small enough to replay every stratum
@@ -366,6 +377,78 @@ class TestStratumReplay:
             assert (row["errors"], row["violations"]) == (errors, violations)
         if family == "tree":  # the tree sketch can underestimate a near distance
             assert any(row["violations"] for row in rows)
+
+
+def _width_cases():
+    """name -> protocol: every family under both models, and the role-split,
+    symmetrized and fixed-seed wrappers."""
+    cases = {}
+    for model in ("universal", "weak"):
+        for family, n, k in REPLAY_CASES:
+            inst = generate(family, n, 3)
+            cases[f"{family}-{model}"] = _protocol_for(
+                family, inst.payload, k, Fraction(1, 3), model, 3)[0]
+    equality = EqualitySketch(4, 3, 1)
+    cases["equality"] = equality
+    cases["symmetrized-equality"] = symmetrize(equality)
+    cases["fixed-seed-weak"] = fix_seed(WeakLatticeDistance(boolean_lattice(3), 2,
+                                                            Fraction(1, 4), m=12), 5)
+    return cases
+
+
+WIDTH_CASES = _width_cases()
+
+
+def _drifted(proto, side):
+    """A copy of proto whose ``encode_a`` or ``encode_b`` sends one bit more."""
+    drifted = copy.copy(proto)
+    encode = getattr(proto, f"encode_{side}")
+    setattr(drifted, f"encode_{side}", lambda v, rnd: encode(v, rnd).concat(Bits(0, 1)))
+    return drifted
+
+
+class TestOneWidthCheck:
+    """The ``Rule`` is the one width check: its widths are the sizing
+    formula's, and every path that decides a trial goes through it."""
+
+    @pytest.mark.parametrize("name", list(WIDTH_CASES))
+    def test_rule_widths_are_the_sizing_formula(self, name):
+        proto = WIDTH_CASES[name]
+        rule = proto.rule(HashRandomness(0) if proto.referee_reads_randomness else None)
+        width_b = rule.width if rule.width_b is None else rule.width_b
+        assert (rule.width, width_b) == (proto.cost_bits_a, proto.cost_bits_b)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("name", list(WIDTH_CASES))
+    def test_a_drifting_encoder_is_refused(self, name, side):
+        proto = WIDTH_CASES[name]
+        drifted = _drifted(proto, side)
+        rnd = HashRandomness(1)
+        proto.run(0, 1, rnd)  # the undrifted encoders pass
+        ma, mb = drifted.encode_a(0, rnd), drifted.encode_b(1, rnd)
+        for decide in (lambda: drifted.run(0, 1, rnd),
+                       lambda: proto.referee(ma, mb, rnd),
+                       lambda: drifted.monte_carlo_error(0, 1, 3, 7)):
+            with pytest.raises(InputError):
+                decide()
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("name", ["equality", "symmetrized-equality", "fixed-seed-weak",
+                                      "tree-universal"])
+    def test_exact_error_refuses_a_drifting_encoder(self, name, side):
+        proto = WIDTH_CASES[name]
+        assert 0 <= proto.exact_error(0, 1) <= 1
+        with pytest.raises(InputError):
+            _drifted(proto, side).exact_error(0, 1)
+
+    @pytest.mark.parametrize("name", ["hypercube-universal", "arboricity-universal"])
+    def test_field_counts_come_from_the_protocol_not_the_message(self, name):
+        # one more whole field on both sides is still the wrong width
+        proto = WIDTH_CASES[name]
+        field = proto.m if name.startswith("hypercube") else proto.color_width
+        wide = Bits(0, proto.cost_bits + field)
+        with pytest.raises(InputError):
+            proto.referee(wide, wide)
 
 
 class TestLabelPipeline:
