@@ -18,7 +18,6 @@ from .errors import CapacityError, InputError, PreconditionError, VerificationEr
 from .gadgets import GadgetInstance, IntervalGtInstance, interval_gt_instance, verify_gadget
 from .graphs import Graph, bfs_distance
 from .lab import (
-    ExperimentConfig,
     config_from_json,
     generate,
     instance_from_json,

@@ -238,11 +238,16 @@ def modular_gadget(G: Graph) -> GadgetInstance:
     return GadgetInstance(G, amb.lattice, injection, "modular")
 
 
-def _check_distance2_claim(G: Graph, cover: Graph, injection: VertexMap):
-    """BFS re-verification: adjacency iff cover distance <= 2."""
+def _check_distance2_claim(G: Graph, product: Graph, injection: VertexMap,
+                           exact: bool = False):
+    """BFS re-verification of a family's distance claim: two source vertices
+    are adjacent iff their images lie at product distance at most 2, or
+    exactly 2 when ``exact``.  Raises ``VerificationError`` on the first
+    source pair that breaks it."""
     for u in range(G.n):
         for v in range(u + 1, G.n):
-            close = bfs_distance(cover, injection(u), injection(v)) <= 2
+            d = bfs_distance(product, injection(u), injection(v))
+            close = d == 2 if exact else d <= 2
             if close != G.adjacent(u, v):
                 raise VerificationError(
                     f"distance-2 claim fails on source pair ({u}, {v})"
@@ -275,16 +280,9 @@ def arboricity2_gadget(G: Graph) -> GadgetInstance:
         edges.append((u, middle))
         edges.append((v, middle))
     product = Graph(n + n * (n - 1) // 2, edges)
-    if degeneracy(product) > 2:
-        raise VerificationError("arboricity-2 product exceeded degeneracy 2")
-    for u in range(n):
-        for v in range(u + 1, n):
-            two_hops = bfs_distance(product, u, v) == 2
-            if two_hops != G.adjacent(u, v):
-                raise VerificationError(
-                    f"distance-2 claim fails on source pair ({u}, {v})"
-                )
-    return GadgetInstance(G, product, VertexMap(tuple(range(n)), product.n), "arboricity2")
+    inst = GadgetInstance(G, product, VertexMap(tuple(range(n)), product.n), "arboricity2")
+    verify_gadget(inst)
+    return inst
 
 
 # -- the interval-graph order encoder --------------------------------------
@@ -407,8 +405,9 @@ def gadget_from_json(doc: dict) -> GadgetInstance:
 def verify_gadget(inst: GadgetInstance) -> None:
     """Re-run the family's structural claim; raise VerificationError if broken.
 
-    Used both by the builders (on fresh instances) and by the CLI when
-    re-checking instances loaded from disk.
+    ``arboricity2_gadget`` calls it on each fresh instance, and the CLI on
+    instances loaded from disk.  ``modular_gadget`` runs only the distance
+    check, since ``_Ambient`` has already classified its lattice.
     """
     if inst.family_tag == "modular":
         if not isinstance(inst.product, Lattice):
@@ -420,13 +419,7 @@ def verify_gadget(inst: GadgetInstance) -> None:
     elif inst.family_tag == "arboricity2":
         if degeneracy(inst.product) > 2:
             raise VerificationError("product exceeded degeneracy 2")
-        for u in range(inst.source.n):
-            for v in range(u + 1, inst.source.n):
-                two_hops = bfs_distance(inst.product, inst.injection(u), inst.injection(v)) == 2
-                if two_hops != inst.source.adjacent(u, v):
-                    raise VerificationError(
-                        f"distance-2 claim fails on source pair ({u}, {v})"
-                    )
+        _check_distance2_claim(inst.source, inst.product, inst.injection, exact=True)
     elif inst.family_tag == "allgraphs":
         if inst.product is not inst.source and inst.product != inst.source:
             raise VerificationError("random family instances are their own product")

@@ -12,7 +12,7 @@ import random
 
 from .errors import CapacityError, InputError
 from .graphs import Graph
-from .lattices import DOWNSET_BASE_CAP, Lattice, Poset, downset_lattice
+from .lattices import DOWNSET_BASE_CAP, Lattice, Poset, cover_reduction, downset_lattice
 from .planar import PlanarEmbedding
 
 
@@ -29,13 +29,7 @@ def random_poset(rng: random.Random, base_size: int, edge_prob: float = 0.3) -> 
             if rng.random() < edge_prob:
                 a, b = order[ai], order[bi]
                 below[b] |= below[a]
-    covers = []
-    for b in range(n):
-        lowers = [a for a in range(n) if a != b and below[b] >> a & 1]
-        for a in lowers:
-            if not any(below[c] >> a & 1 for c in lowers if c != a):
-                covers.append((a, b))
-    return Poset(n, covers)
+    return Poset(n, cover_reduction(below))
 
 
 def random_downset_lattice(

@@ -80,47 +80,13 @@ class Poset:
     def down_masks(self) -> list[int]:
         """down[x] = bitmask of {y : y <= x} (reflexive)."""
         if self._down is None:
-            indeg = [0] * self.n
-            above = [[] for _ in range(self.n)]
-            for a, b in self.covers:
-                indeg[b] += 1
-                above[a].append(b)
-            order = [x for x in range(self.n) if indeg[x] == 0]
-            down = [1 << x for x in range(self.n)]
-            head = 0
-            while head < len(order):
-                x = order[head]
-                head += 1
-                for b in above[x]:
-                    down[b] |= down[x]
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        order.append(b)
-            if len(order) != self.n:
-                raise InputError("cover relation contains a cycle")
-            self._down = down
+            self._down = _closure(self.n, self.covers)
         return self._down
 
     def up_masks(self) -> list[int]:
         """up[x] = bitmask of {y : x <= y} (reflexive)."""
         if self._up is None:
-            outdeg = [0] * self.n
-            below = [[] for _ in range(self.n)]
-            for a, b in self.covers:
-                outdeg[a] += 1
-                below[b].append(a)
-            order = [x for x in range(self.n) if outdeg[x] == 0]
-            up = [1 << x for x in range(self.n)]
-            head = 0
-            while head < len(order):
-                x = order[head]
-                head += 1
-                for a in below[x]:
-                    up[a] |= up[x]
-                    outdeg[a] -= 1
-                    if outdeg[a] == 0:
-                        order.append(a)
-            self._up = up
+            self._up = _closure(self.n, [(b, a) for a, b in self.covers])
         return self._up
 
     def leq(self, x: int, y: int) -> bool:
@@ -137,6 +103,48 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={len(self.covers)})"
+
+
+def _closure(n: int, arcs) -> list[int]:
+    """Reflexive reach masks over ``arcs`` (pairs (a, b) read a -> b):
+    bit y of out[x] is set when y == x or a path runs from y to x.
+
+    Kahn order, so each arc is relaxed once, after every arc into its tail;
+    raises ``InputError`` when the arcs contain a cycle.
+    """
+    indeg = [0] * n
+    heads = [[] for _ in range(n)]
+    for a, b in arcs:
+        indeg[b] += 1
+        heads[a].append(b)
+    out = [1 << x for x in range(n)]
+    order = [x for x in range(n) if indeg[x] == 0]
+    for x in order:  # grows as in-degrees reach zero
+        for b in heads[x]:
+            out[b] |= out[x]
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                order.append(b)
+    if len(order) != n:
+        raise InputError("cover relation contains a cycle")
+    return out
+
+
+def cover_reduction(down: list[int]) -> list[tuple[int, int]]:
+    """The covers of the order whose reflexive downset masks are ``down``.
+
+    ``down`` must be transitively closed (bit a of down[b] set implies
+    down[a] within down[b]).  Returns every (a, b) with a strictly below b
+    and nothing strictly between, grouped by b and ascending in a.
+    """
+    covers = []
+    for b, mask in enumerate(down):
+        lower = [a for a in range(len(down)) if a != b and mask >> a & 1]
+        implied = 0  # everything strictly below some strict lower of b
+        for a in lower:
+            implied |= down[a] & ~(1 << a)
+        covers += [(a, b) for a in lower if not implied >> a & 1]
+    return covers
 
 
 def chain_poset(n: int) -> Poset:
@@ -314,8 +322,7 @@ def build_lattice(P: Poset, validate: bool = True) -> Lattice:
         raise InputError("a lattice needs at least one element")
     L = Lattice(P)
     if L.bottom is None or L.top is None:
-        witness = None
-        raise NotALatticeError("poset lacks a unique bottom or top", witness=witness)
+        raise NotALatticeError("poset lacks a unique bottom or top")
     if validate:
         down, up = L.down, L.up
         meet_of, join_of = L._meet_of_mask, L._join_of_mask
@@ -439,36 +446,15 @@ def birkhoff(L: Lattice, meet_check_cap: int = 600) -> BirkhoffRep:
         raise PreconditionError(f"lattice is {L.kind}, not distributive")
     n = L.n
     lower_count = [0] * n
-    single_lower = [None] * n
     for a, b in L.poset.covers:
         lower_count[b] += 1
-        single_lower[b] = a
     irr = [x for x in range(n) if lower_count[x] == 1 and x != L.bottom]
-    k = len(irr)
-    if k > 63:
+    if len(irr) > 63:
         raise CapacityError("irreducible width above 63 is not supported")
-    irr_index = {x: i for i, x in enumerate(irr)}
-    masks = []
-    for x in range(n):
-        m = 0
-        dx = L.down[x]
-        for i, j in enumerate(irr):
-            if dx >> j & 1:
-                m |= 1 << i
-        masks.append(m)
+    masks = [sum(1 << i for i, j in enumerate(irr) if dx >> j & 1) for dx in L.down]
 
-    # irreducible subposet: restriction of <= to irr, as a cover relation
-    sub_covers = []
-    for i, a in enumerate(irr):
-        for j, b in enumerate(irr):
-            if i != j and L.leq(a, b):
-                between = any(
-                    h != i and h != j and L.leq(a, irr[h]) and L.leq(irr[h], b)
-                    for h in range(k)
-                )
-                if not between:
-                    sub_covers.append((i, j))
-    jposet = Poset(k, sub_covers)
+    # irreducible subposet: masks[irr[i]] is the set of irreducibles below irr[i]
+    jposet = Poset(len(irr), cover_reduction([masks[x] for x in irr]))
 
     def fail(msg):
         raise PreconditionError(f"lattice is not distributive: {msg}")

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import inf
 
 from .errors import InputError, PreconditionError, VerificationError
-from .graphs import Graph
+from .graphs import Graph, bfs_from
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,7 @@ def validate_embedding(emb: PlanarEmbedding) -> EmbeddingReport:
         return EmbeddingReport(False, 0, tuple(problems))
     g = emb.graph()
     m = g.edge_count()
-    reach = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if len(reach) != n:
+    if inf in bfs_from(g, 0):
         problems.append("embedding is not connected")
     faces = trace_faces(emb)
     f = len(faces) if m else 1
@@ -140,17 +133,9 @@ def validate_embedding(emb: PlanarEmbedding) -> EmbeddingReport:
     if m:
         if len(emb.outer_face) < 3:
             problems.append("outer face must have at least three vertices")
-        elif tuple(emb.outer_face) not in _cyclic_variants_of_any(faces, len(emb.outer_face)):
+        elif _outer_walk(emb, faces) is None:
             problems.append("outer face does not match any traced face")
     return EmbeddingReport(not problems, f, tuple(problems))
-
-
-def _cyclic_variants_of_any(faces, length):
-    out = set()
-    for face in faces:
-        if len(face) == length:
-            out |= _cyclic_variants(face)
-    return out
 
 
 def require_valid(emb: PlanarEmbedding) -> None:
@@ -160,11 +145,10 @@ def require_valid(emb: PlanarEmbedding) -> None:
 
 
 def _outer_walk(emb, faces):
+    """The traced face that ``emb.outer_face`` names up to rotation and
+    reversal, or None when no face matches."""
     variants = _cyclic_variants(emb.outer_face)
-    for face in faces:
-        if len(face) == len(emb.outer_face) and face in variants:
-            return face
-    raise InputError("outer face does not match any traced face")
+    return next((face for face in faces if face in variants), None)
 
 
 def triangulate(emb: PlanarEmbedding) -> PlanarEmbedding:
@@ -253,6 +237,8 @@ def schnyder_wood(emb: PlanarEmbedding) -> SchnyderWood:
         raise PreconditionError("3-tree decomposition needs a triangulated embedding")
     n = emb.n
     outer = _outer_walk(emb, faces)
+    if outer is None:  # only a one-vertex embedding, which traces no face
+        raise InputError("outer face does not match any traced face")
     shift = outer.index(min(outer))
     outer = outer[shift:] + outer[:shift]
     r1, r2, r3 = outer

@@ -83,10 +83,11 @@ class Rule(NamedTuple):
 
     ``unpack`` cuts a ``width``-bit message value into the fields the rule
     reads (``int`` keeps it whole); ``decide`` maps two such field sets to
-    the verdict.  Calling the rule on two ``Bits`` is the referee itself and
-    the only width check; a caller that meets a message many times unpacks
-    it once.  ``width`` is the a-side width; a role-split protocol's rule
-    gives its b-side width in ``width_b``, which otherwise defaults to
+    the verdict.  Calling the rule on two ``Bits`` is the referee itself.
+    ``fields`` is the one width check: the call runs it on both messages,
+    and a caller that meets a message many times runs it once and decides
+    on the fields.  ``width`` is the a-side width; a role-split protocol's
+    rule gives its b-side width in ``width_b``, which otherwise defaults to
     ``width``.
     """
 
@@ -95,14 +96,19 @@ class Rule(NamedTuple):
     decide: Callable[[object, object], "Verdict"]
     width_b: int | None = None
 
-    def __call__(self, ma: Bits, mb: Bits) -> "Verdict":
+    def fields(self, message: Bits, b_side: bool = False):
+        """``unpack`` of one message, after checking its width against its
+        side's; a message of another width raises ``InputError``."""
         width_b = self.width if self.width_b is None else self.width_b
-        if ma.length != self.width or mb.length != width_b:
+        if message.length != (width_b if b_side else self.width):
             raise InputError(
                 f"messages must be {self.width} and {width_b} bits, "
-                f"got {ma.length} and {mb.length}"
+                f"got {message.length} on the {'b' if b_side else 'a'} side"
             )
-        return self.decide(self.unpack(ma.value), self.unpack(mb.value))
+        return self.unpack(message.value)
+
+    def __call__(self, ma: Bits, mb: Bits) -> "Verdict":
+        return self.decide(self.fields(ma), self.fields(mb, True))
 
 
 def int_params(params: dict, **least: int) -> tuple[int, ...]:

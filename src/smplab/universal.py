@@ -110,8 +110,10 @@ def decision_graph(protocol: SmpProtocol, mode: str = "all",
 
     ``mode="all"`` enumerates every c-bit message (c capped at ``cap``);
     ``mode="occurring"`` restricts to the messages the given inputs produce
-    under the given randomness, which has no width cap.  The referee must
-    be blind (fix a seed first for the seed-reading kind) and role-free.
+    under the given randomness, which has no width cap.  Every message goes
+    through ``Rule.fields``, so one of the wrong width raises ``InputError``.
+    The referee must be blind (fix a seed first for the seed-reading kind)
+    and role-free.
     """
     if protocol.referee_reads_randomness:
         raise InputError(
@@ -124,18 +126,18 @@ def decision_graph(protocol: SmpProtocol, mode: str = "all",
     if mode == "all":
         if c > cap:
             raise CapacityError(f"{c}-bit message space exceeds the {cap}-bit cap")
-        messages = tuple(range(1 << c))
+        sent = [Bits(a, c) for a in range(1 << c)]
     elif mode == "occurring":
         if inputs is None:
             raise InputError("occurring-messages mode needs the input list")
         source = _as_randomness(rnd)
-        messages = tuple(sorted({
-            protocol.encode(v, source).value for v in _input_list(inputs)
-        }))
+        sent = sorted({protocol.encode(v, source) for v in _input_list(inputs)},
+                      key=operator.attrgetter("value"))
     else:
         raise InputError(f"unknown decision-graph mode {mode!r}")
     rule = protocol.rule()
-    fields = [rule.unpack(a) for a in messages]
+    fields = [rule.fields(message) for message in sent]
+    messages = tuple(message.value for message in sent)
     edges = []
     loops = []
     for i, fa in enumerate(fields):
@@ -393,7 +395,9 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     (kind, value) tuples: the test ``Verdict`` equality makes, without a
     Python-level ``__eq__`` call per pair and seed.  A role-free protocol's
     messages come from ``_seed_messages``, so the bank keeps them for the
-    labeling; a role-split one encodes both sides per seed.
+    labeling; a role-split one encodes both sides per seed.  Every message
+    goes through ``Rule.fields`` against its side's width, so an encoder
+    that drifts from its rule raises ``InputError``.
     """
     xs = _input_list(inputs)
     n = len(xs)
@@ -408,10 +412,10 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
         rnd = HashRandomness(seed)
         rule = protocol.rule(rnd)
         if protocol.symmetric:
-            fa = fb = [rule.unpack(message.value) for message in messages[s]]
+            fa = fb = [rule.fields(message) for message in messages[s]]
         else:
-            fa = [rule.unpack(protocol.encode_a(v, rnd).value) for v in xs]
-            fb = [rule.unpack(protocol.encode_b(v, rnd).value) for v in xs]
+            fa = [rule.fields(protocol.encode_a(v, rnd)) for v in xs]
+            fb = [rule.fields(protocol.encode_b(v, rnd), True) for v in xs]
         for idx, (i, j) in enumerate(pairs):
             if _verdict_key(rule.decide(fa[i], fb[j])) != expected[idx]:
                 bad[idx] += 1

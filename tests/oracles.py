@@ -90,6 +90,38 @@ def join_irreducibles_brute(down, n):
     return out
 
 
+def closure_brute(n, covers):
+    """Reflexive downset masks of a cover relation by Warshall's algorithm:
+    bit y of out[x] is set when y <= x."""
+    below = [[x == y for y in range(n)] for x in range(n)]
+    for a, b in covers:
+        below[b][a] = True
+    for k in range(n):
+        for x in range(n):
+            if below[x][k]:
+                for y in range(n):
+                    below[x][y] = below[x][y] or below[k][y]
+    return [sum(1 << y for y in range(n) if below[x][y]) for x in range(n)]
+
+
+def irreducible_covers_brute(L, irr):
+    """Covers of the order restricted to ``irr``, by the O(k^3) loop over
+    ``L.leq``: (i, j) when irr[i] < irr[j] and no irr[h] lies strictly
+    between."""
+    k = len(irr)
+    covers = []
+    for i, a in enumerate(irr):
+        for j, b in enumerate(irr):
+            if i != j and L.leq(a, b):
+                between = any(
+                    h != i and h != j and L.leq(a, irr[h]) and L.leq(irr[h], b)
+                    for h in range(k)
+                )
+                if not between:
+                    covers.append((i, j))
+    return covers
+
+
 # -- blind referees over Bits slices --------------------------------------
 # The four blind decision rules as first written, cutting messages with
 # Bits.take; the library states them once over ints, and tests require the

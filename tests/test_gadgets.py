@@ -297,3 +297,15 @@ class TestGadgetJson:
     def test_unknown_family_rejected(self):
         with pytest.raises(InputError):
             GadgetInstance(Graph(2, []), Graph(2, []), VertexMap((0, 1), 2), "exotic")
+
+
+class TestArboricity2ClaimIsExact:
+    def test_originals_at_distance_one_are_refused(self):
+        # "at most 2" would accept this product; the family claims exactly 2
+        doc = gadget_to_json(arboricity2_gadget(Graph(3, [(0, 1)])))
+        doc["product"]["graph"]["edges"].append([0, 1])
+        inst = gadget_from_json(doc)
+        assert bfs_distance(inst.product, 0, 1) == 1
+        assert degeneracy(inst.product) == 2
+        with pytest.raises(VerificationError, match="distance-2 claim fails on source pair"):
+            verify_gadget(inst)

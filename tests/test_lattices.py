@@ -3,6 +3,8 @@ import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smplab.errors import CapacityError, InputError, NotALatticeError, PreconditionError
 from smplab.graphs import bfs_distance, bfs_from
@@ -20,6 +22,7 @@ from smplab.lattices import (
     chain_poset,
     classify,
     cover_graph,
+    cover_reduction,
     downset_lattice,
     enumerate_ideals,
     lattice_distance,
@@ -65,6 +68,14 @@ def random_poset(rng, n, p=0.35):
     return Poset(n, covers)
 
 
+# covers from the helper above, whose own closure and reduction share no
+# code with the library
+posets = st.builds(
+    lambda seed, n, p: random_poset(random.Random(seed), n, p),
+    st.integers(0, 2**32), st.integers(0, 9), st.floats(0, 1),
+)
+
+
 def brute_meet(L, x, y):
     lowers = [z for z in range(L.n) if L.leq(z, x) and L.leq(z, y)]
     best = [z for z in lowers if all(L.leq(w, z) for w in lowers)]
@@ -73,8 +84,9 @@ def brute_meet(L, x, y):
 
 class TestPoset:
     def test_cycle_rejected(self):
-        with pytest.raises(InputError):
-            Poset(2, [(0, 1), (1, 0)])
+        for covers in ([(0, 1), (1, 0)], [(0, 1), (1, 2), (2, 0)]):
+            with pytest.raises(InputError, match="contains a cycle"):
+                Poset(3, covers)
 
     def test_redundant_cover_rejected(self):
         with pytest.raises(InputError):
@@ -84,6 +96,17 @@ class TestPoset:
         p = chain_poset(3)
         assert p.down_masks() == [0b001, 0b011, 0b111]
         assert p.up_masks() == [0b111, 0b110, 0b100]
+
+    @given(posets)
+    @settings(max_examples=150, deadline=None)
+    def test_closures_are_the_brute_closure(self, P):
+        assert P.down_masks() == oracles.closure_brute(P.n, P.covers)
+        assert P.up_masks() == oracles.closure_brute(P.n, [(b, a) for a, b in P.covers])
+
+    @given(posets)
+    @settings(max_examples=150, deadline=None)
+    def test_reducing_the_closure_gives_back_the_covers(self, P):
+        assert tuple(sorted(cover_reduction(P.down_masks()))) == P.covers
 
     def test_cover_graph(self):
         g = cover_graph(Poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
@@ -183,6 +206,21 @@ class TestBirkhoff:
             rep = birkhoff(L)
             want = oracles.join_irreducibles_brute(L.down, L.n)
             assert list(rep.irreducibles) == want
+
+    @given(st.integers(0, 2**32), st.integers(0, 6), st.floats(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_irreducible_poset_is_the_brute_loops(self, seed, n, p):
+        L = downset_lattice(random_poset(random.Random(seed), n, p))
+        rep = birkhoff(L)
+        want = oracles.irreducible_covers_brute(L, rep.irreducibles)
+        assert rep.irreducible_poset == Poset(rep.width, want)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_boolean_irreducible_poset_is_the_brute_loops(self, d):
+        L = boolean_lattice(d)
+        rep = birkhoff(L)
+        want = oracles.irreducible_covers_brute(L, rep.irreducibles)
+        assert rep.irreducible_poset == Poset(d, want) == antichain_poset(d)
 
     def test_rejects_modular(self):
         with pytest.raises(PreconditionError):

@@ -55,6 +55,7 @@ class TestTraceAndValidate:
         emb = PlanarEmbedding(((1,), (0,), (3,), (2,)), (0, 1))
         report = validate_embedding(emb)
         assert not report.valid
+        assert "embedding is not connected" in report.problems
 
     def test_nonplanar_rotation_fails_euler(self):
         # K5 has no rotation system satisfying Euler's formula
@@ -131,6 +132,12 @@ class TestSchnyderWood:
         assert wood.tri_parent[1][0] == 0
         assert wood.tri_parent[0][1] == 2
         assert wood.tri_parent[2][2] == 1
+
+    def test_one_vertex_has_no_outer_face(self):
+        emb = PlanarEmbedding(((),), (0,))
+        assert validate_embedding(emb).valid
+        with pytest.raises(InputError, match="outer face does not match"):
+            schnyder_wood(emb)
 
     def test_triangle_only_root_edges(self):
         wood = schnyder_wood(triangle())

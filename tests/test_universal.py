@@ -1,5 +1,6 @@
 """Decision graphs, universal-graph search, seed banks, labelings."""
 
+import copy
 import json
 import math
 import random
@@ -858,6 +859,51 @@ class TestBankBadFractionEdges:
         sym = symmetrize(proto)
         _, fraction, pair = exhaustive_bad_fraction(sym, xs, self.BANK)
         assert bank_bad_fraction(sym, xs, self.BANK) == (fraction, pair)
+
+
+def _one_bit_wider(proto, method):
+    """A copy of proto whose encoder ``method`` sends one bit more."""
+    wide = copy.copy(proto)
+    encode = getattr(proto, method)
+    setattr(wide, method, lambda v, rnd: encode(v, rnd).concat(Bits(0, 1)))
+    return wide
+
+
+class TestMessageWidthsChecked:
+    """The bank check and the decision graph read every message through
+    ``Rule.fields``, so an encoder that drifts from its rule is refused at
+    once, not after the bank's retries."""
+
+    TREE = TreeKDistance(random_tree(random.Random(5), 8), 2, Fraction(1, 3))
+
+    def _first_attempt_refuses(self, proto, monkeypatch):
+        attempts = []
+        check = universal.bank_bad_fraction
+
+        def counted(*args):
+            attempts.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(universal, "bank_bad_fraction", counted)
+        with pytest.raises(InputError, match="messages must be"):
+            newman_seed_bank(proto, 8, Fraction(1, 3), Fraction(1, 3), 1)
+        assert len(attempts) == 1
+
+    def test_role_free_bank(self, monkeypatch):
+        newman_seed_bank(self.TREE, 8, Fraction(1, 3), Fraction(1, 3), 1)  # undrifted passes
+        self._first_attempt_refuses(_one_bit_wider(self.TREE, "encode"), monkeypatch)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_role_split_bank(self, side, monkeypatch):
+        proto = EqualitySketch(8, 3, 1)
+        self._first_attempt_refuses(_one_bit_wider(proto, f"encode_{side}"), monkeypatch)
+
+    def test_occurring_decision_graph(self):
+        dg = decision_graph(self.TREE, mode="occurring", inputs=8, rnd=5)
+        assert all(value >> dg.message_bits == 0 for value in dg.messages)
+        wide = _one_bit_wider(self.TREE, "encode")
+        with pytest.raises(InputError, match="messages must be"):
+            decision_graph(wide, mode="occurring", inputs=8, rnd=5)
 
 
 class TestHierarchyLengths:
