@@ -6,8 +6,8 @@ The package splits into layers:
   ``generators``;
 * randomized sketches over them: ``protocols`` (lattice distance, tree
   distance, sparse adjacency, planar distance-2, budgeted hashing);
-* model plumbing: ``universal`` (decision graphs, probabilistic
-  embeddings, seed banks, derandomized labelings) and ``rng``;
+* model plumbing: ``universal`` (decision graphs, seed banks,
+  derandomized labelings) and ``rng``;
 * hardness reductions: ``gadgets``;
 * experiment drivers: ``lab`` and the ``smplab`` command line.
 """
@@ -75,7 +75,6 @@ from .universal import (
     decision_graph,
     decode_labels,
     derandomized_labeling,
-    min_universal_graph,
     newman_seed_bank,
 )
 
@@ -122,7 +121,6 @@ __all__ = [
     "k_closure",
     "label_pipeline",
     "lattice_distance",
-    "min_universal_graph",
     "modular_gadget",
     "newman_seed_bank",
     "random_downset_lattice",

@@ -1,15 +1,14 @@
-"""Finite graphs with an explicit self-loop policy, plus the adjacency-
-preserving maps the rest of the library is built on.
+"""Finite graphs with an explicit self-loop policy, plus twin reduction.
 
-The central relation is the *faithful map*: phi maps V(G) into V(H) with
-G(u, v) == H(phi(u), phi(v)) for every ordered pair including u == v, so both
-edges and non-edges are preserved and phi need not be injective.  Because the
-diagonal participates, self-loops matter and every graph carries a loop
-policy ("none", "all", or an explicit loop set).
+A *faithful map* phi maps V(G) into V(H) with G(u, v) == H(phi(u), phi(v))
+for every ordered pair including u == v, so both edges and non-edges are
+preserved and phi need not be injective.  Because the diagonal participates,
+self-loops matter and every graph carries a loop policy ("none", "all", or an
+explicit loop set).
 
-Twin-collapsing is the companion operation: vertices with identical adjacency
-rows (diagonal included) are merged, yielding the smallest graph the original
-maps into faithfully.
+Twin reduction merges vertices with identical adjacency rows (diagonal
+included); its projection is a faithful map onto the smallest graph the
+original maps into faithfully.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import CapacityError, InputError
 
 DENSE_CAP = 4096  # largest n for which a dense adjacency matrix is materialized
 GRAPH_FAMILY_CAP = 10_000  # most vertices a generated or loaded graph may have
-SEARCH_CAP = 8  # default cap for brute-force map searches
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,6 @@ class VertexMap:
 
     def __len__(self):
         return len(self.image)
-
-    def compose(self, after: "VertexMap") -> "VertexMap":
-        """Return after . self (apply self first)."""
-        if self.codomain != len(after.image):
-            raise InputError("composition domain mismatch")
-        return VertexMap(tuple(after.image[w] for w in self.image), after.codomain)
 
     @classmethod
     def identity(cls, n: int) -> "VertexMap":
@@ -240,7 +232,7 @@ def k_closure(G: Graph, k: int) -> Graph:
     return Graph(G.n, list(zip(iu.tolist(), iv.tolist())), loops="all")
 
 
-# -- twin reduction and faithful maps -------------------------------------
+# -- twin reduction --------------------------------------------------------
 
 
 def twin_reduction(G: Graph) -> tuple[Graph, VertexMap]:
@@ -277,76 +269,6 @@ def twin_reduction(G: Graph) -> tuple[Graph, VertexMap]:
             elif G.adjacent(reps[a], reps[b]):
                 edges.append((a, b))
     return Graph(q, edges, loops=qloops), VertexMap(tuple(image), q)
-
-
-def is_faithful_map(G: Graph, H: Graph, phi: VertexMap) -> bool:
-    """Check G(u,v) == H(phi(u),phi(v)) for all pairs, diagonal included."""
-    if len(phi.image) != G.n or phi.codomain != H.n:
-        raise InputError("map shape does not match the graphs")
-    for u in range(G.n):
-        for v in range(u, G.n):
-            if G.adjacent(u, v) != H.adjacent(phi(u), phi(v)):
-                return False
-    return True
-
-
-def _extend_search(G: Graph, H: Graph, injective: bool):
-    """Backtracking search for a faithful map, lexicographically first."""
-    image = []
-    used = set()
-
-    def consistent(w: int, i: int) -> bool:
-        if H.adjacent(w, w) != G.adjacent(i, i):
-            return False
-        return all(H.adjacent(w, image[j]) == G.adjacent(i, j) for j in range(i))
-
-    def rec(i: int):
-        if i == G.n:
-            return True
-        for w in range(H.n):
-            if injective and w in used:
-                continue
-            if consistent(w, i):
-                image.append(w)
-                used.add(w)
-                if rec(i + 1):
-                    return True
-                image.pop()
-                used.discard(w)
-        return False
-
-    if rec(0):
-        return VertexMap(tuple(image), H.n)
-    return None
-
-
-def find_faithful_map(G: Graph, H: Graph, cap: int = SEARCH_CAP):
-    """First faithful map G -> H in lexicographic order, or None.
-
-    Exhaustive backtracking; both graphs must stay within ``cap`` vertices.
-    """
-    if G.n > cap or H.n > cap:
-        raise CapacityError(f"faithful-map search capped at {cap} vertices")
-    return _extend_search(G, H, injective=False)
-
-
-def find_induced_embedding(G: Graph, H: Graph, cap: int = SEARCH_CAP):
-    """First injective faithful map (induced-subgraph witness), or None."""
-    if G.n > cap or H.n > cap:
-        raise CapacityError(f"induced-subgraph search capped at {cap} vertices")
-    if G.n > H.n:
-        return None
-    return _extend_search(G, H, injective=True)
-
-
-def find_isomorphism(G: Graph, H: Graph, cap: int = SEARCH_CAP):
-    if G.n != H.n:
-        return None
-    return find_induced_embedding(G, H, cap)
-
-
-def reduced_size(G: Graph) -> int:
-    return len(set(G._row_keys()))
 
 
 # -- orientations ----------------------------------------------------------

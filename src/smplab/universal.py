@@ -1,15 +1,11 @@
-"""Decision graphs, universal-graph search, seed banks, and derandomized
-vertex labelings.
+"""Decision graphs, seed banks, and derandomized vertex labelings.
 
 A blind referee is a fixed function of two messages, so its accept set is
 a graph: vertices are messages, edges the accepted pairs.  Running a
 protocol then *is* mapping inputs into that fixed graph -- encoders become
 vertex maps, per-pair correctness becomes faithfulness of the map, and
 message length becomes the log of the graph's size.  ``decision_graph``
-materializes that graph, ``check_prob_embedding`` measures how faithful a
-seeded family of maps is, and ``min_universal_graph`` searches, by brute
-force at toy scale, for the smallest twin-free target a whole family of
-graphs maps into.
+materializes that graph.
 
 The derandomization half: sample a bank of seeds, verify per input pair
 that only a small fraction of seeds mislead the referee, then concatenate
@@ -35,19 +31,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .bits import Bits, concat_all
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
-from .graphs import Graph, VertexMap, find_faithful_map, reduced_size
+from .graphs import Graph
 from .protocols.base import WIDTH_CAP, Rule, SmpProtocol, Verdict, as_fraction
 from .protocols.registry import PROTOCOLS
 from .rng import HashRandomness, SharedRandomness
 
 BRUTE_MESSAGE_CAP = 16  # widest message space decision_graph will enumerate
-ENUM_CAP = 5  # largest candidate size min_universal_graph enumerates
-FAMILY_CAP = 8
-MEMBER_CAP = 5
 
 
 _verdict_key = operator.attrgetter("kind", "value")  # what Verdict equality compares
@@ -90,17 +81,6 @@ class DecisionGraph:
 
     def message(self, vertex: int) -> Bits:
         return Bits(self.messages[vertex], self.message_bits)
-
-    def vertex_of(self, message) -> int:
-        value = message.value if isinstance(message, Bits) else message
-        if self.mode == "all":
-            if not 0 <= value < len(self.messages):
-                raise InputError(f"message value {value} out of range")
-            return value
-        try:
-            return self.messages.index(value)
-        except ValueError:
-            raise InputError(f"message value {value} never occurs") from None
 
 
 def decision_graph(protocol: SmpProtocol, mode: str = "all",
@@ -188,152 +168,6 @@ class FixedSeedProtocol(SmpProtocol):
 
 def fix_seed(protocol: SmpProtocol, seed: int) -> FixedSeedProtocol:
     return FixedSeedProtocol(protocol, seed)
-
-
-def weak_to_universal_family(protocol: SmpProtocol, bank: "SeedBank",
-                             cap: int = BRUTE_MESSAGE_CAP) -> list[DecisionGraph]:
-    """One decision graph per bank seed: the referee with that seed pinned.
-
-    Feeding the result to ``min_universal_graph`` (at toy scale) turns a
-    seed-reading protocol into a family of fixed graphs whose size bounds
-    what a blind-referee protocol needs.
-    """
-    if not protocol.referee_reads_randomness:
-        raise InputError("referee is already blind; call decision_graph directly")
-    return [decision_graph(fix_seed(protocol, s), mode="all", cap=cap)
-            for s in bank.seeds]
-
-
-# -- probabilistic embeddings ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbeddingCheck:
-    passed: bool
-    worst_rate: Fraction
-    worst_pair: tuple[int, int]
-    threshold: Fraction
-    trials: int
-
-
-def check_prob_embedding(G: Graph, U: Graph, sampler, eps, trials: int,
-                         exact: bool = False) -> EmbeddingCheck:
-    """Estimate, per vertex pair, how often sampled maps break adjacency.
-
-    ``sampler(seed)`` must return a VertexMap from G into U; seeds 0..trials-1
-    are used.  The check passes iff the worst per-pair failure rate stays
-    within eps plus a three-sigma sampling margin.  With ``exact=True`` the
-    trials are taken to enumerate the whole seed space, so the margin is
-    dropped and the rates are exact probabilities.
-    """
-    eps = as_fraction(eps)
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if isinstance(G, DecisionGraph):
-        G = G.graph
-    if isinstance(U, DecisionGraph):
-        U = U.graph
-    gm = G.matrix()
-    um = U.matrix()
-    fails = np.zeros((G.n, G.n), dtype=np.int64)
-    for seed in range(trials):
-        phi = sampler(seed)
-        if len(phi.image) != G.n or phi.codomain != U.n:
-            raise InputError("sampler emitted a map of the wrong shape")
-        img = np.asarray(phi.image, dtype=np.intp)
-        fails += gm != um[np.ix_(img, img)]
-    worst = np.unravel_index(np.argmax(fails), fails.shape)
-    worst_rate = Fraction(int(fails[worst]), trials)
-    if exact:
-        threshold = eps
-    else:
-        sigma = math.sqrt(float(eps) * (1 - float(eps)) / trials)
-        threshold = eps + Fraction(3 * sigma)
-    return EmbeddingCheck(
-        passed=worst_rate <= threshold,
-        worst_rate=worst_rate,
-        worst_pair=(int(worst[0]), int(worst[1])),
-        threshold=threshold,
-        trials=trials,
-    )
-
-
-def protocol_map_sampler(protocol: SmpProtocol, inputs, target: DecisionGraph):
-    """Seed -> VertexMap sending each input to its message's vertex in target."""
-    xs = _input_list(inputs)
-
-    def sample(seed: int) -> VertexMap:
-        rnd = HashRandomness(seed)
-        image = tuple(
-            target.vertex_of(protocol.encode(v, rnd).value) for v in xs
-        )
-        return VertexMap(image, target.graph.n)
-
-    return sample
-
-
-# -- minimal universal graphs ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinUniversalResult:
-    graph: Graph
-    bits: int  # ceil(log2 of the target's size)
-
-
-def _twin_free_graphs(k: int):
-    """All twin-free graphs on k vertices, in ascending bitmask order.
-
-    Bit b of the mask switches pair ``pairs[b]`` on, diagonal included, so
-    the enumeration is deterministic and revisits nothing: graphs whose
-    reduction is smaller than k already appeared at a smaller size.
-    """
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    for mask in range(1 << len(pairs)):
-        rows = [0] * k
-        edges = []
-        loops = []
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                if i == j:
-                    loops.append(i)
-                else:
-                    edges.append((i, j))
-        if len(set(rows)) != k:
-            continue
-        yield Graph(k, edges, loops=loops)
-
-
-def min_universal_graph(family, enum_cap: int = ENUM_CAP) -> MinUniversalResult:
-    """Smallest twin-free graph every family member maps into faithfully.
-
-    Exhaustive: candidate targets are enumerated by increasing size and,
-    within a size, by bitmask; the first hit is returned, so the result is
-    deterministic.  Faithful maps may collapse vertices, which is why each
-    candidate only needs to be as large as the largest twin-reduced member.
-    """
-    members = [g for g in family]
-    if not members:
-        raise InputError("empty graph family")
-    if len(members) > FAMILY_CAP:
-        raise CapacityError(f"family size capped at {FAMILY_CAP} graphs")
-    if any(g.n > MEMBER_CAP for g in members):
-        raise CapacityError(f"family members capped at {MEMBER_CAP} vertices")
-    uniq = []
-    for g in members:
-        if g not in uniq:
-            uniq.append(g)
-    start = max(reduced_size(g) for g in uniq)
-    for k in range(start, enum_cap + 1):
-        for cand in _twin_free_graphs(k):
-            if all(find_faithful_map(g, cand, cap=max(8, enum_cap)) is not None
-                   for g in uniq):
-                return MinUniversalResult(cand, (k - 1).bit_length())
-    raise CapacityError(
-        f"no universal graph within {enum_cap} vertices; raise enum_cap"
-    )
 
 
 # -- seed banks -------------------------------------------------------------

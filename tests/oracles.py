@@ -8,6 +8,8 @@ an independent route.
 import itertools
 from math import inf
 
+import numpy as np
+
 from smplab.graphs import Graph, VertexMap
 
 
@@ -45,6 +47,44 @@ def faithful_maps_brute(G: Graph, H: Graph):
         if ok:
             out.append(VertexMap(image, H.n))
     return out
+
+
+def find_embedding(G, H, injective=False):
+    """First faithful map G -> H by backtracking, or None.
+
+    Faithful means edges, non-edges, and loops are all preserved; the map
+    need not be injective unless asked.  Exhaustive over the search tree,
+    so a None return certifies that no faithful map exists.
+    """
+    gm, hm = G.matrix(), H.matrix()
+    assign = [0] * G.n
+    used = [False] * H.n
+
+    def extend(i):
+        if i == G.n:
+            return True
+        for c in range(H.n):
+            if injective and used[c]:
+                continue
+            if hm[c, c] != gm[i, i]:
+                continue
+            if all(hm[c, assign[j]] == gm[i, j] for j in range(i)):
+                assign[i] = c
+                if injective:
+                    used[c] = True
+                if extend(i + 1):
+                    return True
+                if injective:
+                    used[c] = False
+        return False
+
+    return tuple(assign) if extend(0) else None
+
+
+def is_faithful(G, H, phi):
+    gm, hm = G.matrix(), H.matrix()
+    idx = np.fromiter(phi, dtype=np.intp, count=G.n)
+    return bool(np.array_equal(hm[np.ix_(idx, idx)], gm))
 
 
 def twin_classes_brute(G: Graph):

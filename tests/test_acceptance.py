@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 import oracles
+from oracles import find_embedding, is_faithful
 from smplab.gadgets import (
     arboricity2_gadget,
     interval_gt_instance,
@@ -537,44 +538,6 @@ def test_criterion_07_realizer_structure():
 # ---------------------------------------------------------------------------
 # criterion 8: faithful-map embedding properties on random graph pairs.
 # ---------------------------------------------------------------------------
-
-
-def find_embedding(G, H, injective=False):
-    """First faithful map G -> H by backtracking, or None.
-
-    Faithful means edges, non-edges, and loops are all preserved; the map
-    need not be injective unless asked.  Exhaustive over the search tree,
-    so a None return certifies that no faithful map exists.
-    """
-    gm, hm = G.matrix(), H.matrix()
-    assign = [0] * G.n
-    used = [False] * H.n
-
-    def extend(i):
-        if i == G.n:
-            return True
-        for c in range(H.n):
-            if injective and used[c]:
-                continue
-            if hm[c, c] != gm[i, i]:
-                continue
-            if all(hm[c, assign[j]] == gm[i, j] for j in range(i)):
-                assign[i] = c
-                if injective:
-                    used[c] = True
-                if extend(i + 1):
-                    return True
-                if injective:
-                    used[c] = False
-        return False
-
-    return tuple(assign) if extend(0) else None
-
-
-def is_faithful(G, H, phi):
-    gm, hm = G.matrix(), H.matrix()
-    idx = np.fromiter(phi, dtype=np.intp, count=G.n)
-    return bool(np.array_equal(hm[np.ix_(idx, idx)], gm))
 
 
 def test_criterion_08_embedding_properties():

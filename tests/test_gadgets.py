@@ -307,5 +307,7 @@ class TestArboricity2ClaimIsExact:
         inst = gadget_from_json(doc)
         assert bfs_distance(inst.product, 0, 1) == 1
         assert degeneracy(inst.product) == 2
-        with pytest.raises(VerificationError, match="distance-2 claim fails on source pair"):
+        with pytest.raises(
+            VerificationError, match=r"distance-2 claim fails on source pair \(0, 1\)"
+        ):
             verify_gadget(inst)

@@ -5,21 +5,16 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smplab.errors import CapacityError, InputError
+from smplab.errors import InputError
 from smplab.graphs import (
     Graph,
-    VertexMap,
     all_pairs_distances,
     bfs_distance,
     bfs_from,
     degeneracy,
     degeneracy_orientation,
-    find_faithful_map,
-    find_induced_embedding,
-    find_isomorphism,
     graph_from_json,
     graph_to_json,
-    is_faithful_map,
     k_closure,
     orientation_covers,
     twin_reduction,
@@ -111,7 +106,7 @@ class TestKClosure:
         assert set(g2.edges()) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
     def test_composition(self):
-        # distances compose: ((G^a)^b) has an edge iff dist_G <= a*b
+        # closing twice multiplies radii: ((G^a)^b) has an edge iff dist_G <= a*b
         rng = random.Random(11)
         for _ in range(20):
             g = oracles.random_graph(rng, rng.randint(2, 9), p=0.25, loop_p=0)
@@ -157,7 +152,7 @@ class TestTwinReduction:
         for _ in range(30):
             g = oracles.random_graph(rng, rng.randint(1, 8))
             q, phi = twin_reduction(g)
-            assert is_faithful_map(g, q, phi)
+            assert oracles.is_faithful(g, q, phi.image)
 
     def test_idempotent(self):
         rng = random.Random(9)
@@ -165,73 +160,7 @@ class TestTwinReduction:
             g = oracles.random_graph(rng, rng.randint(1, 8))
             q, _ = twin_reduction(g)
             q2, _ = twin_reduction(q)
-            assert q2.n == q.n and find_isomorphism(q, q2) is not None
-
-
-class TestFaithfulMaps:
-    def test_path3_endpoint_fold(self):
-        g = path(3)
-        assert is_faithful_map(g, g, VertexMap((0, 1, 0), 3))
-
-    def test_loop_mismatch_rejected(self):
-        g = path(2)
-        h = Graph(2, [(0, 1)], loops=[0])
-        assert not is_faithful_map(g, h, VertexMap.identity(2))
-
-    def test_find_matches_brute_force(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            g = oracles.random_graph(rng, rng.randint(1, 4))
-            h = oracles.random_graph(rng, rng.randint(1, 4))
-            got = find_faithful_map(g, h)
-            brute = oracles.faithful_maps_brute(g, h)
-            if brute:
-                assert got is not None and got == brute[0]  # lexicographic first
-                assert is_faithful_map(g, h, got)
-            else:
-                assert got is None
-
-    def test_reduction_maps_both_ways(self):
-        rng = random.Random(29)
-        for _ in range(25):
-            g = oracles.random_graph(rng, rng.randint(1, 6))
-            q, phi = twin_reduction(g)
-            assert is_faithful_map(g, q, phi)
-            back = find_faithful_map(q, g)
-            assert back is not None
-
-    def test_transitive_by_composition(self):
-        rng = random.Random(31)
-        hits = 0
-        while hits < 10:
-            g = oracles.random_graph(rng, rng.randint(1, 4))
-            h = oracles.random_graph(rng, rng.randint(1, 5))
-            k = oracles.random_graph(rng, rng.randint(1, 5))
-            f1 = find_faithful_map(g, h)
-            f2 = find_faithful_map(h, k)
-            if f1 is None or f2 is None:
-                continue
-            hits += 1
-            assert is_faithful_map(g, k, f1.compose(f2))
-
-    def test_reduction_equivalence(self):
-        # G maps into H iff their twin reductions do, iff the reduction of G
-        # appears in the reduction of H as an induced subgraph.
-        rng = random.Random(37)
-        for _ in range(40):
-            g = oracles.random_graph(rng, rng.randint(1, 5))
-            h = oracles.random_graph(rng, rng.randint(1, 5))
-            qg, _ = twin_reduction(g)
-            qh, _ = twin_reduction(h)
-            direct = find_faithful_map(g, h) is not None
-            reduced = find_faithful_map(qg, qh) is not None
-            induced = find_induced_embedding(qg, qh) is not None
-            assert direct == reduced == induced
-
-    def test_cap_enforced(self):
-        big = path(9)
-        with pytest.raises(CapacityError):
-            find_faithful_map(big, big, cap=8)
+            assert q2.n == q.n and oracles.find_embedding(q, q2, injective=True) is not None
 
 
 class TestOrientation:

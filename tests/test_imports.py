@@ -1,9 +1,12 @@
-"""Static checks over the package source: every imported name is used."""
+"""Static checks over the package source: every imported name is used, and
+every exported name exists."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import smplab
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "smplab"
 # the package __init__ files only re-export, so their imports are their use
@@ -31,3 +34,9 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_export_resolves():
+    assert len(smplab.__all__) == len(set(smplab.__all__))
+    missing = [name for name in smplab.__all__ if not hasattr(smplab, name)]
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Decision graphs, universal-graph search, seed banks, labelings."""
+"""Decision graphs, seed banks, labelings."""
 
 import copy
 import json
@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import faithful_maps_brute, parity_blocks_slices
+from oracles import parity_blocks_slices
 from smplab.bits import Bits, concat_all
 from smplab.errors import (
     CapacityError,
@@ -20,16 +20,11 @@ from smplab.errors import (
 from smplab.generators import cycle_graph, random_tree
 from smplab.graphs import (
     Graph,
-    VertexMap,
     bfs_distance,
-    find_faithful_map,
-    find_isomorphism,
-    k_closure,
-    reduced_size,
     twin_reduction,
 )
 from smplab.lab import generate, label_pipeline
-from smplab.lattices import boolean_lattice, cover_graph, lattice_distance
+from smplab.lattices import boolean_lattice, lattice_distance
 from smplab.protocols import (
     ACCEPT,
     REJECT,
@@ -51,20 +46,16 @@ from smplab.universal import (
     LabelingScheme,
     SeedBank,
     bank_bad_fraction,
-    check_prob_embedding,
     decision_graph,
     decode_labels,
     derandomized_labeling,
     fix_seed,
     labeling_from_json,
     labeling_to_json,
-    min_universal_graph,
     newman_bank_size,
     newman_seed_bank,
     positive_verdict,
-    protocol_map_sampler,
     scheme_mismatches,
-    weak_to_universal_family,
 )
 
 
@@ -191,10 +182,7 @@ class TestDecisionGraph:
 
     def test_vertex_lookup(self):
         dg = decision_graph(OneBitEquality())
-        assert dg.vertex_of(Bits(1, 1)) == 1
         assert dg.message(0) == Bits(0, 1)
-        with pytest.raises(InputError):
-            dg.vertex_of(5)
 
 
 class TestFixSeed:
@@ -213,163 +201,6 @@ class TestFixSeed:
         rnd = HashRandomness(42)
         for v in range(4):
             assert pinned.encode(v, None) == weak.encode(v, rnd)
-
-
-class IgnoreSeedWeak(OneBitEquality):
-    """Flagged as seed-reading but never uses the seed."""
-
-    referee_reads_randomness = True
-
-
-class TestWeakToUniversalFamily:
-    def test_one_graph_per_seed(self):
-        weak = WeakLatticeDistance(boolean_lattice(2), 1, Fraction(1, 3), m=3, q=2)
-        bank = SeedBank((11, 22, 33), Fraction(1, 3), Fraction(1, 8))
-        fam = weak_to_universal_family(weak, bank)
-        assert len(fam) == 3
-        assert all(dg.graph.n == 4 for dg in fam)
-
-    def test_seed_ignoring_referee_gives_identical_graphs(self):
-        bank = SeedBank((1, 2, 3, 4), Fraction(1, 3), Fraction(1, 8))
-        fam = weak_to_universal_family(IgnoreSeedWeak(), bank)
-        assert all(dg.graph == fam[0].graph for dg in fam)
-
-    def test_blind_protocol_rejected(self):
-        bank = SeedBank((1,), Fraction(1, 3), Fraction(1, 8))
-        with pytest.raises(InputError):
-            weak_to_universal_family(OneBitEquality(), bank)
-
-    def test_composes_with_universal_search(self):
-        # The per-seed graphs of the toy sketch fit in a single 4-vertex
-        # target, so the blind-referee route costs no more bits than the
-        # seed-reading message width.
-        weak = WeakLatticeDistance(boolean_lattice(2), 1, Fraction(1, 3), m=3, q=2)
-        bank = SeedBank((101, 202), Fraction(1, 3), Fraction(1, 8))
-        fam = weak_to_universal_family(weak, bank)
-        res = min_universal_graph([dg.graph for dg in fam])
-        assert all(
-            find_faithful_map(dg.graph, res.graph, cap=8) is not None for dg in fam
-        )
-        assert res.bits == 2
-        assert res.bits <= weak.cost_bits
-
-
-class TestCheckProbEmbedding:
-    def test_exact_identity_embedding(self):
-        G = Graph(3, [(0, 1), (1, 2)], loops="none")
-        sampler = lambda seed: VertexMap((0, 1, 2), 3)
-        chk = check_prob_embedding(G, G, sampler, Fraction(1, 3), 4, exact=True)
-        assert chk.passed
-        assert chk.worst_rate == 0
-
-    def test_constant_map_onto_loop_fails(self):
-        G = Graph(2, [], loops="none")
-        H = Graph(1, [], loops="all")
-        chk = check_prob_embedding(G, H, lambda s: VertexMap((0, 0), 1), Fraction(1, 3), 10)
-        assert not chk.passed
-        assert chk.worst_rate == 1
-
-    def test_cube_into_parity_decision_graph(self):
-        # 64-element Boolean lattice, distance-1 predicate, mapped through
-        # the sketch encoder into the sketch's own decision graph.  The
-        # bucket count is held at 9 to keep the message space enumerable;
-        # the worst per-pair rate must still clear eps = 1/3 at 3 sigma.
-        L = boolean_lattice(6)
-        proto = UniversalLatticeDistance(L, 1, Fraction(1, 3), m=9)
-        U = decision_graph(proto)
-        G = k_closure(cover_graph(L.poset), 1)
-        sampler = protocol_map_sampler(proto, 64, U)
-        chk = check_prob_embedding(G, U, sampler, Fraction(1, 3), 1500)
-        assert chk.passed
-        assert chk.worst_rate > 0  # negatives do sometimes collide
-
-    def test_sampler_shape_checked(self):
-        G = Graph(2, [], loops="none")
-        with pytest.raises(InputError):
-            check_prob_embedding(G, G, lambda s: VertexMap((0,), 2), Fraction(1, 2), 2)
-
-
-class TestMinUniversalGraph:
-    def test_singleton_family_gives_twin_reduction(self):
-        G = Graph(3, [(0, 1), (1, 2)], loops="none")  # leaves are twins
-        res = min_universal_graph([G])
-        reduced, _ = twin_reduction(G)
-        assert find_isomorphism(res.graph, reduced) is not None
-        assert res.bits == 1
-
-    def test_two_vertex_family(self):
-        empty2 = Graph(2, [], loops="none")
-        k2 = Graph(2, [(0, 1)], loops="none")
-        res = min_universal_graph([empty2, k2])
-        assert res.graph.n == 2
-        assert res.graph.edges() == [(0, 1)]
-        assert res.graph.loops == frozenset()
-        assert res.bits == 1
-
-    def test_nested_family_matches_largest_member(self):
-        # every member maps into K2, so the family costs exactly what its
-        # largest member costs alone
-        family = [
-            Graph(1, [], loops="none"),
-            Graph(2, [], loops="none"),
-            Graph(2, [(0, 1)], loops="none"),
-        ]
-        res = min_universal_graph(family)
-        solo = [min_universal_graph([g]).bits for g in family]
-        assert res.bits == max(solo) == 1
-
-    def test_found_target_verified_by_brute_force(self):
-        rng = random.Random(4)
-        for _ in range(6):
-            family = []
-            for _ in range(rng.randrange(1, 4)):
-                n = rng.randrange(1, 5)
-                edges = [
-                    (u, v)
-                    for u in range(n)
-                    for v in range(u + 1, n)
-                    if rng.random() < 0.5
-                ]
-                loops = [v for v in range(n) if rng.random() < 0.5]
-                family.append(Graph(n, edges, loops=loops))
-            res = min_universal_graph(family)
-            for g in family:
-                assert faithful_maps_brute(g, res.graph)
-
-    def test_result_size_is_minimal(self):
-        # independent minimality check on a fixed small family
-        family = [
-            Graph(3, [(0, 1), (1, 2), (0, 2)], loops="none"),
-            Graph(2, [], loops="all"),
-        ]
-        res = min_universal_graph(family)
-        for k in range(1, res.graph.n):
-            pairs = [(i, j) for i in range(k) for j in range(i, k)]
-            for mask in range(1 << len(pairs)):
-                edges = []
-                loops = []
-                for b, (i, j) in enumerate(pairs):
-                    if mask >> b & 1:
-                        if i == j:
-                            loops.append(i)
-                        else:
-                            edges.append((i, j))
-                cand = Graph(k, edges, loops=loops)
-                assert not all(faithful_maps_brute(g, cand) for g in family)
-
-    def test_determinism(self):
-        family = [Graph(2, [], loops="none"), Graph(2, [(0, 1)], loops="none")]
-        assert min_universal_graph(family).graph == min_universal_graph(family).graph
-
-    def test_caps(self):
-        with pytest.raises(InputError):
-            min_universal_graph([])
-        with pytest.raises(CapacityError):
-            min_universal_graph([Graph(1, [], loops="none")] * 9)
-        with pytest.raises(CapacityError):
-            min_universal_graph([Graph(6, [], loops="none")])
-        with pytest.raises(CapacityError):
-            min_universal_graph([Graph(2, [(0, 1)], loops="none")], enum_cap=1)
 
 
 class TestNewmanBank:
@@ -911,6 +742,6 @@ class TestHierarchyLengths:
         inner = EqualitySketch(8, 2, 2)
         sym = symmetrize(inner)
         dg = decision_graph(sym)
-        blind_bits = (reduced_size(dg.graph) - 1).bit_length()
+        blind_bits = (twin_reduction(dg.graph)[0].n - 1).bit_length()
         assert blind_bits <= dg.message_bits
         assert dg.message_bits == inner.cost_bits_a + inner.cost_bits_b
