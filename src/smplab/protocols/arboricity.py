@@ -18,6 +18,7 @@ import math
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, Orientation, degeneracy_orientation
+from ..rng import indexed_draws
 from .base import (
     ACCEPT,
     REJECT,
@@ -47,6 +48,7 @@ class ArboricityAdjacency(SmpProtocol):
         self.outdeg = orientation.max_outdegree
         self.m = math.ceil(2 * max(1, self.outdeg) / self.eps)
         self.color_width = field_width(self.m)
+        self._plans = {}  # vertex -> its 1 + outdeg color slots; see _plan
 
     def params(self):
         return {"name": self.name, "eps": eps_to_json(self.eps),
@@ -61,6 +63,27 @@ class ArboricityAdjacency(SmpProtocol):
         slots = [rnd.integer(("c", p), self.m) for p in self.orientation.parents[v]]
         slots += [own] * (self.outdeg - len(slots))
         return Bits.pack([own] + slots, self.color_width)
+
+    def _plan(self, v):
+        """The vertices whose colors v sends: itself, its parents, then itself
+        again in each empty parent slot."""
+        plan = self._plans.get(v)
+        if plan is None:
+            parents = self.orientation.parents[v]
+            plan = self._plans[v] = (v, *parents) + (v,) * (self.outdeg - len(parents))
+        return plan
+
+    def encode_all(self, vs, rnd):
+        plans = [self._plan(v) for v in vs]
+        colors = indexed_draws(rnd, "c", {u for plan in plans for u in plan}, self.m)
+        width, bits = self.color_width, self.cost_bits
+        out = []
+        for plan in plans:
+            value = 0
+            for u in plan:
+                value = value << width | colors[u]
+            out.append(Bits(value, bits))
+        return out
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

@@ -4,7 +4,11 @@ A protocol is an encoder and a rule: ``encode`` (or ``encode_a`` and
 ``encode_b`` for distinct sender roles) maps an input to a fixed-width bit
 message using labeled shared randomness, and ``rule_from_params`` (or an
 overridden ``rule``) maps two message values to a verdict.  With ``expected``,
-``params`` and ``cost_bits`` that is the contract.  ``support`` is recorded
+``params`` and ``cost_bits`` that is the contract.  ``encode_all`` encodes
+many inputs under one seed; its loop over ``encode`` is the reference, and
+a labelable protocol overrides it to draw each label the inputs read once
+and build every message from cached per-input plans, returning the same
+messages and reading no label outside their supports.  ``support`` is recorded
 from one encode under ``RecordingRandomness``, and ``referee`` calls the
 rule, the one check of both message widths.  Most rules are *blind* (a fixed
 function of the messages alone, which is what lets the messages double as
@@ -187,6 +191,11 @@ class SmpProtocol:
     # -- per-protocol surface -------------------------------------------
     def encode(self, v: int, rnd: SharedRandomness) -> Bits:
         raise NotImplementedError
+
+    def encode_all(self, vs, rnd: SharedRandomness) -> list[Bits]:
+        """``[self.encode(v, rnd) for v in vs]``; this loop is the reference
+        that an override drawing each label once must equal."""
+        return [self.encode(v, rnd) for v in vs]
 
     def expected(self, x: int, y: int) -> Verdict:
         raise NotImplementedError

@@ -35,6 +35,7 @@ import numpy as np
 from ..bits import Bits, concat_all
 from ..errors import CapacityError, InputError
 from ..lattices import Lattice, birkhoff
+from ..rng import indexed_draws
 from .base import (
     ACCEPT,
     REJECT,
@@ -168,6 +169,19 @@ class WeakLatticeDistance(_LatticeSketch):
             acc ^= rnd.integer(("s", i), 2**self.q)
         return Bits(acc, self.q)
 
+    def encode_all(self, vs, rnd):
+        members = [self._jset[v] for v in vs]
+        idx = indexed_draws(rnd, "idx", set().union(*members), self.m)
+        buckets = [{idx[j] for j in js} for js in members]
+        vecs = indexed_draws(rnd, "s", set().union(*buckets), 2**self.q)
+        out = []
+        for hit in buckets:
+            acc = 0
+            for i in hit:
+                acc ^= vecs[i]
+            out.append(Bits(acc, self.q))
+        return out
+
     def referee(self, ma, mb, rnd=None):
         return weak_xor_referee(ma, mb, rnd, self.m, self.q, self.k)
 
@@ -299,6 +313,24 @@ class UniversalLatticeDistance(_LatticeSketch):
                 vec ^= 1 << rnd.integer(("idx", t, j), self.m)
             parts.append(Bits(vec, self.m))
         return concat_all(parts)
+
+    def encode_all(self, vs, rnd):
+        members = [self._jset[v] for v in vs]
+        ids = set().union(*members)
+        m, rounds = self.m, self.rounds
+        # round t's block sits (rounds - 1 - t) * m bits up, and its bucket
+        # row ("idx", t, j) is drawn once: irreducible j flips bit b there
+        flips = [{j: 1 << (rounds - 1 - t) * m + b
+                  for j, b in indexed_draws(rnd, ("idx", t), ids, m).items()}
+                 for t in range(rounds)]
+        out = []
+        for js in members:
+            value = 0
+            for row in flips:
+                for j in js:
+                    value ^= row[j]
+            out.append(Bits(value, m * rounds))
+        return out
 
     def referee(self, ma, mb, rnd=None):
         return parity_blocks_referee(ma, mb, self.m, self.rounds, self.k)

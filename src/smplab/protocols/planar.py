@@ -33,6 +33,7 @@ from ..planar import (
     schnyder_wood,
     triangulate,
 )
+from ..rng import indexed_draws
 from .base import (
     ACCEPT,
     REJECT,
@@ -128,6 +129,29 @@ class PlanarTwoDistance(SmpProtocol):
         for _ in range(CLOSURE_SLOTS + 1 - len(closure)):
             value = value << w2 | own2
         return Bits(value, self.cost_bits)
+
+    def encode_all(self, vs, rnd):
+        plans = [self._plan(v) for v in vs]
+        c1 = indexed_draws(rnd, "c1", {slot[1] for tree, _ in plans for slot in tree
+                                       if type(slot) is tuple}, self.m1)
+        c2 = indexed_draws(rnd, "c2", {label[1] for _, closure in plans
+                                       for label in closure}, self.m2)
+        w1, w2, bits = self.w1, self.w2, self.cost_bits
+        out = []
+        for tree, closure in plans:
+            colors = []
+            value = 0
+            for slot in tree:
+                color = c1[slot[1]] if type(slot) is tuple else colors[slot]
+                colors.append(color)
+                value = value << w1 | color
+            for label in closure:
+                value = value << w2 | c2[label[1]]
+            own2 = c2[closure[0][1]]
+            for _ in range(CLOSURE_SLOTS + 1 - len(closure)):
+                value = value << w2 | own2
+            out.append(Bits(value, bits))
+        return out
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

@@ -21,6 +21,7 @@ import math
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, bfs_from
+from ..rng import indexed_draws
 from .base import (
     RULE_CACHE_SIZE,
     Rule,
@@ -111,6 +112,18 @@ class TreeKDistance(SmpProtocol):
             color = rnd.integer(slot, m) if type(slot) is tuple else slot
             value = value << width | color
         return Bits(value, self.cost_bits)
+
+    def encode_all(self, vs, rnd):
+        plans = [self._plan(v) for v in vs]
+        colors = indexed_draws(rnd, "c", {slot[1] for _, slots in plans for slot in slots
+                                          if type(slot) is tuple}, self.m)
+        width, bits = self.color_width, self.cost_bits
+        out = []
+        for value, slots in plans:
+            for slot in slots:
+                value = value << width | (colors[slot[1]] if type(slot) is tuple else slot)
+            out.append(Bits(value, bits))
+        return out
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

@@ -9,7 +9,11 @@ so they are deterministic across platforms and independent of call order.
 A draw hashes the label's canonical bytes (``_canon``) under the seed as
 BLAKE2b key.  ``integer`` draws one label; ``integers(tag, count, n)`` draws
 the indexed family ``(tag, 0) ... (tag, count - 1)`` in one call, which is
-how a seed-reading referee builds its whole table of vectors or buckets.
+how a seed-reading referee builds its whole table of vectors or buckets.  A
+tag may also be a flat tuple of ints and strings, a prefix: ``("idx", 2)``
+draws ``("idx", 2, 0) ... ("idx", 2, count - 1)``.  ``indexed_draws`` draws
+any index set of a family, each label once, which is how ``encode_all``
+reads every label a whole universe needs under one seed.
 ``HashRandomness`` keys one hash state per seed and copies it for each
 draw, so the key block is compressed once; the bytes of flat labels such as
 ``("s", 17)``, and of whole indexed families, are memoized in bounded
@@ -69,28 +73,37 @@ def _label_bytes(label) -> bytes:
     return data
 
 
-# (type(tag), tag, count) -> the bytes _canon((tag, i)) for i < count.  The
-# type is part of the key because True == 1 while their bytes differ.  At
-# most _INDEXED_BYTES_CAP families are kept, each of at most
-# _LABEL_BYTES_CAP labels; the table is emptied when full.
+# (type(tag), tag, count), or for a prefix tag (the types of its parts,
+# tag, count) -> the bytes _canon((*prefix, i)) for i < count.  The types
+# are part of the key because True == 1 while their bytes differ.  At most
+# _INDEXED_BYTES_CAP families are kept, each of at most _LABEL_BYTES_CAP
+# labels; the table is emptied when full.
 _INDEXED_BYTES: dict = {}
 _INDEXED_BYTES_CAP = 32
 
 
+def _prefix(tag) -> tuple:
+    """A family's label prefix: the tag's parts, or the one int or string tag."""
+    return tag if isinstance(tag, tuple) else (tag,)
+
+
 def _check_family(tag, n: int) -> None:
     """What every ``integers`` checks first, even when count == 0 or n == 1."""
-    if not isinstance(tag, (int, str)):
-        raise InputError(f"draw tag must be an int or a string, got {type(tag)!r}")
+    if not isinstance(tag, (int, str)) and not (
+            isinstance(tag, tuple) and all(isinstance(part, (int, str)) for part in tag)):
+        raise InputError(f"draw tag must be an int, a string or a flat tuple of them, "
+                         f"got {tag!r}")
     if n <= 0:
         raise InputError("draw cardinality must be positive")
 
 
 def _indexed_bytes(tag, count: int) -> tuple[bytes, ...]:
-    """``_canon((tag, i))`` for i < count, memoized for small families."""
-    key = (type(tag), tag, count)
+    """``_canon((*prefix, i))`` for i < count, memoized for small families."""
+    key = (tuple(map(type, tag)) if isinstance(tag, tuple) else type(tag), tag, count)
     hit = _INDEXED_BYTES.get(key)
     if hit is None:
-        hit = tuple(_canon((tag, i)) for i in range(count))
+        prefix = _prefix(tag)
+        hit = tuple(_canon((*prefix, i)) for i in range(count))
         if count <= _LABEL_BYTES_CAP:
             if len(_INDEXED_BYTES) >= _INDEXED_BYTES_CAP:
                 _INDEXED_BYTES.clear()
@@ -107,12 +120,14 @@ class SharedRandomness:
     def integers(self, tag, count: int, n: int) -> list[int]:
         """The draws of ``(tag, 0) ... (tag, count - 1)``, each in range(n).
 
-        The tag is one int or string.  This loop over ``integer`` is the
+        The tag is one int or string, or a flat tuple of them that prefixes
+        each label: ``(*tag, i)``.  This loop over ``integer`` is the
         reference; a subclass may draw faster but must return the same
         values and raise the same errors.
         """
         _check_family(tag, n)
-        return [self.integer((tag, i), n) for i in range(count)]
+        prefix = _prefix(tag)
+        return [self.integer((*prefix, i), n) for i in range(count)]
 
 
 class HashRandomness(SharedRandomness):
@@ -120,6 +135,8 @@ class HashRandomness(SharedRandomness):
 
     The 128-bit digest makes the modulo bias below 2**-90 for any draw
     cardinality used here; we treat the draws as exactly uniform.
+    ``integers`` hashes the label bytes of its family, prefix tags
+    included, from a bounded table keyed on the prefix and its part types.
     """
 
     def __init__(self, seed: int):
@@ -184,6 +201,22 @@ class RecordingRandomness(SharedRandomness):
         if self.reads.setdefault(label, n) != n:
             raise InputError(f"draw {label!r} read with two cardinalities")
         return 0
+
+
+def indexed_draws(rnd: SharedRandomness, tag, ids, n: int) -> dict[int, int]:
+    """The draw of each label ``(*prefix, i)``, i in ids, keyed by i.
+
+    ``tag`` is a family tag as ``integers`` takes it, and ids are
+    nonnegative ints.  Each label is drawn once: by one ``integers`` call
+    when ids are 0 ... len - 1, and by one ``integer`` call each otherwise,
+    so no label outside ids is read.
+    """
+    ids = sorted(set(ids))
+    if not ids or ids[0] == 0 and ids[-1] == len(ids) - 1:
+        return dict(enumerate(rnd.integers(tag, len(ids), n)))
+    _check_family(tag, n)
+    prefix = _prefix(tag)
+    return {i: rnd.integer((*prefix, i), n) for i in ids}
 
 
 def derive_seed(master: int, *parts) -> int:

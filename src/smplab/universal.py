@@ -10,9 +10,11 @@ materializes that graph.
 The derandomization half: sample a bank of seeds, verify per input pair
 that only a small fraction of seeds mislead the referee, then concatenate
 the per-seed messages into one label per vertex and decode by majority
-vote.  The bank keeps the messages its check encoded, so each (seed,
-input) pair is encoded once per label run.  After verification the scheme is deterministic and exact -- zero
-errors on its instance, checked before anything is returned.
+vote.  Each seed's messages come from one ``encode_all`` call over the
+whole universe, which draws each label once per seed, and the bank keeps
+them for the labels, so a label run encodes each seed once.  After
+verification the scheme is deterministic and exact -- zero errors on its
+instance, checked before anything is returned.
 
 Decoding cost: a scheme holds one rule per bank seed -- the protocol's
 rule, built once for that seed's draws, or the same blind rule m times.
@@ -111,7 +113,7 @@ def decision_graph(protocol: SmpProtocol, mode: str = "all",
         if inputs is None:
             raise InputError("occurring-messages mode needs the input list")
         source = _as_randomness(rnd)
-        sent = sorted({protocol.encode(v, source) for v in _input_list(inputs)},
+        sent = sorted(set(protocol.encode_all(_input_list(inputs), source)),
                       key=operator.attrgetter("value"))
     else:
         raise InputError(f"unknown decision-graph mode {mode!r}")
@@ -159,6 +161,9 @@ class FixedSeedProtocol(SmpProtocol):
     def encode(self, v, rnd=None):
         return self.inner.encode(v, self._rnd)
 
+    def encode_all(self, vs, rnd=None):
+        return self.inner.encode_all(vs, self._rnd)
+
     def rule(self, rnd=None):
         return self.inner.rule(self._rnd)
 
@@ -188,7 +193,7 @@ class SeedBank:
     ``worst_bad`` records the largest per-pair fraction of misleading
     seeds observed at verification time (None for hand-built banks).
     A bank checked against a role-free protocol keeps, in ``_messages``,
-    that protocol object, its inputs and the messages ``encode`` gave them
+    that protocol object, its inputs and the messages ``encode_all`` gave them
     under each seed, so labels built from the bank reuse them; the private
     field takes no part in equality or repr.
     """
@@ -205,7 +210,7 @@ class SeedBank:
 
 
 def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list[Bits]]:
-    """Per bank seed, ``protocol.encode`` of each input, in order.
+    """Per bank seed, ``protocol.encode_all`` of the inputs, in order.
 
     The messages a bank keeps for this very protocol object and these
     inputs are returned as they are; otherwise every seed is encoded and
@@ -214,8 +219,7 @@ def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list
     kept = bank._messages
     if kept is not None and kept[0] is protocol and kept[1] == xs:
         return kept[2]
-    messages = [[protocol.encode(v, rnd) for v in xs]
-                for rnd in map(HashRandomness, bank.seeds)]
+    messages = [protocol.encode_all(xs, rnd) for rnd in map(HashRandomness, bank.seeds)]
     object.__setattr__(bank, "_messages", (protocol, xs, messages))
     return messages
 

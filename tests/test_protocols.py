@@ -55,7 +55,7 @@ from smplab.protocols.lattice import (
 )
 from smplab.protocols.planar import two_hop_rule
 from smplab.protocols.tree import window_rule
-from smplab.rng import HashRandomness, SharedRandomness, TableRandomness
+from smplab.rng import HashRandomness, RecordingRandomness, SharedRandomness, TableRandomness
 from smplab.universal import fix_seed
 
 
@@ -717,6 +717,38 @@ class TestRecordedSupports:
         assert (("s", 1), 4) not in proto.support(3)
         with pytest.raises(InputError, match="missing from assignment"):
             proto.exact_error(0, 3)
+
+
+class TestEncodeAll:
+    """``encode_all`` is the ``encode`` loop, and reads only labels that the
+    supports of its inputs list, at their cardinalities."""
+
+    @pytest.mark.parametrize("name", ["tree", "planar2", "sparse", "universal", "weak",
+                                      "fixed-seed-weak"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_encode_loop_on_any_inputs(self, name, data):
+        proto, n = _support_cases()[name]
+        vs = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # repeats, or none
+        seed = data.draw(st.integers(-2**63, 2**63 - 1))
+        union = merge_support(*map(proto.support, vs))
+        values = random.Random(seed)
+        table = TableRandomness({label: values.randrange(card) for label, card in union})
+        for rnd in (HashRandomness(seed), table):
+            assert proto.encode_all(vs, rnd) == [proto.encode(v, rnd) for v in vs]
+        recorder = RecordingRandomness()
+        proto.encode_all(vs, recorder)
+        assert set(recorder.reads.items()) <= set(union)
+
+    @pytest.mark.parametrize("name", ["tree", "planar2", "sparse", "universal", "weak",
+                                      "fixed-seed-weak", "symmetrized-weak"])
+    def test_whole_universe_from_any_iterable(self, name):
+        proto, n = _support_cases()[name]
+        rnd = HashRandomness(11)
+        want = [proto.encode(v, rnd) for v in range(n)]
+        assert proto.encode_all(range(n), rnd) == want
+        assert proto.encode_all(iter(range(n)), rnd) == want
+        assert proto.encode_all((), rnd) == []
 
 
 def _messages(widths):

@@ -21,6 +21,7 @@ from smplab.rng import (
     SharedRandomness,
     TableRandomness,
     derive_seed,
+    indexed_draws,
 )
 
 SEEDS = [0, -1, 2**62]
@@ -187,7 +188,7 @@ class TestLabelMemoEdges:
 
 TAGS = ["s", "bucket", 0, True]
 COUNTS = [0, 1, 200]
-BAD_TAGS = [1.0, None, ("s",), [1]]
+BAD_TAGS = [1.0, None, ("s", 1.0), [1]]
 
 
 def integer_loop(r, tag, count, n):
@@ -259,6 +260,115 @@ class TestIntegers:
             t.integers("s", 3, 3)
         with pytest.raises(InputError):
             t.integer(("s", 2), 3)
+
+
+PREFIXES = [("idx", 3), ("idx", -5, "x"), ("s",), (), ("a,b", 0, "(x")]
+BAD_PREFIXES = [("s", 1.0), ("s", None), ("s", ("t", 1)), ("s", [1]), (1.5,)]
+
+
+def prefix_loop(r, prefix, count, n):
+    return [r.integer((*prefix, i), n) for i in range(count)]
+
+
+class TestPrefixFamilies:
+    """A flat tuple tag draws the labels ``(*tag, i)``, with the same bytes
+    ``integer`` hashes for each of them."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("prefix", PREFIXES, ids=repr)
+    def test_matches_the_integer_loop_and_scratch(self, seed, prefix):
+        r = HashRandomness(seed)
+        for n in NS:
+            for count in COUNTS:
+                want = prefix_loop(r, prefix, count, n)
+                assert r.integers(prefix, count, n) == want
+                assert SharedRandomness.integers(r, prefix, count, n) == want
+        got = r.integers(prefix, 50, 2**63 + 1)
+        assert got == [scratch_draw(seed, (*prefix, i), 2**63 + 1) for i in range(50)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_known_answer_and_one_part_prefix(self, seed):
+        r = HashRandomness(seed)
+        # LABELS[1] is ("idx", 3, 17), the last label of this family
+        assert [r.integers(("idx", 3), 18, n)[17] for n in NS] == INTEGER[seed][1]
+        assert r.integers(("s",), 1, 2**63 + 1) == [INTEGER[seed][0][-1]]  # ("s", 0)
+        assert r.integers(("s",), 20, 2**24) == r.integers("s", 20, 2**24)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bool_prefix_part_is_not_the_int(self, seed):
+        r = HashRandomness(seed)
+        as_bool = prefix_loop(r, ("c", True), 200, 2**63 + 1)
+        as_int = prefix_loop(r, ("c", 1), 200, 2**63 + 1)
+        assert as_bool != as_int
+        # either may be memoized first
+        for tags, want in [((("c", 1), ("c", True)), [as_int, as_bool]),
+                           ((("c", True), ("c", 1)), [as_bool, as_int])]:
+            rng._INDEXED_BYTES.clear()
+            assert [r.integers(tag, 200, 2**63 + 1) for tag in tags] == want
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("prefix", BAD_PREFIXES, ids=repr)
+    def test_bad_prefix_parts_raise(self, prefix, n):
+        r = HashRandomness(0)
+        draws = (r.integers, lambda *a: SharedRandomness.integers(r, *a),
+                 lambda tag, count, n: indexed_draws(r, tag, range(count), n),
+                 lambda tag, count, n: indexed_draws(r, tag, range(1, count + 1), n))
+        for draw in draws:
+            for count in (0, 3):
+                with pytest.raises(InputError):
+                    draw(prefix, count, n)
+
+    def test_byte_cache_stays_bounded(self):
+        r = HashRandomness(0)
+        for i in range(rng._INDEXED_BYTES_CAP + 10):
+            assert r.integers(("t", i), 3, 5) == prefix_loop(r, ("t", i), 3, 5)
+            assert len(rng._INDEXED_BYTES) <= rng._INDEXED_BYTES_CAP
+        assert r.integers(("idx", 3), 18, 2**63 + 1)[17] == INTEGER[0][1][-1]
+
+    def test_table_randomness_draws_a_prefix_family(self):
+        t = TableRandomness({("i", 0, 0): 2, ("i", 0, 1): 0})
+        assert t.integers(("i", 0), 2, 3) == [2, 0]
+        with pytest.raises(InputError):
+            t.integers(("i", 0), 3, 3)
+
+
+class CountingDraws(HashRandomness):
+    """Hash draws that count ``integer`` and ``integers`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = collections.Counter()
+
+    def integer(self, label, n):
+        self.calls["integer"] += 1
+        return super().integer(label, n)
+
+    def integers(self, tag, count, n):
+        self.calls["integers"] += 1
+        return super().integers(tag, count, n)
+
+
+class TestIndexedDraws:
+    """``indexed_draws`` reads exactly the labels of its ids, once each."""
+
+    @pytest.mark.parametrize("tag", ["c", ("idx", 2)], ids=repr)
+    @pytest.mark.parametrize("ids", [[], [0], [2, 0, 1, 1], [1], [0, 2], [5, 3]], ids=repr)
+    def test_matches_the_integer_loop_and_reads_only_its_ids(self, tag, ids):
+        prefix = tag if isinstance(tag, tuple) else (tag,)
+        r = CountingDraws(7)
+        got = indexed_draws(r, tag, ids, 2**24)
+        assert got == {i: HashRandomness(7).integer((*prefix, i), 2**24) for i in ids}
+        full = sorted(set(ids)) == list(range(len(set(ids))))
+        assert r.calls == ({"integers": 1} if full else {"integer": len(set(ids))})
+        recorder = RecordingRandomness()
+        indexed_draws(recorder, tag, ids, 5)
+        assert sorted(recorder.reads) == sorted((*prefix, i) for i in set(ids))
+
+    def test_table_randomness_needs_only_the_ids(self):
+        t = TableRandomness({("c", 1): 3, ("c", 4): 0})
+        assert indexed_draws(t, "c", [4, 1, 4], 5) == {1: 3, 4: 0}
+        with pytest.raises(InputError):
+            indexed_draws(t, "c", [0, 1], 5)
 
 
 class TestRecordingRandomness:

@@ -1,5 +1,6 @@
 """Decision graphs, seed banks, labelings."""
 
+import collections
 import copy
 import json
 import math
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import test_golden
 from oracles import parity_blocks_slices
 from smplab.bits import Bits, concat_all
 from smplab.errors import (
@@ -571,13 +573,19 @@ class TestSettledVote:
 
 
 class CountingTree(TreeKDistance):
-    """A tree sketch that counts its ``encode`` calls."""
+    """A tree sketch that counts the inputs it encodes: one per ``encode``
+    call, and one per input of an ``encode_all`` call."""
 
     encodes = 0
 
     def encode(self, v, rnd):
         self.encodes += 1
         return super().encode(v, rnd)
+
+    def encode_all(self, vs, rnd):
+        vs = list(vs)
+        self.encodes += len(vs)
+        return super().encode_all(vs, rnd)
 
 
 def fresh_labels(protocol, xs, seeds):
@@ -692,20 +700,92 @@ class TestBankBadFractionEdges:
         assert bank_bad_fraction(sym, xs, self.BANK) == (fraction, pair)
 
 
+class CountingHash(HashRandomness):
+    """Hash draws that count each label they draw: one per ``integer`` call,
+    and ``count`` per ``integers`` call, one for each label of the family."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.seed = seed
+        self.drawn = collections.Counter()
+
+    def integer(self, label, n):
+        self.drawn[label] += 1
+        return super().integer(label, n)
+
+    def integers(self, tag, count, n):
+        prefix = tag if isinstance(tag, tuple) else (tag,)
+        self.drawn.update((*prefix, i) for i in range(count))
+        return super().integers(tag, count, n)
+
+
+def _golden_label_runs(tmp_path, monkeypatch):
+    """(protocol, universe, bank seeds) of each golden label file's encode."""
+    runs = []
+    real = universal._seed_messages
+
+    def capture(protocol, xs, bank):
+        if not runs or runs[-1][0] is not protocol:
+            runs.append((protocol, xs, bank.seeds))
+        return real(protocol, xs, bank)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(universal, "_seed_messages", capture)
+        for family, n, k in test_golden.LABEL_CASES:
+            label_pipeline(family, n, k, test_golden.EPS, tmp_path,
+                           master_seed=test_golden.MASTER)
+        test_golden.weak_label_digest()
+    return runs
+
+
+class TestDrawCounts:
+    def test_label_encodes_draw_each_seed_and_label_once(self, tmp_path, monkeypatch):
+        """On the golden label cases, ``_seed_messages`` draws every label the
+        universe reads exactly once per bank seed, and no other label."""
+        runs = _golden_label_runs(tmp_path, monkeypatch)
+        assert len(runs) == len(test_golden.LABEL_CASES) + 1
+        made = []
+
+        def counting(seed):
+            made.append(CountingHash(seed))
+            return made[-1]
+
+        monkeypatch.setattr(universal, "HashRandomness", counting)
+        eps = test_golden.EPS
+        for protocol, xs, seeds in runs:
+            made.clear()
+            messages = universal._seed_messages(protocol, xs, SeedBank(seeds, eps, eps))
+            assert [rnd.seed for rnd in made] == list(seeds)
+            needed = {label for v in xs for label, _ in protocol.support(v)}
+            for rnd, sent in zip(made, messages):
+                assert set(rnd.drawn.values()) == {1}
+                assert set(rnd.drawn) <= needed
+                if not protocol.referee_reads_randomness:  # the weak sketch lists every vector
+                    assert set(rnd.drawn) == needed
+                assert sent == [protocol.encode(v, HashRandomness(rnd.seed)) for v in xs]
+
+
 def _one_bit_wider(proto, method):
-    """A copy of proto whose encoder ``method`` sends one bit more."""
+    """A copy of proto whose encoder ``method`` sends one bit more, on every
+    message of an ``encode_all`` call."""
     wide = copy.copy(proto)
     encode = getattr(proto, method)
-    setattr(wide, method, lambda v, rnd: encode(v, rnd).concat(Bits(0, 1)))
+    if method == "encode_all":
+        setattr(wide, method, lambda vs, rnd: [m.concat(Bits(0, 1)) for m in encode(vs, rnd)])
+    else:
+        setattr(wide, method, lambda v, rnd: encode(v, rnd).concat(Bits(0, 1)))
     return wide
 
 
 class TestMessageWidthsChecked:
     """The bank check and the decision graph read every message through
     ``Rule.fields``, so an encoder that drifts from its rule is refused at
-    once, not after the bank's retries."""
+    once, not after the bank's retries.  A drifted ``encode`` reaches them
+    through the base ``encode_all`` loop (the symmetrized toy keeps it); the
+    tree sketch overrides ``encode_all``, so its drift is put there."""
 
     TREE = TreeKDistance(random_tree(random.Random(5), 8), 2, Fraction(1, 3))
+    TOY = symmetrize(EqualitySketch(8, 2, 2))
 
     def _first_attempt_refuses(self, proto, monkeypatch):
         attempts = []
@@ -721,20 +801,31 @@ class TestMessageWidthsChecked:
         assert len(attempts) == 1
 
     def test_role_free_bank(self, monkeypatch):
+        assert type(self.TOY).encode_all is SmpProtocol.encode_all
+        self._first_attempt_refuses(_one_bit_wider(self.TOY, "encode"), monkeypatch)
+
+    def test_role_free_bank_drifted_encode_all(self, monkeypatch):
         newman_seed_bank(self.TREE, 8, Fraction(1, 3), Fraction(1, 3), 1)  # undrifted passes
-        self._first_attempt_refuses(_one_bit_wider(self.TREE, "encode"), monkeypatch)
+        self._first_attempt_refuses(_one_bit_wider(self.TREE, "encode_all"), monkeypatch)
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_role_split_bank(self, side, monkeypatch):
         proto = EqualitySketch(8, 3, 1)
         self._first_attempt_refuses(_one_bit_wider(proto, f"encode_{side}"), monkeypatch)
 
-    def test_occurring_decision_graph(self):
-        dg = decision_graph(self.TREE, mode="occurring", inputs=8, rnd=5)
+    @staticmethod
+    def _occurring_graph_refuses(proto, method):
+        dg = decision_graph(proto, mode="occurring", inputs=8, rnd=5)
         assert all(value >> dg.message_bits == 0 for value in dg.messages)
-        wide = _one_bit_wider(self.TREE, "encode")
+        wide = _one_bit_wider(proto, method)
         with pytest.raises(InputError, match="messages must be"):
             decision_graph(wide, mode="occurring", inputs=8, rnd=5)
+
+    def test_occurring_decision_graph(self):
+        self._occurring_graph_refuses(self.TREE, "encode_all")
+
+    def test_occurring_decision_graph_drifted_encode(self):
+        self._occurring_graph_refuses(self.TOY, "encode")
 
 
 class TestHierarchyLengths:
