@@ -67,7 +67,7 @@ class Orientation:
 class Graph:
     """Undirected graph on vertices 0..n-1 with a self-loop policy."""
 
-    __slots__ = ("n", "self_loops", "_nbr", "_loops", "_matrix", "_rows")
+    __slots__ = ("n", "self_loops", "_nbr", "_loops", "_matrix")
 
     def __init__(self, n: int, edges, loops="none"):
         if not isinstance(n, int) or n < 1:
@@ -99,7 +99,6 @@ class Graph:
         self._loops = loop_set
         self.self_loops = policy
         self._matrix = None
-        self._rows = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -137,20 +136,6 @@ class Graph:
                 m[v, v] = True
             self._matrix = m
         return self._matrix
-
-    def _row_keys(self) -> list[int]:
-        """Adjacency rows (diagonal included) as integers, for twin grouping."""
-        if self._rows is None:
-            rows = []
-            for u in range(self.n):
-                bits = 0
-                for v in self._nbr[u]:
-                    bits |= 1 << v
-                if u in self._loops:
-                    bits |= 1 << u
-                rows.append(bits)
-            self._rows = rows
-        return self._rows
 
     # -- value semantics --------------------------------------------------
 
@@ -241,12 +226,12 @@ def twin_reduction(G: Graph) -> tuple[Graph, VertexMap]:
     Returns the quotient graph and the projection map; the projection is a
     faithful map of G into the quotient, and the quotient has no twins.
     """
-    rows = G._row_keys()
     class_of = {}
     reps = []
     image = []
     for u in range(G.n):
-        key = rows[u]
+        # u's adjacency row, diagonal included
+        key = G.neighbors(u) | {u} if u in G.loops else G.neighbors(u)
         if key not in class_of:
             class_of[key] = len(reps)
             reps.append(u)

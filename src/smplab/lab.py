@@ -17,10 +17,11 @@ Three moving parts, all deterministic given a master seed:
   to disk, read it back, and re-check every pair through the public decoder
   against the BFS oracle.
 
-Experiment rows carry the mean message width of the two senders and the
-width the protocol's sizing formula sets (``cost_bits``); an encoder that
-drifts from that width is refused by the protocol's ``Rule`` on its first
-message, not reported as a column mismatch.
+Experiment rows carry the message width both parties send (``mean_bits``)
+and the width the protocol's sizing formula sets (``cost_bits``); the two
+columns are equal, since an encoder that drifts from that width is refused
+by the protocol's ``Rule`` on its first message, not reported as a column
+mismatch.
 
 Conventions worth stating once:
 
@@ -387,10 +388,9 @@ def _protocol_for(family, payload, k, eps, model, budget_bits):
         wired = HashedAdjacency(payload.source, budget_bits), payload.source, 1, "accept"
     else:
         raise InputError(f"unknown family {family!r}")
-    proto = wired[0]
-    widest = max(proto.cost_bits_a, proto.cost_bits_b)
-    if widest > WIDTH_CAP:
-        raise CapacityError(f"{widest}-bit messages exceed the {WIDTH_CAP}-bit cap")
+    width = wired[0].cost_bits
+    if width > WIDTH_CAP:
+        raise CapacityError(f"{width}-bit messages exceed the {WIDTH_CAP}-bit cap")
     return wired
 
 
@@ -521,7 +521,7 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold):
         errors=errors,
         error_rate=str(Fraction(errors, cfg.trials)),
         violations=violations,
-        mean_bits=str(Fraction(proto.cost_bits_a + proto.cost_bits_b, 2)),
+        mean_bits=str(proto.cost_bits),
         formula_bits=str(proto.cost_bits),
         bound=str(bound),
     )

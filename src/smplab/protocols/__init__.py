@@ -6,12 +6,10 @@ from .base import (
     ACCEPT,
     REJECT,
     SmpProtocol,
-    SymmetrizedProtocol,
     TrialResult,
     Verdict,
     beyond_verdict,
     distance_verdict,
-    symmetrize,
     verdict_max,
 )
 from .lattice import (
@@ -34,7 +32,6 @@ __all__ = [
     "PROTOCOLS",
     "PlanarTwoDistance",
     "SmpProtocol",
-    "SymmetrizedProtocol",
     "TreeKDistance",
     "TrialResult",
     "UniversalLatticeDistance",
@@ -42,7 +39,6 @@ __all__ = [
     "WeakLatticeDistance",
     "beyond_verdict",
     "distance_verdict",
-    "symmetrize",
     "universal_sketch_params",
     "verdict_max",
     "weak_sketch_params",

@@ -1,25 +1,23 @@
 """Simultaneous-message sketches: the shared machinery.
 
-A protocol is an encoder and a rule: ``encode`` (or ``encode_a`` and
-``encode_b`` for distinct sender roles) maps an input to a fixed-width bit
-message using labeled shared randomness, and ``rule_from_params`` (or an
-overridden ``rule``) maps two message values to a verdict.  With ``expected``,
-``params`` and ``cost_bits`` that is the contract.  ``encode_all`` encodes
-many inputs under one seed; its loop over ``encode`` is the reference, and
-a labelable protocol overrides it to draw each label the inputs read once
-and build every message from cached per-input plans, returning the same
-messages and reading no label outside their supports.  ``support`` is recorded
-from one encode under ``RecordingRandomness``, and ``referee`` calls the
-rule, the one check of both message widths.  Most rules are *blind* (a fixed
-function of the messages alone, which is what lets the messages double as
-vertex labels in a fixed decision structure); others read the shared
-randomness (``referee_reads_randomness = True``) and are built per seed.
+A protocol is an encoder and a rule: ``encode`` maps an input to a
+fixed-width bit message using labeled shared randomness, and both parties
+send it; ``rule_from_params`` (or an overridden ``rule``) maps two message
+values to a verdict.  With ``expected``, ``params`` and ``cost_bits`` that is
+the contract.  ``encode_all`` encodes many inputs under one seed; its loop
+over ``encode`` is the reference, and a labelable protocol overrides it to
+draw each label the inputs read once and build every message from cached
+per-input plans, returning the same messages and reading no label outside
+their supports.  ``support`` is recorded from one encode under
+``RecordingRandomness``, and ``referee`` calls the rule, the one check of
+both message widths.  Most rules are *blind* (a fixed function of the
+messages alone, which is what lets the messages double as vertex labels in a
+fixed decision structure); others read the shared randomness
+(``referee_reads_randomness = True``) and are built per seed.
 
 ``run_trials`` is the one trial loop; ``exact_error`` runs it over every
 draw assignment, so small instances get exact rational error probabilities
-rather than estimates.  ``symmetrize`` turns a protocol with distinct sender
-roles into a role-free one: both parties send both encodings, and the
-rule takes the more pessimistic of the two cross evaluations.
+rather than estimates.
 """
 
 from __future__ import annotations
@@ -90,29 +88,22 @@ class Rule(NamedTuple):
     the verdict.  Calling the rule on two ``Bits`` is the referee itself.
     ``fields`` is the one width check: the call runs it on both messages,
     and a caller that meets a message many times runs it once and decides
-    on the fields.  ``width`` is the a-side width; a role-split protocol's
-    rule gives its b-side width in ``width_b``, which otherwise defaults to
-    ``width``.
+    on the fields.
     """
 
     width: int
     unpack: Callable[[int], object]
     decide: Callable[[object, object], "Verdict"]
-    width_b: int | None = None
 
-    def fields(self, message: Bits, b_side: bool = False):
-        """``unpack`` of one message, after checking its width against its
-        side's; a message of another width raises ``InputError``."""
-        width_b = self.width if self.width_b is None else self.width_b
-        if message.length != (width_b if b_side else self.width):
-            raise InputError(
-                f"messages must be {self.width} and {width_b} bits, "
-                f"got {message.length} on the {'b' if b_side else 'a'} side"
-            )
+    def fields(self, message: Bits):
+        """``unpack`` of one message, after checking its width; a message of
+        another width raises ``InputError``."""
+        if message.length != self.width:
+            raise InputError(f"messages must be {self.width} bits, got {message.length}")
         return self.unpack(message.value)
 
     def __call__(self, ma: Bits, mb: Bits) -> "Verdict":
-        return self.decide(self.fields(ma), self.fields(mb, True))
+        return self.decide(self.fields(ma), self.fields(mb))
 
 
 def int_params(params: dict, **least: int) -> tuple[int, ...]:
@@ -225,40 +216,13 @@ class SmpProtocol:
         """The verdict on Alice's message ma and Bob's mb, by the rule for rnd."""
         return self.rule(rnd)(ma, mb)
 
-    # -- role split (overridden by role-split protocols) -----------------
-    def encode_a(self, v, rnd):
-        return self.encode(v, rnd)
-
-    def encode_b(self, v, rnd):
-        return self.encode(v, rnd)
-
-    def support_a(self, v):
-        return self.support(v) if self.symmetric else recorded_support(self.encode_a, v)
-
-    def support_b(self, v):
-        return self.support(v) if self.symmetric else recorded_support(self.encode_b, v)
-
-    @property
-    def cost_bits_a(self):
-        return self.cost_bits
-
-    @property
-    def cost_bits_b(self):
-        return self.cost_bits
-
-    @property
-    def symmetric(self) -> bool:
-        return type(self).encode_a is SmpProtocol.encode_a and (
-            type(self).encode_b is SmpProtocol.encode_b
-        )
-
     # -- running ----------------------------------------------------------
     def draw_support(self, x: int, y: int):
-        return merge_support(self.support_a(x), self.support_b(y))
+        return merge_support(self.support(x), self.support(y))
 
     def run(self, x: int, y: int, rnd: SharedRandomness) -> TrialResult:
         """One trial, decided through ``referee``, with its expected verdict."""
-        ma, mb = self.encode_a(x, rnd), self.encode_b(y, rnd)
+        ma, mb = self.encode(x, rnd), self.encode(y, rnd)
         return TrialResult(x, y, ma, mb, self.referee(ma, mb, rnd), self.expected(x, y))
 
     def run_trials(self, pairs, rnds):
@@ -266,7 +230,7 @@ class SmpProtocol:
         ``Rule``: built once, or once per rnd for a referee that reads the draws."""
         blind = None if self.referee_reads_randomness else self.rule()
         for (x, y), rnd in zip(pairs, rnds):
-            ma, mb = self.encode_a(x, rnd), self.encode_b(y, rnd)
+            ma, mb = self.encode(x, rnd), self.encode(y, rnd)
             yield (blind or self.rule(rnd))(ma, mb)
 
     def _errors(self, x: int, y: int, rnds) -> int:
@@ -285,51 +249,6 @@ class SmpProtocol:
         master = random.Random(seed)
         rnds = (HashRandomness(master.getrandbits(63)) for _ in range(trials))
         return Fraction(self._errors(x, y, rnds), trials)
-
-
-class SymmetrizedProtocol(SmpProtocol):
-    """Role-free wrapper: send both encodings, judge both cross pairings.
-
-    The rule evaluates the inner protocol on (a-part of x, b-part of y)
-    and on (a-part of y, b-part of x) and returns the more pessimistic
-    verdict, so a one-sided inner protocol stays one-sided and the cost is
-    the sum of the two inner widths on each side.
-    """
-
-    def __init__(self, inner: SmpProtocol):
-        self.inner = inner
-        self.name = f"symmetrized-{inner.name}"
-        self.one_sided = inner.one_sided
-        self.referee_reads_randomness = inner.referee_reads_randomness
-
-    def params(self):
-        return {"inner": self.inner.params()}
-
-    @property
-    def cost_bits(self):
-        return self.inner.cost_bits_a + self.inner.cost_bits_b
-
-    def encode(self, v, rnd):
-        return self.inner.encode_a(v, rnd).concat(self.inner.encode_b(v, rnd))
-
-    def support(self, v):
-        # the inner supports, so an inner override (the weak sketch's) holds
-        return merge_support(self.inner.support_a(v), self.inner.support_b(v))
-
-    def rule(self, rnd=None):
-        """The inner rule on (a-part of x, b-part of y) and on (a-part of
-        y, b-part of x), the more pessimistic verdict of the two."""
-        inner, wb = self.inner.rule(rnd), self.inner.cost_bits_b
-        return Rule(self.cost_bits,
-                    lambda value: tuple(map(inner.unpack, divmod(value, 1 << wb))),
-                    lambda x, y: verdict_max(inner.decide(x[0], y[1]), inner.decide(y[0], x[1])))
-
-    def expected(self, x, y):
-        return self.inner.expected(x, y)
-
-
-def symmetrize(protocol: SmpProtocol) -> SymmetrizedProtocol:
-    return SymmetrizedProtocol(protocol)
 
 
 def as_fraction(eps) -> Fraction:

@@ -94,16 +94,13 @@ def decision_graph(protocol: SmpProtocol, mode: str = "all",
     ``mode="occurring"`` restricts to the messages the given inputs produce
     under the given randomness, which has no width cap.  Every message goes
     through ``Rule.fields``, so one of the wrong width raises ``InputError``.
-    The referee must be blind (fix a seed first for the seed-reading kind)
-    and role-free.
+    The referee must be blind (fix a seed first for the seed-reading kind).
     """
     if protocol.referee_reads_randomness:
         raise InputError(
             "the referee reads the shared randomness; pin a seed with "
             "fix_seed (or build the per-seed family) first"
         )
-    if not protocol.symmetric:
-        raise InputError("protocol has distinct sender roles; symmetrize it first")
     c = protocol.cost_bits
     if mode == "all":
         if c > cap:
@@ -192,8 +189,8 @@ class SeedBank:
 
     ``worst_bad`` records the largest per-pair fraction of misleading
     seeds observed at verification time (None for hand-built banks).
-    A bank checked against a role-free protocol keeps, in ``_messages``,
-    that protocol object, its inputs and the messages ``encode_all`` gave them
+    A checked bank keeps, in ``_messages``, the protocol object it was
+    checked against, its inputs and the messages ``encode_all`` gave them
     under each seed, so labels built from the bank reuse them; the private
     field takes no part in equality or repr.
     """
@@ -227,35 +224,25 @@ def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list
 def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     """Worst per-pair fraction of seeds with a wrong verdict: (fraction, pair).
 
-    Pairs run over unordered input pairs, diagonal included, for role-free
-    protocols, and over all ordered pairs otherwise; the worst pair is the
-    first of those with the most bad seeds.  Verdicts are compared as
+    Pairs run over unordered input pairs, diagonal included; the worst pair
+    is the first of those with the most bad seeds.  Verdicts are compared as
     (kind, value) tuples: the test ``Verdict`` equality makes, without a
-    Python-level ``__eq__`` call per pair and seed.  A role-free protocol's
-    messages come from ``_seed_messages``, so the bank keeps them for the
-    labeling; a role-split one encodes both sides per seed.  Every message
-    goes through ``Rule.fields`` against its side's width, so an encoder
-    that drifts from its rule raises ``InputError``.
+    Python-level ``__eq__`` call per pair and seed.  The messages come from
+    ``_seed_messages``, so the bank keeps them for the labeling.  Every
+    message goes through ``Rule.fields``, so an encoder that drifts from its
+    rule raises ``InputError``.
     """
     xs = _input_list(inputs)
     n = len(xs)
-    if protocol.symmetric:
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        messages = _seed_messages(protocol, xs, bank)
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    messages = _seed_messages(protocol, xs, bank)
     expected = [_verdict_key(protocol.expected(xs[i], xs[j])) for i, j in pairs]
     bad = [0] * len(pairs)
     for s, seed in enumerate(bank.seeds):
-        rnd = HashRandomness(seed)
-        rule = protocol.rule(rnd)
-        if protocol.symmetric:
-            fa = fb = [rule.fields(message) for message in messages[s]]
-        else:
-            fa = [rule.fields(protocol.encode_a(v, rnd)) for v in xs]
-            fb = [rule.fields(protocol.encode_b(v, rnd), True) for v in xs]
+        rule = protocol.rule(HashRandomness(seed))
+        fields = [rule.fields(message) for message in messages[s]]
         for idx, (i, j) in enumerate(pairs):
-            if _verdict_key(rule.decide(fa[i], fb[j])) != expected[idx]:
+            if _verdict_key(rule.decide(fields[i], fields[j])) != expected[idx]:
                 bad[idx] += 1
     worst_idx = max(range(len(pairs)), key=lambda i: (bad[i], -i))
     i, j = pairs[worst_idx]

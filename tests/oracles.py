@@ -351,35 +351,30 @@ def planar2_encode_fields(proto, v, rnd):
     return concat_all([Bits.pack(colors, proto.w1), Bits.pack([own2] + closure, proto.w2)])
 
 
-# -- draw supports and role-split referees as first written ---------------
+# -- draw supports and the equality referee as first written --------------
 # Each protocol once stated the draws its encoder reads by hand; the library
 # now records them from one encode, and tests require the same (label,
-# cardinality) pairs on every vertex.  The equality and symmetrized referees
-# cut messages with Bits.take; the library states both as rules on ints.
+# cardinality) pairs on every vertex.  The equality referee cut messages
+# with Bits.take; the library states it as a rule on ints.
 
 
 def declared_supports(proto, v):
-    """The (a-side, b-side) draw supports proto once declared for input v."""
+    """The draw support proto once declared for input v."""
     from smplab.protocols import (
         ArboricityAdjacency,
         EqualitySketch,
         HashedAdjacency,
         PlanarTwoDistance,
-        SymmetrizedProtocol,
         TreeKDistance,
         UniversalLatticeDistance,
         WeakLatticeDistance,
     )
     from smplab.universal import FixedSeedProtocol
 
-    if isinstance(proto, SymmetrizedProtocol):
-        a, b = declared_supports(proto.inner, v)
-        return a + b, a + b
     if isinstance(proto, FixedSeedProtocol):
-        return [], []
+        return []
     if isinstance(proto, EqualitySketch):
-        return ([(("h", t, v), 2) for t in range(proto.rounds_a)],
-                [(("h", t, v), 2) for t in range(proto.rounds_b)])
+        return [(("h", t, v), 2) for t in range(proto.rounds)]
     if isinstance(proto, TreeKDistance):
         _, _, window = proto._window_vertices(v)
         one = [(("c", u), proto.m) for kind, u in window if kind == "real"]
@@ -397,7 +392,7 @@ def declared_supports(proto, v):
         one += [(("s", i), 2**proto.q) for i in range(proto.m)]
     else:
         raise TypeError(f"no declared support for {type(proto).__name__}")
-    return one, one
+    return one
 
 
 def equality_take(ma, mb, rnd=None):
@@ -408,14 +403,26 @@ def equality_take(ma, mb, rnd=None):
     return ACCEPT if ma.take(0, overlap) == mb.take(0, overlap) else REJECT
 
 
-def symmetrized_take(inner_referee, wa, ma, mb, rnd=None):
-    """The more pessimistic of ``inner_referee`` on (x's a-part, y's b-part)
-    and on (y's a-part, x's b-part), each message cut after wa bits."""
-    from smplab.protocols import verdict_max
+# -- Birkhoff's closing check as first written -----------------------------
+# ``birkhoff`` once compared every meet and join with the mask intersection
+# and union after its other checks passed.  Those checks already imply it, so
+# the library dropped the loop; tests require the same outcome with it.
 
-    xa, xb = ma.take(0, wa), ma.take(wa, ma.length - wa)
-    ya, yb = mb.take(0, wa), mb.take(wa, mb.length - wa)
-    return verdict_max(inner_referee(xa, yb, rnd), inner_referee(ya, xb, rnd))
+
+def birkhoff_meet_checked(L):
+    """``birkhoff(L)``, then every meet and join against the masks."""
+    from smplab.errors import PreconditionError
+    from smplab.lattices import birkhoff
+
+    rep = birkhoff(L)
+    masks, element_of = rep.downsets, rep.element_of
+    for x in range(L.n):
+        for y in range(x, L.n):
+            if L.meet(x, y) != element_of[masks[x] & masks[y]]:
+                raise PreconditionError(f"meet of ({x},{y}) is not the mask intersection")
+            if L.join(x, y) != element_of[masks[x] | masks[y]]:
+                raise PreconditionError(f"join of ({x},{y}) is not the mask union")
+    return rep
 
 
 # -- degeneracy peel as first written ---------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import smplab
+import smplab.protocols
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "smplab"
 # the package __init__ files only re-export, so their imports are their use
@@ -37,6 +38,7 @@ def test_every_import_is_used(path):
 
 
 def test_every_export_resolves():
-    assert len(smplab.__all__) == len(set(smplab.__all__))
-    missing = [name for name in smplab.__all__ if not hasattr(smplab, name)]
-    assert missing == []
+    for package in (smplab, smplab.protocols):
+        assert len(package.__all__) == len(set(package.__all__)), package.__name__
+        missing = [name for name in package.__all__ if not hasattr(package, name)]
+        assert missing == [], package.__name__

@@ -40,7 +40,6 @@ from smplab.protocols import (
     WeakLatticeDistance,
     beyond_verdict,
     distance_verdict,
-    symmetrize,
 )
 from smplab.rng import HashRandomness, derive_seed
 from smplab.universal import fix_seed, positive_verdict
@@ -380,17 +379,15 @@ class TestStratumReplay:
 
 
 def _width_cases():
-    """name -> protocol: every family under both models, and the role-split,
-    symmetrized and fixed-seed wrappers."""
+    """name -> protocol: every family under both models, the equality toy and
+    the fixed-seed wrapper."""
     cases = {}
     for model in ("universal", "weak"):
         for family, n, k in REPLAY_CASES:
             inst = generate(family, n, 3)
             cases[f"{family}-{model}"] = _protocol_for(
                 family, inst.payload, k, Fraction(1, 3), model, 3)[0]
-    equality = EqualitySketch(4, 3, 1)
-    cases["equality"] = equality
-    cases["symmetrized-equality"] = symmetrize(equality)
+    cases["equality"] = EqualitySketch(4, 3)
     cases["fixed-seed-weak"] = fix_seed(WeakLatticeDistance(boolean_lattice(3), 2,
                                                             Fraction(1, 4), m=12), 5)
     return cases
@@ -400,10 +397,16 @@ WIDTH_CASES = _width_cases()
 
 
 def _drifted(proto, side):
-    """A copy of proto whose ``encode_a`` or ``encode_b`` sends one bit more."""
+    """A copy of proto whose ``encode`` sends one bit more on Alice's input 0
+    (side a) or on Bob's input 1 (side b)."""
+    wide = {"a": 0, "b": 1}[side]
+
+    def encode(v, rnd):
+        message = proto.encode(v, rnd)
+        return message.concat(Bits(0, 1)) if v == wide else message
+
     drifted = copy.copy(proto)
-    encode = getattr(proto, f"encode_{side}")
-    setattr(drifted, f"encode_{side}", lambda v, rnd: encode(v, rnd).concat(Bits(0, 1)))
+    drifted.encode = encode
     return drifted
 
 
@@ -415,8 +418,7 @@ class TestOneWidthCheck:
     def test_rule_widths_are_the_sizing_formula(self, name):
         proto = WIDTH_CASES[name]
         rule = proto.rule(HashRandomness(0) if proto.referee_reads_randomness else None)
-        width_b = rule.width if rule.width_b is None else rule.width_b
-        assert (rule.width, width_b) == (proto.cost_bits_a, proto.cost_bits_b)
+        assert rule.width == proto.cost_bits
 
     @pytest.mark.parametrize("side", ["a", "b"])
     @pytest.mark.parametrize("name", list(WIDTH_CASES))
@@ -424,8 +426,8 @@ class TestOneWidthCheck:
         proto = WIDTH_CASES[name]
         drifted = _drifted(proto, side)
         rnd = HashRandomness(1)
-        proto.run(0, 1, rnd)  # the undrifted encoders pass
-        ma, mb = drifted.encode_a(0, rnd), drifted.encode_b(1, rnd)
+        proto.run(0, 1, rnd)  # the undrifted encoder passes
+        ma, mb = drifted.encode(0, rnd), drifted.encode(1, rnd)
         for decide in (lambda: drifted.run(0, 1, rnd),
                        lambda: proto.referee(ma, mb, rnd),
                        lambda: drifted.monte_carlo_error(0, 1, 3, 7)):
@@ -433,8 +435,7 @@ class TestOneWidthCheck:
                 decide()
 
     @pytest.mark.parametrize("side", ["a", "b"])
-    @pytest.mark.parametrize("name", ["equality", "symmetrized-equality", "fixed-seed-weak",
-                                      "tree-universal"])
+    @pytest.mark.parametrize("name", ["equality", "fixed-seed-weak", "tree-universal"])
     def test_exact_error_refuses_a_drifting_encoder(self, name, side):
         proto = WIDTH_CASES[name]
         assert 0 <= proto.exact_error(0, 1) <= 1

@@ -76,6 +76,26 @@ posets = st.builds(
 )
 
 
+def bounded(P):
+    """P with a new bottom below and a new top above every element."""
+    n = P.n
+    down, up = P.down_masks(), P.up_masks()
+    covers = [*P.covers,
+              *((n, x) for x in range(n) if down[x] == 1 << x),
+              *((x, n + 1) for x in range(n) if up[x] == 1 << x)]
+    return Poset(n + 2, covers or [(0, 1)])
+
+
+def birkhoff_outcome(check, P):
+    """What ``check`` gives on a fresh unvalidated lattice over P: the
+    representation, or the error it raises."""
+    try:
+        rep = check(build_lattice(P, validate=False))
+    except (NotALatticeError, PreconditionError) as exc:
+        return type(exc).__name__
+    return rep.irreducibles, rep.downsets, rep.irreducible_poset
+
+
 def brute_meet(L, x, y):
     lowers = [z for z in range(L.n) if L.leq(z, x) and L.leq(z, y)]
     best = [z for z in lowers if all(L.leq(w, z) for w in lowers)]
@@ -229,6 +249,15 @@ class TestBirkhoff:
     def test_rejects_n5(self):
         with pytest.raises(PreconditionError):
             birkhoff(n5())
+
+    @given(st.integers(0, 2**32), st.integers(0, 6), st.floats(0, 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_meet_join_check_never_changes_the_outcome(self, seed, n, p, ideals):
+        # ideal lattices are distributive; bounded random posets are often
+        # not lattices, or lattices that are not distributive
+        P = random_poset(random.Random(seed), n, p)
+        P = downset_lattice(P).poset if ideals else bounded(P)
+        assert birkhoff_outcome(birkhoff, P) == birkhoff_outcome(oracles.birkhoff_meet_checked, P)
 
     def test_round_trip_isomorphism(self):
         rng = random.Random(37)

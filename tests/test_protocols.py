@@ -36,7 +36,6 @@ from smplab.protocols import (
     WeakLatticeDistance,
     beyond_verdict,
     distance_verdict,
-    symmetrize,
     universal_sketch_params,
     verdict_max,
     weak_sketch_params,
@@ -77,41 +76,21 @@ class TestVerdicts:
 
 class TestEqualityToy:
     def test_exact_error_closed_form(self):
-        eq = EqualitySketch(8, rounds_a=3, rounds_b=1)
+        eq = EqualitySketch(8, rounds=1)
         assert eq.exact_error(0, 1) == Fraction(1, 2)
         assert eq.exact_error(3, 3) == 0
-        wide = EqualitySketch(8, rounds_a=4, rounds_b=4)
+        wide = EqualitySketch(8, rounds=4)
         assert wide.exact_error(0, 1) == Fraction(1, 16)
 
     def test_one_sided(self):
-        eq = EqualitySketch(4, 2, 2)
+        eq = EqualitySketch(4, 2)
         for seed in range(40):
             assert eq.run(1, 1, HashRandomness(seed)).verdict == ACCEPT
 
     def test_monte_carlo_tracks_exact(self):
-        eq = EqualitySketch(8, 1, 1)
+        eq = EqualitySketch(8, 1)
         err = eq.monte_carlo_error(0, 1, 4000, seed=11)
         assert abs(err - Fraction(1, 2)) < Fraction(1, 20)
-
-    def test_symmetrized_costs_and_errors(self):
-        eq = EqualitySketch(8, rounds_a=3, rounds_b=1)
-        sym = symmetrize(eq)
-        assert sym.cost_bits == 4
-        assert sym.cost_bits_a == sym.cost_bits_b == 4
-        assert sym.symmetric
-        assert not eq.symmetric
-        assert sym.one_sided
-        assert sym.exact_error(0, 1) == Fraction(1, 2)
-        assert sym.exact_error(5, 5) == 0
-
-    def test_symmetrized_message_is_both_encodings(self):
-        eq = EqualitySketch(8, rounds_a=3, rounds_b=2)
-        sym = symmetrize(eq)
-        rnd = HashRandomness(123)
-        msg = sym.encode(6, rnd)
-        assert msg.length == 5
-        assert msg.take(0, 3) == eq.encode_a(6, rnd)
-        assert msg.take(3, 2) == eq.encode_b(6, rnd)
 
     def test_out_of_range_input(self):
         eq = EqualitySketch(4)
@@ -587,16 +566,6 @@ class TestBlindRules:
         assert build(*args) is build(*args)
         assert build.cache_info().maxsize is not None
 
-    def test_symmetrized_rule_is_its_slicing_oracle(self):
-        # the rule built from the inner one, on every pair of 5-bit messages
-        proto = symmetrize(EqualitySketch(4, 2, 3))
-        rule = proto.rule()
-        assert rule.width == proto.cost_bits == 5
-        for a, b in itertools.product(range(32), repeat=2):
-            ma, mb = Bits(a, 5), Bits(b, 5)
-            want = oracles.symmetrized_take(oracles.equality_take, 2, ma, mb)
-            assert rule(ma, mb) == proto.referee(ma, mb) == want
-
 
 @functools.cache
 def _seed_case(kind):
@@ -669,8 +638,7 @@ class TestSeedReadingRules:
 
 
 SUPPORT_CASES = ["tree", "planar2", "sparse", "hashed", "universal", "weak", "equality",
-                 "symmetrized-equality", "symmetrized-weak", "fixed-seed-weak",
-                 "fixed-seed-hashed"]
+                 "fixed-seed-weak", "fixed-seed-hashed"]
 
 
 @functools.cache
@@ -689,9 +657,7 @@ def _support_cases():
         "hashed": (hashed, 9),
         "universal": (UniversalLatticeDistance(L, 1, Fraction(1, 10)), L.n),
         "weak": (weak, L.n),
-        "equality": (EqualitySketch(6, 3, 1), 6),
-        "symmetrized-equality": (symmetrize(EqualitySketch(6, 1, 4)), 6),
-        "symmetrized-weak": (symmetrize(weak), L.n),
+        "equality": (EqualitySketch(6, 3), 6),
         "fixed-seed-weak": (fix_seed(weak, 3), L.n),
         "fixed-seed-hashed": (fix_seed(hashed, 3), 9),
     }
@@ -702,10 +668,9 @@ class TestRecordedSupports:
     def test_recorded_support_is_the_declared_one(self, name):
         proto, n = _support_cases()[name]
         for v in range(n):
-            want_a, want_b = oracles.declared_supports(proto, v)
-            for got, want in ((proto.support_a(v), want_a), (proto.support_b(v), want_b)):
-                assert len({label for label, _ in got}) == len(got)
-                assert set(got) == set(want)
+            got = proto.support(v)
+            assert len({label for label, _ in got}) == len(got)
+            assert set(got) == set(oracles.declared_supports(proto, v))
 
     def test_undeclared_dependent_draws_raise_rather_than_undercount(self):
         # without its support override the weak sketch records only the
@@ -741,7 +706,7 @@ class TestEncodeAll:
         assert set(recorder.reads.items()) <= set(union)
 
     @pytest.mark.parametrize("name", ["tree", "planar2", "sparse", "universal", "weak",
-                                      "fixed-seed-weak", "symmetrized-weak"])
+                                      "fixed-seed-weak"])
     def test_whole_universe_from_any_iterable(self, name):
         proto, n = _support_cases()[name]
         rnd = HashRandomness(11)
@@ -751,80 +716,25 @@ class TestEncodeAll:
         assert proto.encode_all((), rnd) == []
 
 
-def _messages(widths):
-    return st.tuples(*(st.integers(0, (1 << w) - 1).map(lambda v, w=w: Bits(v, w))
-                       for w in widths))
+class TestEqualityRule:
+    """The equality rule on ints against the referee that cuts messages with
+    ``Bits.take``, and the width check of both messages."""
 
-
-class TestRoleSplitRules:
-    """The equality and symmetrized rules on ints against the referees that
-    cut messages with ``Bits.take``."""
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @given(st.integers(1, 6), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_equality_rule_is_its_slicing_oracle(self, ra, rb, data):
-        proto = EqualitySketch(4, ra, rb)
-        ma, mb = data.draw(_messages((ra, rb)))
-        if data.draw(st.booleans()):  # agree on the overlap
-            overlap = min(ra, rb)
-            mb = Bits(ma.value >> (ra - overlap) << (rb - overlap)
-                      | mb.value & ((1 << (rb - overlap)) - 1), rb)
+    def test_equality_rule_is_its_slicing_oracle(self, rounds, data):
+        proto = EqualitySketch(4, rounds)
+        message = st.integers(0, (1 << rounds) - 1).map(lambda v: Bits(v, rounds))
+        ma = data.draw(message)
+        mb = ma if data.draw(st.booleans()) else data.draw(message)
         assert proto.referee(ma, mb) == oracles.equality_take(ma, mb)
 
-    @given(st.integers(1, 5), st.integers(1, 5), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_symmetrized_equality_rule_is_its_slicing_oracle(self, ra, rb, data):
-        proto = symmetrize(EqualitySketch(4, ra, rb))
-        ma, mb = data.draw(_messages((ra + rb, ra + rb)))
-        want = oracles.symmetrized_take(oracles.equality_take, ra, ma, mb)
-        assert proto.referee(ma, mb) == proto.rule()(ma, mb) == want
-
-    @given(st.integers(0, 2**32), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_symmetrized_tree_rule_is_its_slicing_oracle(self, seed, data):
-        inner, _, _ = _rule_case("tree")
-        proto = symmetrize(inner)
-        rnd = HashRandomness(seed)
-        x, y = data.draw(st.integers(0, 11)), data.draw(st.integers(0, 11))
-        ma, mb = proto.encode(x, rnd), proto.encode(y, rnd)
-
-        def referee(a, b, rnd):
-            return oracles.window_scan_slices(a, b, inner.k, inner.res_width, inner.color_width)
-
-        want = oracles.symmetrized_take(referee, inner.cost_bits, ma, mb)
-        assert proto.referee(ma, mb) == want
-
-    @given(st.integers(0, 2**32), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_symmetrized_weak_rule_is_its_slicing_oracle(self, seed, data):
-        inner, _, n = _seed_case("weak")
-        proto = symmetrize(inner)
-        rnd = HashRandomness(seed)
-        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        ma, mb = proto.encode(x, rnd), proto.encode(y, rnd)
-
-        def referee(a, b, rnd):
-            return oracles.weak_xor_subsets(a, b, rnd, inner.m, inner.q, inner.k)
-
-        want = oracles.symmetrized_take(referee, inner.q, ma, mb, rnd)
-        assert proto.referee(ma, mb, rnd) == proto.rule(rnd)(ma, mb) == want
-
     def test_referee_checks_both_widths(self):
-        proto = EqualitySketch(4, 3, 1)
-        assert proto.referee(Bits(5, 3), Bits(1, 1)) == ACCEPT
-        for ma, mb in [(Bits(5, 3), Bits(1, 3)), (Bits(1, 1), Bits(5, 3))]:
-            with pytest.raises(InputError):
+        proto = EqualitySketch(4, 3)
+        assert proto.referee(Bits(5, 3), Bits(5, 3)) == ACCEPT
+        for ma, mb in [(Bits(5, 3), Bits(1, 1)), (Bits(1, 1), Bits(5, 3))]:
+            with pytest.raises(InputError, match="must be 3 bits, got 1"):
                 proto.referee(ma, mb)
-
-    def test_role_split_rule_checks_each_side_against_its_own_width(self):
-        proto = EqualitySketch(4, 3, 1)
-        rule = proto.rule()
-        assert (rule.width, rule.width_b) == (3, 1)
-        assert rule(Bits(5, 3), Bits(1, 1)) == proto.referee(Bits(5, 3), Bits(1, 1)) == ACCEPT
-        assert rule(Bits(1, 3), Bits(1, 1)) == proto.referee(Bits(1, 3), Bits(1, 1)) == REJECT
-        for ma, mb in [(Bits(5, 3), Bits(1, 3)), (Bits(1, 1), Bits(5, 3))]:
-            with pytest.raises(InputError, match="must be 3 and 1 bits"):
-                rule(ma, mb)
 
     def test_a_protocol_without_a_rule_says_so(self):
         class Ruleless(EqualitySketch):

@@ -19,7 +19,6 @@ from smplab.protocols import (
     TreeKDistance,
     UniversalLatticeDistance,
     WeakLatticeDistance,
-    symmetrize,
 )
 from smplab.rng import HashRandomness
 from smplab.universal import fix_seed
@@ -29,9 +28,7 @@ F = Fraction
 
 def _protocol(kind):
     if kind == "equality":
-        return EqualitySketch(4, 2, 3)
-    if kind == "symmetrized":
-        return symmetrize(EqualitySketch(4, 2, 3))
+        return EqualitySketch(4, 2)
     if kind == "weak":
         return WeakLatticeDistance(boolean_lattice(2), 1, F(1, 2), m=3, q=2)
     if kind == "universal":
@@ -47,7 +44,6 @@ def _protocol(kind):
 # kind -> [(x, y, exact error)]
 EXACT = {
     "equality": [(0, 1, F(1, 4)), (1, 0, F(1, 4)), (2, 2, 0)],
-    "symmetrized": [(0, 1, F(1, 4)), (3, 3, 0)],
     "weak": [(0, 3, F(13, 16)), (0, 1, 0), (1, 2, F(13, 16)), (2, 2, 0)],
     "universal": [(0, 3, F(1, 9)), (0, 1, 0), (1, 2, F(1, 9))],
     "tree": [(0, 0, 0), (0, 1, 0), (0, 2, F(1, 12)), (0, 3, F(1, 144))],
@@ -56,7 +52,6 @@ EXACT = {
 # kind -> (trials, [(x, y, error over seed 5's trial stream)])
 MONTE_CARLO = {
     "equality": (200, [(0, 1, F(13, 50)), (1, 0, F(13, 50)), (2, 2, 0)]),
-    "symmetrized": (200, [(0, 1, F(13, 50)), (3, 3, 0)]),
     "weak": (200, [(0, 3, F(18, 25)), (0, 1, 0), (1, 2, F(18, 25)), (2, 2, 0)]),
     "universal": (200, [(0, 3, F(3, 25)), (0, 1, 0), (1, 2, F(3, 25))]),
     "tree": (200, [(0, 0, 0), (0, 1, 0), (0, 2, F(21, 200)), (0, 3, F(1, 200))]),

@@ -37,7 +37,6 @@ from smplab.protocols import (
     WeakLatticeDistance,
     beyond_verdict,
     distance_verdict,
-    symmetrize,
 )
 from smplab.protocols.base import Rule, SmpProtocol
 from smplab.rng import HashRandomness, derive_seed
@@ -115,8 +114,8 @@ class TestDecisionGraph:
         assert dg.graph.edges() == want
         assert sorted(dg.graph.loops) == list(range(16))
 
-    def test_symmetrized_toy_graph_is_symmetric(self):
-        dg = decision_graph(symmetrize(EqualitySketch(4, 2, 2)))
+    def test_toy_graph_is_symmetric(self):
+        dg = decision_graph(EqualitySketch(4, 2))
         m = dg.graph.matrix()
         assert (m == m.T).all()
 
@@ -155,10 +154,6 @@ class TestDecisionGraph:
                     else:
                         edges.append((a, b))
             assert dg.graph == Graph(1 << c, edges, loops=loops)
-
-    def test_role_split_protocol_rejected(self):
-        with pytest.raises(InputError):
-            decision_graph(EqualitySketch(4, 2, 3))
 
     def test_occurring_messages_mode(self):
         tree = random_tree(random.Random(1), 9)
@@ -295,23 +290,20 @@ class TestDerandomizedLabeling:
         with pytest.raises(PreconditionError):
             derandomized_labeling(proto, 4, fat)
 
-    def test_role_split_protocol_rejected(self):
+    def test_unlabelable_protocol_rejected(self):
         # a labeling is refused before anything is encoded unless its file
         # can rebuild the rule: the protocol must be registered and its rule
         # must rebuild from its params
         class Unsent(EqualitySketch):
-            def encode_a(self, v, rnd):
+            def encode(self, v, rnd):
                 raise AssertionError("encoded before the protocol was checked")
-
-            encode_b = encode_a
 
         class UnsentHashed(HashedAdjacency):
             def encode(self, v, rnd):
                 raise AssertionError("encoded before the protocol was checked")
 
         bank = SeedBank((1, 2, 3), Fraction(1, 8), Fraction(1, 8))
-        for proto in (Unsent(4, 2, 3), symmetrize(Unsent(4, 2, 2)),
-                      symmetrize(EqualitySketch(4, 2, 2)), UnsentHashed(cycle_graph(4), 2)):
+        for proto in (Unsent(4, 2), UnsentHashed(cycle_graph(4), 2)):
             with pytest.raises(PreconditionError, match="cannot be labeled"):
                 derandomized_labeling(proto, 4, bank)
 
@@ -446,28 +438,6 @@ class TestDerandomizedLabeling:
         for lx in labels:
             for ly in labels:
                 assert decode_labels(fresh, lx, ly) == decode_labels(warm, lx, ly)
-
-    def test_symmetrized_bank_check_matches_its_slicing_oracle(self):
-        # the symmetrized rule, built from the inner one, against the
-        # Bits.take referee over the inner Bits-slicing referee, per seed
-        _, proto, bank, _ = self.tree_scheme()
-        sym = symmetrize(proto)
-        c = proto.cost_bits
-
-        def inner(ma, mb, rnd):
-            return oracles.window_scan_slices(ma, mb, proto.k, proto.res_width, proto.color_width)
-
-        pairs = [(x, y) for x in range(16) for y in range(x, 16)]
-        bad = {pair: 0 for pair in pairs}
-        for seed in bank.seeds:
-            msgs = [sym.encode(v, HashRandomness(seed)) for v in range(16)]
-            for x, y in pairs:
-                verdict = oracles.symmetrized_take(inner, c, msgs[x], msgs[y])
-                bad[x, y] += verdict != proto.expected(x, y)
-        worst = max(pairs, key=lambda pair: bad[pair])  # first of the worst
-        assert bad[worst] > 0
-        assert bank_bad_fraction(sym, 16, bank) == (Fraction(bad[worst], bank.m), worst)
-        assert bank_bad_fraction(sym, 16, bank) == bank_bad_fraction(proto, 16, bank)
 
     def test_seed_reading_bank_check_matches_the_referee(self):
         # one rule per seed draws the buckets once; the worst pair and its
@@ -656,20 +626,12 @@ class TestSharedEncodes:
         assert repr(bank) == repr(hand)
         assert "_messages" not in repr(bank)
 
-    def test_role_split_check_keeps_no_messages(self):
-        bank = SeedBank(tuple(range(500, 509)), Fraction(1, 8), Fraction(1, 8))
-        bank_bad_fraction(EqualitySketch(4, 3, 1), range(4), bank)
-        assert bank._messages is None
-
 
 def exhaustive_bad_fraction(protocol, xs, bank):
     """Bad seeds per pair by ``run`` on every pair and seed; the worst pair is
     the first, in pair order, of those with the most."""
     n = len(xs)
-    if protocol.symmetric:
-        pairs = [(xs[i], xs[j]) for i in range(n) for j in range(i, n)]
-    else:
-        pairs = [(x, y) for x in xs for y in xs]
+    pairs = [(xs[i], xs[j]) for i in range(n) for j in range(i, n)]
     bad = [sum(not protocol.run(x, y, HashRandomness(seed)).correct for seed in bank.seeds)
            for x, y in pairs]
     worst = max(bad)
@@ -680,24 +642,21 @@ class TestBankBadFractionEdges:
     BANK = SeedBank(tuple(range(500, 509)), Fraction(1, 8), Fraction(1, 8))
 
     def test_one_input_universe(self):
-        for proto, xs in [(OneBitEquality(), [5]), (EqualitySketch(4, 3, 1), [2]),
+        for proto, xs in [(OneBitEquality(), [5]), (EqualitySketch(4, 3), [2]),
                           (TreeKDistance(random_tree(random.Random(1), 1), 1,
                                          Fraction(1, 4)), [0])]:
             _, fraction, pair = exhaustive_bad_fraction(proto, xs, self.BANK)
             assert bank_bad_fraction(proto, xs, self.BANK) == (fraction, pair)
             assert pair == (xs[0], xs[0])
 
-    def test_role_split_protocol_and_its_tie_break(self):
-        # a one-round overlap false-accepts about half the seeds, so many
-        # ordered pairs tie for the worst and the first of them must win
-        proto = EqualitySketch(5, 3, 1)
-        xs = [4, 0, 3, 1, 2]
+    def test_tie_break(self):
+        # two rounds false-accept about a quarter of the seeds, and four
+        # pairs tie for the worst: the first of them must win
+        proto = EqualitySketch(8, 2)
+        xs = [5, 0, 6, 4, 1, 7, 2, 3]
         bad, fraction, pair = exhaustive_bad_fraction(proto, xs, self.BANK)
         assert bad.count(max(bad)) > 1 and max(bad) > 0
         assert bank_bad_fraction(proto, xs, self.BANK) == (fraction, pair)
-        sym = symmetrize(proto)
-        _, fraction, pair = exhaustive_bad_fraction(sym, xs, self.BANK)
-        assert bank_bad_fraction(sym, xs, self.BANK) == (fraction, pair)
 
 
 class CountingHash(HashRandomness):
@@ -781,11 +740,11 @@ class TestMessageWidthsChecked:
     """The bank check and the decision graph read every message through
     ``Rule.fields``, so an encoder that drifts from its rule is refused at
     once, not after the bank's retries.  A drifted ``encode`` reaches them
-    through the base ``encode_all`` loop (the symmetrized toy keeps it); the
+    through the base ``encode_all`` loop (the equality toy keeps it); the
     tree sketch overrides ``encode_all``, so its drift is put there."""
 
     TREE = TreeKDistance(random_tree(random.Random(5), 8), 2, Fraction(1, 3))
-    TOY = symmetrize(EqualitySketch(8, 2, 2))
+    TOY = EqualitySketch(8, 2)
 
     def _first_attempt_refuses(self, proto, monkeypatch):
         attempts = []
@@ -808,11 +767,6 @@ class TestMessageWidthsChecked:
         newman_seed_bank(self.TREE, 8, Fraction(1, 3), Fraction(1, 3), 1)  # undrifted passes
         self._first_attempt_refuses(_one_bit_wider(self.TREE, "encode_all"), monkeypatch)
 
-    @pytest.mark.parametrize("side", ["a", "b"])
-    def test_role_split_bank(self, side, monkeypatch):
-        proto = EqualitySketch(8, 3, 1)
-        self._first_attempt_refuses(_one_bit_wider(proto, f"encode_{side}"), monkeypatch)
-
     @staticmethod
     def _occurring_graph_refuses(proto, method):
         dg = decision_graph(proto, mode="occurring", inputs=8, rnd=5)
@@ -830,9 +784,8 @@ class TestMessageWidthsChecked:
 
 class TestHierarchyLengths:
     def test_decision_graph_never_needs_more_bits_than_messages(self):
-        inner = EqualitySketch(8, 2, 2)
-        sym = symmetrize(inner)
-        dg = decision_graph(sym)
+        toy = EqualitySketch(8, 4)
+        dg = decision_graph(toy)
         blind_bits = (twin_reduction(dg.graph)[0].n - 1).bit_length()
         assert blind_bits <= dg.message_bits
-        assert dg.message_bits == inner.cost_bits_a + inner.cost_bits_b
+        assert dg.message_bits == toy.cost_bits
