@@ -10,7 +10,6 @@ from .base import (
     Verdict,
     beyond_verdict,
     distance_verdict,
-    verdict_max,
 )
 from .lattice import (
     UniversalLatticeDistance,
@@ -40,6 +39,5 @@ __all__ = [
     "beyond_verdict",
     "distance_verdict",
     "universal_sketch_params",
-    "verdict_max",
     "weak_sketch_params",
 ]

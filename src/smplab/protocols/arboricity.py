@@ -15,6 +15,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, Orientation, degeneracy_orientation
@@ -23,6 +25,8 @@ from .base import (
     ACCEPT,
     REJECT,
     RULE_CACHE_SIZE,
+    WIDTH_CAP,
+    AllPairs,
     Rule,
     SmpProtocol,
     as_fraction,
@@ -99,7 +103,9 @@ class ArboricityAdjacency(SmpProtocol):
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def color_slots_rule(slots: int, color_width: int) -> Rule:
-    """Accept iff the messages agree or either lists the other's own color."""
+    """Accept iff the messages agree or either lists the other's own color.
+    The all-pairs form compares slot arrays (equal slots are equal
+    messages); colors wider than 64 bits keep the ``decide`` loop."""
     cut = fields_of(slots, color_width)
 
     def unpack(value):
@@ -112,7 +118,17 @@ def color_slots_rule(slots: int, color_width: int) -> Rule:
             return ACCEPT
         return REJECT
 
-    return Rule(slots * color_width, unpack, decide)
+    def decide_all(table, left, right):
+        a, b = table.take(left, axis=1), table.take(right, axis=1)
+        accept = ((a == b).all(axis=0) | (a[:1] == b[1:]).any(axis=0)
+                  | (b[:1] == a[1:]).any(axis=0))
+        return (~accept).view(np.int8)
+
+    width = slots * color_width
+    if color_width > 64 or width > WIDTH_CAP:  # wide colors, or a rule no message fits
+        return Rule(width, unpack, decide)
+    return Rule(width, unpack, decide,
+                AllPairs((ACCEPT, REJECT), (color_width,) * slots, decide_all))
 
 
 def color_slots_referee(ma: Bits, mb: Bits, slots: int, color_width: int):

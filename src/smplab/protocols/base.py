@@ -22,11 +22,14 @@ rather than estimates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from ..bits import Bits
 from ..errors import InputError
@@ -43,18 +46,13 @@ WIDTH_CAP = 1 << 20  # widest message or label, in bits, built from outside inpu
 # rules kept by each blind rule builder's lru_cache; a builder's arguments
 # are a few ints, so a run meets only a handful of distinct rules
 RULE_CACHE_SIZE = 64
+PAIR_CELLS = 1 << 20  # fields times message pairs one all-pairs kernel call holds
 
 
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # "accept" | "reject" | "distance" | "beyond"
     value: int | None = None
-
-    def sort_key(self):
-        rank = {"accept": 0, "distance": 0, "reject": 1, "beyond": 1}.get(self.kind)
-        if rank is None:
-            raise InputError(f"unknown verdict kind {self.kind!r}")
-        return (rank, self.value or 0)
 
     def __str__(self):
         if self.value is None:
@@ -74,9 +72,33 @@ def beyond_verdict(k: int) -> Verdict:
     return Verdict("beyond", k)
 
 
-def verdict_max(u: Verdict, v: Verdict) -> Verdict:
-    """The more pessimistic of two verdicts (reject/larger distance wins)."""
-    return max(u, v, key=Verdict.sort_key)
+class AllPairs(NamedTuple):
+    """A rule's verdicts on many message pairs at once.
+
+    ``widths`` cuts a message, big-endian, into the fields the kernel reads:
+    each at most 64 bits, together the rule's width.  ``decide_all(table,
+    left, right)`` takes the messages' fields as a (fields, messages)
+    ``table`` and the pairs as two index arrays into its columns, and returns
+    one integer code per pair; code c stands for ``verdicts[c]``, so the
+    codes keep the rule's full verdict.
+    """
+
+    verdicts: tuple[Verdict, ...]
+    widths: tuple[int, ...]
+    decide_all: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+    def table(self, values: list[int]) -> np.ndarray:
+        """The (fields, len(values)) array of the values' fields, cut in numpy
+        from each value's big-endian 64-bit words, in the narrowest unsigned
+        dtype that holds the widest field."""
+        words, low, low_shift, high, high_shift, masks, dtype = _word_layout(self.widths)
+        table = np.zeros((words + 1, len(values)), dtype=np.uint64)  # the last row stays 0
+        if words == 1:  # numpy converts ints of up to 64 bits itself, and faster
+            table[0] = values
+        else:
+            table[:words] = np.frombuffer(b"".join([v.to_bytes(8 * words, "big") for v in values]),
+                                          dtype=">u8").reshape(len(values), words).T
+        return ((table[low] >> low_shift | table[high] << high_shift) & masks).astype(dtype)
 
 
 class Rule(NamedTuple):
@@ -86,14 +108,17 @@ class Rule(NamedTuple):
     ``unpack`` cuts a ``width``-bit message value into the fields the rule
     reads (``int`` keeps it whole); ``decide`` maps two such field sets to
     the verdict.  Calling the rule on two ``Bits`` is the referee itself.
-    ``fields`` is the one width check: the call runs it on both messages,
-    and a caller that meets a message many times runs it once and decides
-    on the fields.
+    ``fields`` checks the width: the call runs it on both messages, and a
+    caller that meets a message many times runs it once and decides on the
+    fields.  ``all_pairs``, when a rule states it, decides many pairs in
+    one numpy pass; ``pair_codes`` uses it, and otherwise loops over
+    ``decide``, the reference it must equal.
     """
 
     width: int
     unpack: Callable[[int], object]
     decide: Callable[[object, object], "Verdict"]
+    all_pairs: AllPairs | None = None
 
     def fields(self, message: Bits):
         """``unpack`` of one message, after checking its width; a message of
@@ -102,8 +127,88 @@ class Rule(NamedTuple):
             raise InputError(f"messages must be {self.width} bits, got {message.length}")
         return self.unpack(message.value)
 
+    def value(self, message: Bits) -> int:
+        """A message's value, after the width check of ``fields`` (which keeps
+        its own copy of the check: every trial calls it twice)."""
+        if message.length != self.width:
+            raise InputError(f"messages must be {self.width} bits, got {message.length}")
+        return message.value
+
     def __call__(self, ma: Bits, mb: Bits) -> "Verdict":
         return self.decide(self.fields(ma), self.fields(mb))
+
+    def pair_codes(self, seed_values):
+        """The verdicts on ``seed_values``, lists of width-checked message
+        values, one per seed and all equally long, as (verdicts, codes)
+        blocks in seed order: ``codes[s, p]`` is the code into ``verdicts`` of
+        pair p of ``triu_pairs`` under the block's seed s.
+
+        The all-pairs form decides the pairs of as many seeds as fit in
+        ``PAIR_CELLS`` fields at once, or one seed's pairs in slices that do,
+        so its memory is bounded whatever the seed count, universe or layout;
+        without the form, ``decide`` runs on every pair and each seed is a
+        block of its own.
+        """
+        seed_values = list(seed_values)
+        form = self.all_pairs
+        if form is None or not seed_values or not seed_values[0]:
+            yield from map(self._loop_codes, seed_values)
+            return
+        n = len(seed_values[0])
+        rows, cols = triu_pairs(n)
+        room = max(1, PAIR_CELLS // len(form.widths))  # pairs one call holds
+        batch = max(1, room // len(rows))
+        for start in range(0, len(seed_values), batch):
+            chunk = seed_values[start:start + batch]
+            table = form.table([v for values in chunk for v in values])
+            offsets = np.arange(0, len(chunk) * n, n)[:, None]
+            left, right = (offsets + rows).ravel(), (offsets + cols).ravel()
+            codes = np.concatenate([form.decide_all(table, left[at:at + room], right[at:at + room])
+                                    for at in range(0, len(left), room)])
+            yield form.verdicts, codes.reshape(len(chunk), len(rows))
+
+    def _loop_codes(self, values: list[int]) -> tuple[tuple[Verdict, ...], np.ndarray]:
+        fields = list(map(self.unpack, values))
+        index = {}  # verdict -> code, in order of first occurrence
+        codes = [index.setdefault(self.decide(fields[i], fields[j]), len(index))
+                 for i, j in zip(*(side.tolist() for side in triu_pairs(len(values))))]
+        return tuple(index), np.array([codes], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _word_layout(widths: tuple[int, ...]):
+    """Where each field of a big-endian layout sits in its value's 64-bit
+    words, most significant word first: the word holding its low bit and
+    the shift down to that bit; the word above, when the field runs into
+    it, and the shift up that joins it (else the zero word past the last,
+    shifted by 0); its mask; and the dtype of the widest field.  Shifts and
+    masks are (fields, 1) columns."""
+    words = -(-sum(widths) // 64)
+    low, low_shift, high, high_shift = [], [], [], []
+    shift = sum(widths)
+    for width in widths:
+        shift -= width
+        word, bit = divmod(shift, 64)
+        crosses = bit + width > 64
+        low.append(words - 1 - word)
+        low_shift.append(bit)
+        high.append(words - 2 - word if crosses else words)
+        high_shift.append(64 - bit if crosses else 0)
+    low_shift, high_shift, masks = (
+        np.array(column, dtype=np.uint64)[:, None]
+        for column in (low_shift, high_shift, [(1 << width) - 1 for width in widths]))
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if max(widths) <= np.iinfo(t).bits)
+    return words, low, low_shift, high, high_shift, masks, dtype
+
+
+@functools.lru_cache(maxsize=8)
+def triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, read-only: the unordered pairs (i, j), i <= j,
+    of n items in row order, the order of every all-pairs pass."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def int_params(params: dict, **least: int) -> tuple[int, ...]:

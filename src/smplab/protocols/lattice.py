@@ -40,6 +40,8 @@ from .base import (
     ACCEPT,
     REJECT,
     RULE_CACHE_SIZE,
+    WIDTH_CAP,
+    AllPairs,
     Rule,
     SmpProtocol,
     as_fraction,
@@ -338,7 +340,10 @@ class UniversalLatticeDistance(_LatticeSketch):
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def parity_blocks_rule(m: int, rounds: int, k: int) -> Rule:
-    """Accept iff every m-bit round block XORs to weight at most k."""
+    """Accept iff every m-bit round block XORs to weight at most k.  For
+    m <= 64 the all-pairs form XORs every pair's blocks and counts bits in
+    numpy; wider blocks keep the ``decide`` loop."""
+    cut = fields_of(rounds, m)
 
     def decide(a, b):
         for block_a, block_b in zip(a, b):
@@ -346,7 +351,13 @@ def parity_blocks_rule(m: int, rounds: int, k: int) -> Rule:
                 return REJECT
         return ACCEPT
 
-    return Rule(m * rounds, fields_of(rounds, m), decide)
+    def decide_all(table, left, right):
+        xor = table.take(left, axis=1) ^ table.take(right, axis=1)
+        return (np.bitwise_count(xor) > k).any(axis=0).view(np.int8)
+
+    if m > 64 or m * rounds > WIDTH_CAP:  # wide blocks, or a rule no message fits
+        return Rule(m * rounds, cut, decide)
+    return Rule(m * rounds, cut, decide, AllPairs((ACCEPT, REJECT), (m,) * rounds, decide_all))
 
 
 def parity_blocks_referee(ma: Bits, mb: Bits, m: int, rounds: int, k: int):

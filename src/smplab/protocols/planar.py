@@ -24,6 +24,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from ..bits import Bits
 from ..errors import VerificationError
 from ..graphs import bfs_from, degeneracy_orientation
@@ -38,6 +40,7 @@ from .base import (
     ACCEPT,
     REJECT,
     RULE_CACHE_SIZE,
+    AllPairs,
     Rule,
     SmpProtocol,
     as_fraction,
@@ -179,7 +182,9 @@ def two_hop_rule(w1: int, w2: int) -> Rule:
     """Accept on equal messages or on any of the four two-hop patterns.
 
     A message is 13 tree colors (self, 3 parents, 9 grandparents) followed
-    by 1 + CLOSURE_SLOTS closure colors (self, then closure parents).
+    by 1 + CLOSURE_SLOTS closure colors (self, then closure parents).  The
+    all-pairs form tests the same patterns on (31, pairs) color arrays;
+    colors wider than 64 bits keep the ``decide`` loop.
     """
     closure_bits = (1 + CLOSURE_SLOTS) * w2
     tree_cut = fields_of(13, w1)
@@ -207,7 +212,18 @@ def two_hop_rule(w1: int, w2: int) -> Rule:
             return ACCEPT
         return REJECT
 
-    return Rule(13 * w1 + closure_bits, unpack, decide)
+    def decide_all(table, left, right):
+        # fields 0-12 are the tree colors, 13 on the closure colors
+        a, b = table.take(left, axis=1), table.take(right, axis=1)
+        accept = ((a == b).all(axis=0)
+                  | (a[:1] == b[1:13]).any(axis=0) | (b[:1] == a[1:13]).any(axis=0)
+                  | (a[1:4, None] == b[None, 1:4]).any(axis=(0, 1))
+                  | (a[13:14] == b[14:]).any(axis=0) | (b[13:14] == a[14:]).any(axis=0))
+        return (~accept).view(np.int8)
+
+    widths = (w1,) * 13 + (w2,) * (1 + CLOSURE_SLOTS)
+    return Rule(13 * w1 + closure_bits, unpack, decide,
+                AllPairs((ACCEPT, REJECT), widths, decide_all) if max(widths) <= 64 else None)
 
 
 def two_hop_referee(ma: Bits, mb: Bits, w1: int, w2: int):

@@ -18,12 +18,16 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, bfs_from
 from ..rng import indexed_draws
 from .base import (
     RULE_CACHE_SIZE,
+    WIDTH_CAP,
+    AllPairs,
     Rule,
     SmpProtocol,
     Verdict,
@@ -205,7 +209,35 @@ def window_rule(k: int, res_width: int, color_width: int) -> Rule:
             verdict = within[d] = distance_verdict(d)
         return verdict
 
-    return Rule(2 + res_width + colors_bits, unpack, decide)
+    shift = np.array([0, k, -k])  # the offset each band difference mod 3 adds
+
+    def decide_all(table, left, right):
+        # fields: band mod 3, residue (clamped here), then the 2k colors
+        band, res = table[0].astype(np.intp), np.minimum(table[1].astype(np.intp), k - 1)
+        ra, rb = res[left], res[right]
+        off = ra - rb + shift[(band[left] - band[right]) % 3]
+        lo = np.maximum(-off, 0)
+        hi = np.minimum(rb + k, ra + k - off)
+        # decide's suffix scan over the pairs still scanning: j steps down
+        # while the colors it passes agree, at most 2k times; window
+        # position q is field 2 + q, so entry (2 + q) * n + x of the table
+        colors, n = table.ravel(), table.shape[1]
+        j = hi + 1
+        scan = np.flatnonzero(j > lo)
+        while scan.size:
+            at = (j[scan] + 1) * n  # the row of position j - 1
+            scan = scan[colors[at + off[scan] * n + left[scan]] == colors[at + right[scan]]]
+            j[scan] -= 1
+            scan = scan[j[scan] > lo[scan]]
+        d = 2 * j + off
+        return np.where((j > hi) | (d > k), k + 1, d)
+
+    width = 2 + res_width + colors_bits
+    if color_width > 64 or width > WIDTH_CAP:  # wide colors, or a rule no message fits
+        return Rule(width, unpack, decide)
+    verdicts = (*map(distance_verdict, range(k + 1)), beyond)
+    widths = (2, res_width) + (color_width,) * (2 * k)
+    return Rule(width, unpack, decide, AllPairs(verdicts, widths, decide_all))
 
 
 def window_scan_referee(ma: Bits, mb: Bits, k: int, res_width: int,

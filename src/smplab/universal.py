@@ -16,13 +16,19 @@ them for the labels, so a label run encodes each seed once.  After
 verification the scheme is deterministic and exact -- zero errors on its
 instance, checked before anything is returned.
 
-Decoding cost: a scheme holds one rule per bank seed -- the protocol's
-rule, built once for that seed's draws, or the same blind rule m times.
-Each label a scheme meets is cut into its m per-seed messages and each
-message is unpacked at most once, so a scheme over n vertices costs at most
-n*m unpacks.  A pair costs m // 2 + 1 ``decide`` calls when those first
-seeds agree, which settles the vote, and m otherwise.  The tables live on
-the scheme object.
+Checking cost: the bank check and both verify passes decide every pair
+under every seed through ``Rule.pair_codes``: one numpy kernel call per
+batch of seeds (bounded by ``PAIR_CELLS``) for the four blind rules, and
+the ``decide`` loop for rules without that form (the seed-reading weak
+rule, fields wider than 64 bits).
+
+Decoding cost: ``decode_labels`` keeps a scalar vote.  A scheme holds one
+rule per bank seed -- the protocol's rule, built once for that seed's draws,
+or the same blind rule m times.  Each label a scheme meets is cut into its
+m per-seed messages and each message is unpacked at most once, so a scheme
+over n vertices costs at most n*m unpacks.  A pair costs m // 2 + 1
+``decide`` calls when those first seeds agree, which settles the vote, and
+m otherwise.  The tables live on the scheme object.
 """
 
 from __future__ import annotations
@@ -33,10 +39,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .bits import Bits, concat_all
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
 from .graphs import Graph
-from .protocols.base import WIDTH_CAP, Rule, SmpProtocol, Verdict, as_fraction
+from .protocols.base import WIDTH_CAP, Rule, SmpProtocol, Verdict, as_fraction, triu_pairs
 from .protocols.registry import PROTOCOLS
 from .rng import HashRandomness, SharedRandomness
 
@@ -224,29 +232,40 @@ def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list
 def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     """Worst per-pair fraction of seeds with a wrong verdict: (fraction, pair).
 
-    Pairs run over unordered input pairs, diagonal included; the worst pair
-    is the first of those with the most bad seeds.  Verdicts are compared as
-    (kind, value) tuples: the test ``Verdict`` equality makes, without a
-    Python-level ``__eq__`` call per pair and seed.  The messages come from
-    ``_seed_messages``, so the bank keeps them for the labeling.  Every
-    message goes through ``Rule.fields``, so an encoder that drifts from its
-    rule raises ``InputError``.
+    Pairs run over unordered input pairs, diagonal included, in
+    ``triu_pairs`` order; the worst pair is the first of those with the most
+    bad seeds.  Verdicts come from ``Rule.pair_codes``: a blind rule's
+    all-pairs kernel over many seeds per call, else the ``decide`` loop.  A
+    verdict is bad when its (kind, value) differs from the expected one's,
+    so an expected verdict the rule never returns is bad under every seed.
+    The messages come from ``_seed_messages``, so the bank keeps them for
+    the labeling, and pass ``Rule.value``, so an encoder that drifts from
+    its rule raises ``InputError``.
     """
     xs = _input_list(inputs)
-    n = len(xs)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rows, cols = triu_pairs(len(xs))
     messages = _seed_messages(protocol, xs, bank)
-    expected = [_verdict_key(protocol.expected(xs[i], xs[j])) for i, j in pairs]
-    bad = [0] * len(pairs)
-    for s, seed in enumerate(bank.seeds):
+    keys = {}  # distinct expected (kind, value) -> its index, in first-seen order
+    wanted = np.array([keys.setdefault(_verdict_key(protocol.expected(xs[i], xs[j])), len(keys))
+                       for i, j in zip(rows.tolist(), cols.tolist())], dtype=np.intp)
+    bad = np.zeros(len(rows), dtype=np.intp)
+    for verdicts, codes in _bank_codes(protocol, bank, messages):
+        code_of = {_verdict_key(v): c for c, v in enumerate(verdicts)}
+        bad += (codes != np.array([code_of.get(key, -1) for key in keys])[wanted]).sum(axis=0)
+    worst = int(np.argmax(bad))
+    return Fraction(int(bad[worst]), bank.m), (xs[rows[worst]], xs[cols[worst]])
+
+
+def _bank_codes(protocol: SmpProtocol, bank: SeedBank, messages):
+    """``Rule.pair_codes`` blocks of the seeds' width-checked messages: one
+    blind rule for every seed, or a seed-reading rule built per seed."""
+    if not protocol.referee_reads_randomness:
+        rule = protocol.rule()
+        yield from rule.pair_codes([list(map(rule.value, sent)) for sent in messages])
+        return
+    for seed, sent in zip(bank.seeds, messages):
         rule = protocol.rule(HashRandomness(seed))
-        fields = [rule.fields(message) for message in messages[s]]
-        for idx, (i, j) in enumerate(pairs):
-            if _verdict_key(rule.decide(fields[i], fields[j])) != expected[idx]:
-                bad[idx] += 1
-    worst_idx = max(range(len(pairs)), key=lambda i: (bad[i], -i))
-    i, j = pairs[worst_idx]
-    return Fraction(bad[worst_idx], bank.m), (xs[i], xs[j])
+        yield from rule.pair_codes([list(map(rule.value, sent))])
 
 
 def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
@@ -369,10 +388,9 @@ def _table_vote(rules: list[Rule], c: int):
     return vote
 
 
-def _scheme_vote(scheme: LabelingScheme):
-    """The scheme's pair decoder, built from its params on first use."""
-    if scheme._vote is not None:
-        return scheme._vote
+def _scheme_rules(scheme: LabelingScheme) -> tuple[list[Rule], int]:
+    """The scheme's rules, one per bank seed, and its message width, from
+    its params."""
     if scheme.decoder != "seed-majority":
         raise InputError(f"unknown decoder {scheme.decoder!r}")
     m, c = _bank_shape(scheme.params, scheme.label_bits)
@@ -390,9 +408,14 @@ def _scheme_vote(scheme: LabelingScheme):
         rules = [cls.rule_from_params(proto_params)] * m
     if rules[0].width != c:
         raise InputError(f"message_bits {c} disagrees with the {rules[0].width}-bit protocol")
-    vote = _table_vote(rules, c)
-    object.__setattr__(scheme, "_vote", vote)
-    return vote
+    return rules, c
+
+
+def _scheme_vote(scheme: LabelingScheme):
+    """The scheme's pair decoder, built from its params on first use."""
+    if scheme._vote is None:
+        object.__setattr__(scheme, "_vote", _table_vote(*_scheme_rules(scheme)))
+    return scheme._vote
 
 
 def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
@@ -411,16 +434,36 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
 
 
 def scheme_mismatches(scheme: LabelingScheme, want):
-    """Every label pair (i, j), i <= j, that decodes other than ``want(i, j)``."""
+    """Every label pair (i, j), i <= j, that decodes other than ``want(i, j)``,
+    in ``triu_pairs`` order.
+
+    Each label is cut into its m messages once, and ``Rule.pair_codes``
+    gives every pair's verdict under every seed, as in ``bank_bad_fraction``.
+    A pair decodes positive on a strict majority of positive verdicts, as
+    in ``decode_labels``.  A label of another width raises ``InputError``.
+    """
     labels = scheme.labels
     for i, label in enumerate(labels):
         if label.length != scheme.label_bits:
             raise InputError(f"label {i} is {label.length} bits, not {scheme.label_bits}")
-    vote = _scheme_vote(scheme)
-    for i, lx in enumerate(labels):
-        for j in range(i, len(labels)):
-            if vote(lx, labels[j]) != want(i, j):
-                yield i, j
+    rules, c = _scheme_rules(scheme)
+    m, mask = len(rules), (1 << c) - 1
+    values = [label.value for label in labels]
+    rows, cols = triu_pairs(len(labels))
+    seed_values = [[value >> shift & mask for value in values]
+                   for shift in range((m - 1) * c, -1, -c)]
+    if all(rule is rules[0] for rule in rules):  # a blind rule: every seed at once
+        seed_codes = rules[0].pair_codes(seed_values)
+    else:
+        seed_codes = (codes for rule, sent in zip(rules, seed_values)
+                      for codes in rule.pair_codes([sent]))
+    positives = np.zeros(len(rows), dtype=np.intp)
+    for verdicts, codes in seed_codes:
+        positives += np.array(list(map(positive_verdict, verdicts)), dtype=bool)[codes].sum(axis=0)
+    decoded = (2 * positives > m).tolist()
+    for i, j, got in zip(rows.tolist(), cols.tolist(), decoded):
+        if got != want(i, j):
+            yield i, j
 
 
 def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,

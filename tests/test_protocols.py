@@ -37,11 +37,19 @@ from smplab.protocols import (
     beyond_verdict,
     distance_verdict,
     universal_sketch_params,
-    verdict_max,
     weak_sketch_params,
 )
+from smplab.protocols import base as protocols_base
 from smplab.protocols.arboricity import color_slots_rule
-from smplab.protocols.base import WIDTH_CAP, SmpProtocol, field_width, fields_of, merge_support
+from smplab.protocols.base import (
+    WIDTH_CAP,
+    AllPairs,
+    SmpProtocol,
+    field_width,
+    fields_of,
+    merge_support,
+    triu_pairs,
+)
 from smplab.protocols.lattice import (
     PLAN_CACHE_SIZE,
     XOR_SIDE_CAP,
@@ -53,20 +61,12 @@ from smplab.protocols.lattice import (
     xor_side_size,
 )
 from smplab.protocols.planar import two_hop_rule
-from smplab.protocols.tree import window_rule
+from smplab.protocols.tree import window_rule, window_widths
 from smplab.rng import HashRandomness, RecordingRandomness, SharedRandomness, TableRandomness
 from smplab.universal import fix_seed
 
 
 class TestVerdicts:
-    def test_max_prefers_reject(self):
-        assert verdict_max(ACCEPT, REJECT) == REJECT
-        assert verdict_max(ACCEPT, ACCEPT) == ACCEPT
-
-    def test_max_prefers_larger_distance(self):
-        assert verdict_max(distance_verdict(1), distance_verdict(3)) == distance_verdict(3)
-        assert verdict_max(distance_verdict(5), beyond_verdict(3)) == beyond_verdict(3)
-
     def test_merge_support_rejects_clashing_cardinalities(self):
         merged = merge_support([(("a",), 4)], [(("a",), 4), (("b",), 2)])
         assert merged == [(("a",), 4), (("b",), 2)]
@@ -565,6 +565,140 @@ class TestBlindRules:
     def test_builders_return_one_rule_per_arguments(self, build, args):
         assert build(*args) is build(*args)
         assert build.cache_info().maxsize is not None
+
+
+def _pack(fields, widths):
+    """Fields packed big-endian into one value, first field highest."""
+    value = 0
+    for field, width in zip(fields, widths):
+        value = value << width | field
+    return value
+
+
+def _loop_verdicts(rule, values):
+    """``decide`` on every ``triu_pairs`` pair of the values: the reference."""
+    fields = [rule.unpack(v) for v in values]
+    rows, cols = triu_pairs(len(values))
+    return [rule.decide(fields[i], fields[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+
+
+def _assert_kernel_is_loop(rule, seed_values):
+    """The all-pairs form, through ``pair_codes`` over every seed at once,
+    gives each seed the verdicts of the ``decide`` loop."""
+    assert rule.all_pairs is not None
+    got = []
+    for verdicts, codes in rule.pair_codes(seed_values):
+        assert len(set(verdicts)) == len(verdicts)
+        got += [[verdicts[c] for c in row] for row in codes.tolist()]
+    assert got == [_loop_verdicts(rule, values) for values in seed_values]
+
+
+def _seed_values(data, message):
+    """One to three seeds' lists of 1 to 20 message values, all as long."""
+    n = data.draw(st.integers(1, 20), label="n")
+    seeds = data.draw(st.integers(1, 3), label="seeds")
+    return [data.draw(st.lists(message, min_size=n, max_size=n)) for _ in range(seeds)]
+
+
+class TestAllPairsKernels:
+    """Each blind rule's all-pairs form against its own ``decide`` loop."""
+
+    @given(data=st.data(), m=st.sampled_from([1, 5, 14, 32, 33, 50, 64]),
+           rounds=st.integers(1, 3), k=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_parity_blocks(self, data, m, rounds, k):
+        rule = parity_blocks_rule(m, rounds, k)
+        # blocks of weight up to k + 2, so pairs fall on both sides of k
+        block = st.sets(st.integers(0, m - 1), max_size=k + 2).map(
+            lambda bits: sum(1 << b for b in bits))
+        message = st.lists(block, min_size=rounds, max_size=rounds).map(
+            lambda blocks: _pack(blocks, [m] * rounds))
+        _assert_kernel_is_loop(rule, _seed_values(data, message))
+
+    @given(data=st.data(), m=st.sampled_from([65, 80]), k=st.integers(0, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_parity_blocks_past_64_bits_loop(self, data, m, k):
+        rule = parity_blocks_rule(m, 1, k)
+        assert rule.all_pairs is None
+        block = st.sets(st.integers(0, m - 1), max_size=k + 2).map(
+            lambda bits: sum(1 << b for b in bits))
+        seed_values = _seed_values(data, block)
+        got = [[verdicts[c] for c in row] for verdicts, codes in rule.pair_codes(seed_values)
+               for row in codes.tolist()]
+        assert got == [_loop_verdicts(rule, values) for values in seed_values]
+
+    @given(data=st.data(), k=st.integers(1, 4), m=st.sampled_from([2, 5, 30]))
+    @settings(max_examples=150, deadline=None)
+    def test_window(self, data, k, m):
+        res_width, color_width = window_widths(k, m)
+        rule = window_rule(k, res_width, color_width)
+        # few colors, so aligned suffixes agree often; residues run past
+        # k - 1, which the rule clamps
+        message = st.builds(
+            lambda band, res, colors: _pack([band, res, *colors],
+                                            [2, res_width] + [color_width] * (2 * k)),
+            st.integers(0, 3), st.integers(0, (1 << res_width) - 1),
+            st.lists(st.sampled_from([0, 1, m]), min_size=2 * k, max_size=2 * k))
+        _assert_kernel_is_loop(rule, _seed_values(data, message))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_window_meets_every_code_on_a_path(self, k):
+        proto = TreeKDistance(path_graph(4 * k + 4), k, Fraction(1, 4))
+        rule = proto.rule()
+        values = [[message.value for message in proto.encode_all(range(4 * k + 4),
+                                                                 HashRandomness(seed))]
+                  for seed in range(3)]
+        _assert_kernel_is_loop(rule, values)
+        (verdicts, codes), = rule.pair_codes(values)
+        assert verdicts == (*map(distance_verdict, range(k + 1)), beyond_verdict(k))
+        assert set(codes.ravel().tolist()) == set(range(k + 2))
+
+    @pytest.mark.parametrize("cells", [1, 7, 40, 1 << 20])
+    def test_any_kernel_call_size_gives_the_loop(self, cells, monkeypatch):
+        # one pair per call, slices of one seed's pairs, seeds batched
+        monkeypatch.setattr(protocols_base, "PAIR_CELLS", cells)
+        proto = TreeKDistance(path_graph(9), 2, Fraction(1, 4))
+        values = [[message.value for message in proto.encode_all(range(9), HashRandomness(seed))]
+                  for seed in range(5)]
+        _assert_kernel_is_loop(proto.rule(), values)
+
+    @given(data=st.data(), slots=st.integers(1, 5), color_width=st.sampled_from([1, 3, 17, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_color_slots(self, data, slots, color_width):
+        rule = color_slots_rule(slots, color_width)
+        top = (1 << color_width) - 1
+        color = st.sampled_from(sorted({min(c, top) for c in (0, 1, 2, top)}))
+        message = st.lists(color, min_size=slots, max_size=slots).map(
+            lambda colors: _pack(colors, [color_width] * slots))
+        _assert_kernel_is_loop(rule, _seed_values(data, message))
+
+    @given(data=st.data(), w1=st.sampled_from([6, 9, 64]), w2=st.sampled_from([6, 9, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_two_hop(self, data, w1, w2):
+        rule = two_hop_rule(w1, w2)
+        widths = [w1] * 13 + [w2] * 18
+        # 31 colors from pools of about 48, so about a quarter of the pairs
+        # meet no pattern; one drawn seed per message keeps the draws cheap
+        pools = [sorted({*range(48), (1 << w) - 1}) for w in widths]
+        message = st.randoms(use_true_random=False).map(
+            lambda rng: _pack([rng.choice(pool) for pool in pools], widths))
+        _assert_kernel_is_loop(rule, _seed_values(data, message))
+
+    @pytest.mark.parametrize("rule", [color_slots_rule(2, 65), two_hop_rule(65, 3)])
+    def test_fields_past_64_bits_loop(self, rule):
+        assert rule.all_pairs is None
+
+    @given(widths=st.lists(st.integers(1, 64), min_size=1, max_size=12), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_table_cuts_like_the_field_cutter(self, widths, data):
+        # fields that straddle 64-bit words included
+        values = data.draw(st.lists(st.integers(0, (1 << sum(widths)) - 1), min_size=1,
+                                    max_size=6))
+        table = AllPairs((), tuple(widths), None).table(values)
+        shift = sum(widths)
+        for width, row in zip(widths, table.tolist()):
+            shift -= width
+            assert row == [v >> shift & ((1 << width) - 1) for v in values]
 
 
 @functools.cache

@@ -2,12 +2,15 @@
 
 import collections
 import copy
+import functools
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import test_golden
@@ -25,7 +28,7 @@ from smplab.graphs import (
     bfs_distance,
     twin_reduction,
 )
-from smplab.lab import generate, label_pipeline
+from smplab.lab import _protocol_for, generate, label_pipeline
 from smplab.lattices import boolean_lattice, lattice_distance
 from smplab.protocols import (
     ACCEPT,
@@ -38,7 +41,11 @@ from smplab.protocols import (
     beyond_verdict,
     distance_verdict,
 )
+from smplab.protocols.arboricity import color_slots_rule
 from smplab.protocols.base import Rule, SmpProtocol
+from smplab.protocols.lattice import parity_blocks_rule
+from smplab.protocols.planar import two_hop_rule
+from smplab.protocols.tree import window_rule
 from smplab.rng import HashRandomness, derive_seed
 from smplab import universal
 from smplab.universal import (
@@ -638,25 +645,48 @@ def exhaustive_bad_fraction(protocol, xs, bank):
     return bad, Fraction(worst, bank.m), pairs[bad.index(worst)]
 
 
+KERNEL_CASES = {"tree": ("tree", 12, 2), "universal": ("hypercube", 3, 1),
+                "sparse": ("arboricity", 10, 1), "planar2": ("planar2", 8, 2)}
+
+
+@functools.cache
+def kernel_case(kind):
+    """(protocol, inputs) of a small label-run instance of one blind sketch
+    with an all-pairs form, built as ``label_pipeline`` builds it."""
+    family, n, k = KERNEL_CASES[kind]
+    payload = generate(family, n, derive_seed(3, "gen", family, n)).payload
+    proto, graph, _, _ = _protocol_for(family, payload, k, Fraction(1, 5), "universal", 8)
+    return proto, list(range(graph.n))
+
+
 class TestBankBadFractionEdges:
     BANK = SeedBank(tuple(range(500, 509)), Fraction(1, 8), Fraction(1, 8))
 
     def test_one_input_universe(self):
+        # the four blind sketches run their all-pairs forms, the others loop
+        kernels = [(proto, xs[3:4]) for proto, xs in map(kernel_case, sorted(KERNEL_CASES))]
         for proto, xs in [(OneBitEquality(), [5]), (EqualitySketch(4, 3), [2]),
                           (TreeKDistance(random_tree(random.Random(1), 1), 1,
-                                         Fraction(1, 4)), [0])]:
+                                         Fraction(1, 4)), [0])] + kernels:
             _, fraction, pair = exhaustive_bad_fraction(proto, xs, self.BANK)
             assert bank_bad_fraction(proto, xs, self.BANK) == (fraction, pair)
             assert pair == (xs[0], xs[0])
+            if (proto, xs) in kernels:
+                scheme = derandomized_labeling(proto, xs, self.BANK)
+                assert decode_labels(scheme, scheme.labels[0], scheme.labels[0])
 
     def test_tie_break(self):
-        # two rounds false-accept about a quarter of the seeds, and four
-        # pairs tie for the worst: the first of them must win
-        proto = EqualitySketch(8, 2)
+        # two rounds false-accept about a quarter of the seeds, and so do
+        # two sketches with all-pairs forms sized to err often; several
+        # pairs tie for the worst, and the first of them must win
         xs = [5, 0, 6, 4, 1, 7, 2, 3]
-        bad, fraction, pair = exhaustive_bad_fraction(proto, xs, self.BANK)
-        assert bad.count(max(bad)) > 1 and max(bad) > 0
-        assert bank_bad_fraction(proto, xs, self.BANK) == (fraction, pair)
+        for proto in [EqualitySketch(8, 2),
+                      UniversalLatticeDistance(boolean_lattice(3), 1, Fraction(1, 4), m=3,
+                                               rounds=1),
+                      TreeKDistance(random_tree(random.Random(3), 8), 2, Fraction(1, 2))]:
+            bad, fraction, pair = exhaustive_bad_fraction(proto, xs, self.BANK)
+            assert bad.count(max(bad)) > 1 and max(bad) > 0
+            assert bank_bad_fraction(proto, xs, self.BANK) == (fraction, pair)
 
 
 class CountingHash(HashRandomness):
@@ -767,6 +797,11 @@ class TestMessageWidthsChecked:
         newman_seed_bank(self.TREE, 8, Fraction(1, 3), Fraction(1, 3), 1)  # undrifted passes
         self._first_attempt_refuses(_one_bit_wider(self.TREE, "encode_all"), monkeypatch)
 
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    def test_all_pairs_bank_drifted_encode_all(self, kind, monkeypatch):
+        proto, _ = kernel_case(kind)
+        self._first_attempt_refuses(_one_bit_wider(proto, "encode_all"), monkeypatch)
+
     @staticmethod
     def _occurring_graph_refuses(proto, method):
         dg = decision_graph(proto, mode="occurring", inputs=8, rnd=5)
@@ -780,6 +815,94 @@ class TestMessageWidthsChecked:
 
     def test_occurring_decision_graph_drifted_encode(self):
         self._occurring_graph_refuses(self.TOY, "encode")
+
+
+class TestAllPairsPath:
+    """The bank check and both verify passes run the rules' all-pairs forms."""
+
+    EPS = Fraction(1, 5)
+
+    def test_blind_rules_state_the_all_pairs_form(self):
+        for rule in [window_rule(3, 2, 5), two_hop_rule(9, 9), color_slots_rule(4, 5),
+                     parity_blocks_rule(64, 2, 1)]:
+            assert rule.all_pairs is not None
+        assert parity_blocks_rule(65, 2, 1).all_pairs is None
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    def test_label_run_makes_no_per_pair_decide(self, kind, monkeypatch):
+        proto, xs = kernel_case(kind)
+        cls = type(proto)
+        build = cls.rule_from_params
+        calls = collections.Counter()
+
+        def counting(params, rnd=None):
+            rule = build(params, rnd)
+
+            def decide(a, b):
+                calls["decide"] += 1
+                return rule.decide(a, b)
+
+            def decide_all(*args):
+                calls["decide_all"] += 1
+                return rule.all_pairs.decide_all(*args)
+
+            return rule._replace(decide=decide,
+                                 all_pairs=rule.all_pairs._replace(decide_all=decide_all))
+
+        monkeypatch.setattr(cls, "rule_from_params",
+                            classmethod(lambda _, params, rnd=None: counting(params, rnd)))
+        bank = newman_seed_bank(proto, xs, self.EPS, self.EPS, 7)
+        scheme = derandomized_labeling(proto, xs, bank)
+        assert calls["decide"] == 0 and calls["decide_all"] >= 2
+        calls.clear()
+        reread = labeling_from_json(labeling_to_json(scheme))
+        assert list(scheme_mismatches(reread, lambda x, y: positive_verdict(
+            proto.expected(xs[x], xs[y])))) == []
+        assert calls["decide"] == 0 and calls["decide_all"] >= 1
+
+    def test_rules_without_the_form_loop_over_decide(self):
+        calls = []
+        rule = bit_rules(2, calls)[1]
+        assert rule.all_pairs is None
+        values = [1, 0, 1]
+        blocks = list(rule.pair_codes([values, values[::-1]]))
+        assert len(blocks) == 2 and len(calls) == 2 * 6
+        verdicts, codes = blocks[0]
+        assert [verdicts[c] for c in codes[0].tolist()] == [
+            rule.decide(values[i], values[j]) for i in range(3) for j in range(i, 3)]
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_verify_pass_is_the_scalar_vote(self, kind, data):
+        # labels mix real messages of three seeds, so per-seed verdicts
+        # split and, at even m, tie; both decoders must agree on every pair
+        proto, xs = kernel_case(kind)
+        pool = [message for seed in range(3)
+                for message in proto.encode_all(xs[:6], HashRandomness(seed))]
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 8), label="n")
+        labels = tuple(concat_all(data.draw(st.lists(st.sampled_from(pool), min_size=m,
+                                                     max_size=m)))
+                       for _ in range(n))
+        params = {"protocol": proto.params(), "bank_m": m, "message_bits": proto.cost_bits}
+        scheme = LabelingScheme("seed-majority", params, m * proto.cost_bits, labels)
+        vote = {(i, j): decode_labels(scheme, labels[i], labels[j])
+                for i in range(n) for j in range(i, n)}
+        assert list(scheme_mismatches(scheme, lambda i, j: vote[i, j])) == []
+        assert list(scheme_mismatches(scheme, lambda i, j: not vote[i, j])) == list(vote)
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    def test_expected_verdict_the_rule_never_returns_is_always_bad(self, kind):
+        proto, xs = kernel_case(kind)
+        odd = copy.copy(proto)
+        # no rule returns distance 99: the pair (2, 5) errs under every seed
+        odd.expected = lambda x, y: (distance_verdict(99) if (x, y) == (xs[2], xs[5])
+                                     else proto.expected(x, y))
+        bank = SeedBank(tuple(range(500, 509)), self.EPS, self.EPS)
+        bad, fraction, pair = exhaustive_bad_fraction(odd, xs, bank)
+        assert (fraction, pair) == (1, (xs[2], xs[5]))
+        assert bank_bad_fraction(odd, xs, bank) == (fraction, pair)
 
 
 class TestHierarchyLengths:
