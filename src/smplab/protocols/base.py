@@ -100,6 +100,18 @@ class AllPairs(NamedTuple):
                                           dtype=">u8").reshape(len(values), words).T
         return ((table[low] >> low_shift | table[high] << high_shift) & masks).astype(dtype)
 
+    def seed_codes(self, table: np.ndarray, n: int, rows, cols) -> np.ndarray:
+        """The codes of the pairs (rows[p], cols[p]), indices into each seed's
+        n values in either order, under every seed of a seed-major ``table``
+        (seed s holds columns s*n to s*n + n - 1), as a (seeds, pairs) array.
+        Each ``decide_all`` call holds at most ``PAIR_CELLS`` fields."""
+        room = max(1, PAIR_CELLS // len(self.widths))  # pairs one call holds
+        offsets = np.arange(0, table.shape[1], n)[:, None]
+        left, right = (offsets + rows).ravel(), (offsets + cols).ravel()
+        codes = np.concatenate([self.decide_all(table, left[at:at + room], right[at:at + room])
+                                for at in range(0, len(left), room)])
+        return codes.reshape(len(offsets), len(rows))
+
 
 class Rule(NamedTuple):
     """A referee stated once, over message values (a seed-reading one for
@@ -156,16 +168,11 @@ class Rule(NamedTuple):
             return
         n = len(seed_values[0])
         rows, cols = triu_pairs(n)
-        room = max(1, PAIR_CELLS // len(form.widths))  # pairs one call holds
-        batch = max(1, room // len(rows))
+        batch = max(1, PAIR_CELLS // len(form.widths) // len(rows))  # seeds one call holds
         for start in range(0, len(seed_values), batch):
             chunk = seed_values[start:start + batch]
             table = form.table([v for values in chunk for v in values])
-            offsets = np.arange(0, len(chunk) * n, n)[:, None]
-            left, right = (offsets + rows).ravel(), (offsets + cols).ravel()
-            codes = np.concatenate([form.decide_all(table, left[at:at + room], right[at:at + room])
-                                    for at in range(0, len(left), room)])
-            yield form.verdicts, codes.reshape(len(chunk), len(rows))
+            yield form.verdicts, form.seed_codes(table, n, rows, cols)
 
     def _loop_codes(self, values: list[int]) -> tuple[tuple[Verdict, ...], np.ndarray]:
         fields = list(map(self.unpack, values))

@@ -20,15 +20,25 @@ Checking cost: the bank check and both verify passes decide every pair
 under every seed through ``Rule.pair_codes``: one numpy kernel call per
 batch of seeds (bounded by ``PAIR_CELLS``) for the four blind rules, and
 the ``decide`` loop for rules without that form (the seed-reading weak
-rule, fields wider than 64 bits).
+rule, fields wider than 64 bits).  The expected verdicts are asked once
+per pair of a label run and kept with the bank's messages, for every bank
+attempt and the verify pass.
 
-Decoding cost: ``decode_labels`` keeps a scalar vote.  A scheme holds one
-rule per bank seed -- the protocol's rule, built once for that seed's draws,
-or the same blind rule m times.  Each label a scheme meets is cut into its
-m per-seed messages and each message is unpacked at most once, so a scheme
-over n vertices costs at most n*m unpacks.  A pair costs m // 2 + 1
-``decide`` calls when those first seeds agree, which settles the vote, and
-m otherwise.  The tables live on the scheme object.
+Decoding cost: a scheme holds one rule per bank seed -- the protocol's
+rule, built once for that seed's draws, or the same blind rule m times.
+When that blind rule has an all-pairs form, ``decode_labels`` decodes the
+scheme's first pair by the scalar vote, and every later pair of two
+scheme labels from the row of its left label: the label against each of
+the scheme's N distinct labels under all m seeds, one kernel pass of N*m
+seed-pairs through ``AllPairs.seed_codes``, bounded by ``PAIR_CELLS``, over
+a seed-major field table cut once.  Rows are kept, so a scheme holds at
+most N rows of N bools, and a pair whose left label has its row is a
+lookup.  The vote decodes every other pair: under a seed-reading rule, a
+rule without the form, or with a label outside the scheme.  It cuts each
+label it meets into its m messages and unpacks each at most once, so a
+scheme over n vertices costs at most n*m unpacks, and a pair costs
+m // 2 + 1 ``decide`` calls when those first seeds agree, which settles
+the vote, and m otherwise.  Tables and rows live on the scheme object.
 """
 
 from __future__ import annotations
@@ -44,7 +54,15 @@ import numpy as np
 from .bits import Bits, concat_all
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
 from .graphs import Graph
-from .protocols.base import WIDTH_CAP, Rule, SmpProtocol, Verdict, as_fraction, triu_pairs
+from .protocols.base import (
+    WIDTH_CAP,
+    AllPairs,
+    Rule,
+    SmpProtocol,
+    Verdict,
+    as_fraction,
+    triu_pairs,
+)
 from .protocols.registry import PROTOCOLS
 from .rng import HashRandomness, SharedRandomness
 
@@ -197,10 +215,11 @@ class SeedBank:
 
     ``worst_bad`` records the largest per-pair fraction of misleading
     seeds observed at verification time (None for hand-built banks).
-    A checked bank keeps, in ``_messages``, the protocol object it was
-    checked against, its inputs and the messages ``encode_all`` gave them
-    under each seed, so labels built from the bank reuse them; the private
-    field takes no part in equality or repr.
+    A checked bank keeps, in ``_messages``, a ``_Kept`` record of the
+    protocol object it was checked against, its inputs, the messages
+    ``encode_all`` gave them under each seed and their expected verdicts,
+    so labels built from the bank reuse them; the private field takes no
+    part in equality or repr.  A bank without seeds raises ``InputError``.
     """
 
     seeds: tuple[int, ...]
@@ -209,24 +228,61 @@ class SeedBank:
     worst_bad: Fraction | None = field(default=None, compare=False)
     _messages: object = field(default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise InputError("a seed bank needs at least one seed")
+
     @property
     def m(self) -> int:
         return len(self.seeds)
 
 
-def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list[Bits]]:
-    """Per bank seed, ``protocol.encode_all`` of the inputs, in order.
+@dataclass
+class _Kept:
+    """What a bank keeps for one protocol object and input list: per seed,
+    the messages, and the expected verdicts as codes into ``keys``, the
+    distinct (kind, value) pairs in first-seen order, one code per
+    ``triu_pairs`` pair.  Each is filled on first need."""
 
-    The messages a bank keeps for this very protocol object and these
-    inputs are returned as they are; otherwise every seed is encoded and
-    the result is kept on the bank.
-    """
+    protocol: SmpProtocol
+    xs: list
+    messages: list[list[Bits]] | None = None
+    keys: list[tuple] | None = None
+    wanted: np.ndarray | None = None
+
+
+def _kept(protocol: SmpProtocol, xs: list, bank: SeedBank) -> _Kept:
+    """The record the bank keeps for this very protocol object and these
+    inputs, made empty and kept on the bank when it keeps none."""
     kept = bank._messages
-    if kept is not None and kept[0] is protocol and kept[1] == xs:
-        return kept[2]
-    messages = [protocol.encode_all(xs, rnd) for rnd in map(HashRandomness, bank.seeds)]
-    object.__setattr__(bank, "_messages", (protocol, xs, messages))
-    return messages
+    if kept is None or kept.protocol is not protocol or kept.xs != xs:
+        kept = _Kept(protocol, xs)
+        object.__setattr__(bank, "_messages", kept)
+    return kept
+
+
+def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list[Bits]]:
+    """Per bank seed, ``protocol.encode_all`` of the inputs, in order: the
+    messages the bank keeps for them, else every seed encoded and kept."""
+    kept = _kept(protocol, xs, bank)
+    if kept.messages is None:
+        kept.messages = [protocol.encode_all(xs, rnd) for rnd in map(HashRandomness, bank.seeds)]
+    return kept.messages
+
+
+def _expected_codes(protocol: SmpProtocol, xs: list, bank: SeedBank):
+    """(keys, wanted) of the ``_Kept`` record: ``protocol.expected`` runs on
+    each pair once per protocol object and input list, however many banks
+    are checked and labels built."""
+    kept = _kept(protocol, xs, bank)
+    if kept.wanted is None:
+        keys = {}
+        rows, cols = triu_pairs(len(xs))
+        kept.wanted = np.array([keys.setdefault(_verdict_key(protocol.expected(xs[i], xs[j])),
+                                                len(keys))
+                                for i, j in zip(rows.tolist(), cols.tolist())], dtype=np.intp)
+        kept.keys = list(keys)
+    return kept.keys, kept.wanted
 
 
 def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
@@ -238,16 +294,17 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     all-pairs kernel over many seeds per call, else the ``decide`` loop.  A
     verdict is bad when its (kind, value) differs from the expected one's,
     so an expected verdict the rule never returns is bad under every seed.
-    The messages come from ``_seed_messages``, so the bank keeps them for
-    the labeling, and pass ``Rule.value``, so an encoder that drifts from
-    its rule raises ``InputError``.
+    The messages and expected verdicts come from the bank's ``_Kept``
+    record, so the labeling reuses them, and the messages pass
+    ``Rule.value``, so an encoder that drifts from its rule raises
+    ``InputError``.  No inputs raise ``InputError``.
     """
     xs = _input_list(inputs)
+    if not xs:
+        raise InputError("need at least one input")
     rows, cols = triu_pairs(len(xs))
     messages = _seed_messages(protocol, xs, bank)
-    keys = {}  # distinct expected (kind, value) -> its index, in first-seen order
-    wanted = np.array([keys.setdefault(_verdict_key(protocol.expected(xs[i], xs[j])), len(keys))
-                       for i, j in zip(rows.tolist(), cols.tolist())], dtype=np.intp)
+    keys, wanted = _expected_codes(protocol, xs, bank)
     bad = np.zeros(len(rows), dtype=np.intp)
     for verdicts, codes in _bank_codes(protocol, bank, messages):
         code_of = {_verdict_key(v): c for c, v in enumerate(verdicts)}
@@ -275,9 +332,10 @@ def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
     The returned bank satisfies, for every input pair, that at most an
     eps+delta fraction of its seeds make the referee err -- checked
     exhaustively, not assumed.  Each attempt is one ``bank_bad_fraction``
-    call, and the returned bank keeps the messages its check encoded, so
-    ``derandomized_labeling`` over the same protocol and inputs encodes
-    nothing again.
+    call.  The expected verdicts of the first attempt's check carry over to
+    the later attempts, and the returned bank keeps the messages its check
+    encoded, so ``derandomized_labeling`` over the same protocol and inputs
+    encodes nothing again and asks ``expected`` nothing.
     """
     eps = as_fraction(eps)
     delta = as_fraction(delta)
@@ -286,11 +344,15 @@ def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
     if isinstance(rng, int):
         rng = random.Random(rng)
     bound = eps + delta
-    worst, pair = None, None
+    worst, pair, kept = None, None, None
     for _ in range(retries):
         seeds = tuple(rng.getrandbits(63) for _ in range(m))
         bank = SeedBank(seeds, eps, delta)
+        if kept is not None:  # the new seeds' messages are encoded anew
+            kept = _Kept(protocol, xs, keys=kept.keys, wanted=kept.wanted)
+            object.__setattr__(bank, "_messages", kept)
         worst, pair = bank_bad_fraction(protocol, xs, bank)
+        kept = bank._messages
         if worst <= bound:
             verified = SeedBank(seeds, eps, delta, worst)
             object.__setattr__(verified, "_messages", bank._messages)
@@ -308,10 +370,14 @@ def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
 class LabelingScheme:
     """Per-vertex labels plus the named rule that decodes a pair of them.
 
-    Treat a scheme as read-only: ``decode_labels`` keeps the decoder it
-    builds on first use, with its per-label tables, in ``_vote``, a private
-    field that lives and dies with this object and takes no part in
-    equality.
+    Treat a scheme as read-only: ``decode_labels`` keeps what it builds in
+    two private fields that live and die with this object and take no part
+    in equality.  ``_vote`` holds the scalar vote, built on the first pair,
+    with its per-label tables.  ``_rows`` holds, for a blind rule with an
+    all-pairs form, the ``_LabelRows`` that decode every later pair of two
+    scheme labels: the seed-major field table of the scheme's distinct
+    labels and, per label met on the left, its row of verdicts against
+    them all, so a scheme of N labels keeps at most N rows of N bools.
     """
 
     decoder: str
@@ -319,6 +385,7 @@ class LabelingScheme:
     label_bits: int
     labels: tuple[Bits, ...]
     _vote: object = field(default=None, init=False, compare=False, repr=False)
+    _rows: object = field(default=None, init=False, compare=False, repr=False)
 
 
 def _bank_shape(params, label_bits: int) -> tuple[int, int]:
@@ -411,26 +478,108 @@ def _scheme_rules(scheme: LabelingScheme) -> tuple[list[Rule], int]:
     return rules, c
 
 
-def _scheme_vote(scheme: LabelingScheme):
-    """The scheme's pair decoder, built from its params on first use."""
+def _blind_form(rules: list[Rule]):
+    """The all-pairs form of a scheme's rules when they are one blind rule
+    stating it, else None."""
+    if all(rule is rules[0] for rule in rules):
+        return rules[0].all_pairs
+    return None
+
+
+def _positive_seeds(blocks, pairs: int) -> np.ndarray:
+    """Per pair, how many seeds decide it positive, summed over
+    (verdicts, codes) blocks whose ``codes[s, p]`` is pair p's code under
+    seed s."""
+    positives = np.zeros(pairs, dtype=np.intp)
+    for verdicts, codes in blocks:
+        positives += np.array(list(map(positive_verdict, verdicts)), dtype=bool)[codes].sum(axis=0)
+    return positives
+
+
+def _seed_values(values: list[int], m: int, c: int) -> list[list[int]]:
+    """Per seed, the c-bit messages that label values of m messages hold."""
+    mask = (1 << c) - 1
+    return [[value >> shift & mask for value in values] for shift in range((m - 1) * c, -1, -c)]
+
+
+class _LabelRows:
+    """Decoded verdicts between a scheme's labels, one row per left label.
+
+    The first row cuts the scheme's distinct label values into a
+    seed-major field table of the rule's all-pairs form, kept for every
+    later row.  The row of value x is the verdict of x against every
+    distinct value under all m seeds, one ``AllPairs.seed_codes`` pass of
+    N*m pairs, bounded by ``PAIR_CELLS``, decoded by strict majority as the
+    vote decodes; it is kept, so each later pair with x on the left is a
+    lookup.
+    """
+
+    def __init__(self, labels, form: AllPairs, m: int, c: int):
+        self.labels, self.form, self.m, self.c = labels, form, m, c
+        self.column = None  # distinct label value -> its column, in first-seen order
+        self.table = None
+        self.rows = {}  # column -> its row, a bool per column
+
+    def decode(self, x: int, y: int) -> bool | None:
+        """The decoded verdict on label values x and y, or None when either is
+        not a scheme label."""
+        if self.column is None:  # made on first use: hashing every label is not free
+            self.column = {}
+            for label in self.labels:
+                self.column.setdefault(label.value, len(self.column))
+        i, j = self.column.get(x), self.column.get(y)
+        if i is None or j is None:
+            return None
+        row = self.rows.get(i)
+        if row is None:
+            row = self.rows[i] = self._row(i)
+        return row[j]
+
+    def _row(self, i: int) -> list[bool]:
+        n = len(self.column)
+        if self.table is None:
+            seed_values = _seed_values(list(self.column), self.m, self.c)
+            self.table = self.form.table([v for sent in seed_values for v in sent])
+        codes = self.form.seed_codes(self.table, n, np.full(n, i), np.arange(n))
+        positives = _positive_seeds([(self.form.verdicts, codes)], n)
+        return (2 * positives > self.m).tolist()
+
+
+def _scheme_decoder(scheme: LabelingScheme):
+    """The scheme's vote and ``_LabelRows`` (None when its rules have no
+    all-pairs form), built from its params on first use.  The first call
+    returns no rows, so a scheme asked one pair builds no table."""
     if scheme._vote is None:
-        object.__setattr__(scheme, "_vote", _table_vote(*_scheme_rules(scheme)))
-    return scheme._vote
+        rules, c = _scheme_rules(scheme)
+        object.__setattr__(scheme, "_vote", _table_vote(rules, c))
+        form = _blind_form(rules)
+        if form is not None:
+            object.__setattr__(scheme, "_rows", _LabelRows(scheme.labels, form, len(rules), c))
+        return scheme._vote, None
+    return scheme._vote, scheme._rows
 
 
 def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
     """Majority vote of the per-seed referee verdicts on two labels.
 
     Pure and symmetric; a strict majority of positive verdicts decodes to
-    True, everything else (ties included) to False.  A pair whose first
-    m // 2 + 1 seeds agree is settled there, at about m/2 decisions.
+    True, everything else (ties included) to False.  A blind rule with an
+    all-pairs form decodes every pair of two scheme labels but the
+    scheme's first from the left label's row (``_LabelRows``); any other
+    pair goes through the vote (``_table_vote``), where a pair whose first
+    m // 2 + 1 seeds agree is settled at about m/2 decisions.
     """
     if lx.length != scheme.label_bits or ly.length != scheme.label_bits:
         raise InputError(
             f"labels must be {scheme.label_bits} bits, "
             f"got {lx.length} and {ly.length}"
         )
-    return _scheme_vote(scheme)(lx, ly)
+    vote, rows = _scheme_decoder(scheme)
+    if rows is not None:
+        verdict = rows.decode(lx.value, ly.value)
+        if verdict is not None:
+            return verdict
+    return vote(lx, ly)
 
 
 def scheme_mismatches(scheme: LabelingScheme, want):
@@ -439,28 +588,24 @@ def scheme_mismatches(scheme: LabelingScheme, want):
 
     Each label is cut into its m messages once, and ``Rule.pair_codes``
     gives every pair's verdict under every seed, as in ``bank_bad_fraction``.
-    A pair decodes positive on a strict majority of positive verdicts, as
-    in ``decode_labels``.  A label of another width raises ``InputError``.
+    A pair decodes positive on a strict majority of positive verdicts,
+    counted by ``_positive_seeds`` as in ``decode_labels``' rows.  A label
+    of another width raises ``InputError``.
     """
     labels = scheme.labels
     for i, label in enumerate(labels):
         if label.length != scheme.label_bits:
             raise InputError(f"label {i} is {label.length} bits, not {scheme.label_bits}")
     rules, c = _scheme_rules(scheme)
-    m, mask = len(rules), (1 << c) - 1
-    values = [label.value for label in labels]
+    m = len(rules)
     rows, cols = triu_pairs(len(labels))
-    seed_values = [[value >> shift & mask for value in values]
-                   for shift in range((m - 1) * c, -1, -c)]
-    if all(rule is rules[0] for rule in rules):  # a blind rule: every seed at once
+    seed_values = _seed_values([label.value for label in labels], m, c)
+    if _blind_form(rules) is not None:  # every seed at once
         seed_codes = rules[0].pair_codes(seed_values)
     else:
         seed_codes = (codes for rule, sent in zip(rules, seed_values)
                       for codes in rule.pair_codes([sent]))
-    positives = np.zeros(len(rows), dtype=np.intp)
-    for verdicts, codes in seed_codes:
-        positives += np.array(list(map(positive_verdict, verdicts)), dtype=bool)[codes].sum(axis=0)
-    decoded = (2 * positives > m).tolist()
+    decoded = (2 * _positive_seeds(seed_codes, len(rows)) > m).tolist()
     for i, j, got in zip(rows.tolist(), cols.tolist(), decoded):
         if got != want(i, j):
             yield i, j
@@ -474,9 +619,9 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
     most an eps+delta < 1/2 fraction of bad seeds per pair, the correct
     verdict always holds a strict majority, so the decoded predicate has
     zero errors -- which is checked on every pair before returning.  The
-    per-seed messages are the ones the bank kept from its check when it was
-    checked against this protocol object and these inputs, and are encoded
-    here otherwise.
+    per-seed messages and expected verdicts are the ones the bank kept
+    from its check when it was checked against this protocol object and
+    these inputs, and are made here otherwise.
     """
     if _labelable_class(protocol.params()) is None:
         raise PreconditionError(f"protocol {protocol.name!r} is not registered with a "
@@ -497,8 +642,12 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
     if protocol.referee_reads_randomness:
         params["seeds"] = list(bank.seeds)
     scheme = LabelingScheme("seed-majority", params, bank.m * c, labels)
-    for i, j in scheme_mismatches(
-            scheme, lambda a, b: positive_verdict(protocol.expected(xs[a], xs[b]))):
+    keys, wanted = _expected_codes(protocol, xs, bank)
+    near = np.zeros((len(xs), len(xs)), dtype=bool)
+    near[triu_pairs(len(xs))] = np.array([positive_verdict(Verdict(*key)) for key in keys],
+                                         dtype=bool)[wanted]
+    near = near.tolist()
+    for i, j in scheme_mismatches(scheme, lambda a, b: near[a][b]):
         raise VerificationError(
             f"pair ({xs[i]}, {xs[j]}) decodes wrongly; the seed bank is insufficient"
         )

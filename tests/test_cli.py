@@ -20,7 +20,15 @@ from smplab.gadgets import ALLGRAPHS_SOURCE_CAP, INTERVAL_ORDER_CAP
 from smplab.lab import FAMILIES, generate, instance_to_json
 from smplab.lattices import boolean_lattice
 from smplab.protocols import WeakLatticeDistance
-from smplab.universal import derandomized_labeling, labeling_to_json, newman_seed_bank
+from smplab.bits import Bits
+from smplab.universal import (
+    _scheme_rules,
+    _table_vote,
+    derandomized_labeling,
+    labeling_from_json,
+    labeling_to_json,
+    newman_seed_bank,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 1 << 30  # bytes a capped child process may map
@@ -232,6 +240,23 @@ class TestLabelDecode:
 
     def test_decode_validates_hex(self, scheme_dir):
         assert run("decode", "--scheme", scheme_dir, "--x", "zz", "--y", "00") == 2
+
+    def test_decode_prints_the_scalar_vote(self, scheme_dir, capsys):
+        # two scheme labels, and a scheme label against a stranger either way round
+        doc = json.loads(next(scheme_dir.glob("labels-*.json")).read_text())
+        scheme = labeling_from_json(doc)
+        vote = _table_vote(*_scheme_rules(scheme))
+        bits = scheme.label_bits
+        own = list(scheme.labels[:3])
+        stranger = Bits((1 << bits) - 1 - own[0].value, bits)
+        assert stranger not in scheme.labels
+        for lx, ly in [(own[0], own[1]), (own[2], own[1]), (own[0], stranger),
+                       (stranger, own[2])]:
+            assert run("decode", "--scheme", scheme_dir, "--x", lx.to_hex(),
+                       "--y", ly.to_hex()) == 0
+            assert capsys.readouterr().out.strip() == ("accept" if vote(lx, ly) else "reject")
+        wide = "f" * (bits // 4 + 2)
+        assert run("decode", "--scheme", scheme_dir, "--x", wide, "--y", doc["labels"][0]) == 2
 
     @pytest.mark.parametrize("damage", [
         lambda doc: doc.update(params=[1, 2]),

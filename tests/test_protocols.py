@@ -575,22 +575,34 @@ def _pack(fields, widths):
     return value
 
 
-def _loop_verdicts(rule, values):
-    """``decide`` on every ``triu_pairs`` pair of the values: the reference."""
+def _loop_verdicts(rule, values, reverse=False):
+    """``decide`` on every ``triu_pairs`` pair (i, j) of the values, or on
+    (j, i) when ``reverse``: the reference."""
     fields = [rule.unpack(v) for v in values]
     rows, cols = triu_pairs(len(values))
+    if reverse:
+        rows, cols = cols, rows
     return [rule.decide(fields[i], fields[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def _assert_kernel_is_loop(rule, seed_values):
     """The all-pairs form, through ``pair_codes`` over every seed at once,
-    gives each seed the verdicts of the ``decide`` loop."""
-    assert rule.all_pairs is not None
+    gives each seed the verdicts of the ``decide`` loop; through
+    ``seed_codes`` on the reversed pairs (j, i), whose left column comes
+    after the right one, it gives the loop's verdicts on those."""
+    form = rule.all_pairs
+    assert form is not None
     got = []
     for verdicts, codes in rule.pair_codes(seed_values):
         assert len(set(verdicts)) == len(verdicts)
         got += [[verdicts[c] for c in row] for row in codes.tolist()]
     assert got == [_loop_verdicts(rule, values) for values in seed_values]
+    n = len(seed_values[0])
+    rows, cols = triu_pairs(n)
+    table = form.table([v for values in seed_values for v in values])
+    codes = form.seed_codes(table, n, cols, rows)
+    assert [[form.verdicts[c] for c in row] for row in codes.tolist()] == [
+        _loop_verdicts(rule, values, reverse=True) for values in seed_values]
 
 
 def _seed_values(data, message):

@@ -243,6 +243,15 @@ class TestNewmanBank:
         b = newman_seed_bank(proto, 4, Fraction(1, 3), Fraction(1, 4), 123)
         assert a.seeds == b.seeds
 
+    def test_empty_inputs_raise_input_error(self):
+        bank = SeedBank((1, 2, 3), Fraction(1, 8), Fraction(1, 8))
+        with pytest.raises(InputError, match="at least one input"):
+            bank_bad_fraction(OneBitEquality(), [], bank)
+
+    def test_empty_bank_raises_input_error(self):
+        with pytest.raises(InputError, match="at least one seed"):
+            SeedBank((), Fraction(1, 8), Fraction(1, 8))
+
     def test_hopeless_protocol_exhausts_retries(self):
         class AlwaysWrong(OneBitEquality):
             def expected(self, x, y):
@@ -540,6 +549,7 @@ class TestSettledVote:
                 want = oracles.seed_vote_slices(referee, bank.m, proto.cost_bits,
                                                 bank.seeds, lx, ly)
                 assert decode_labels(scheme, lx, ly) == want
+        assert scheme._vote is not None and scheme._rows is None  # a rule per seed: the vote
 
     def test_mismatches_check_every_label_width(self):
         _, _, _, scheme = TestDerandomizedLabeling().tree_scheme()
@@ -591,6 +601,33 @@ class TestSharedEncodes:
         assert len(attempts) >= 1 and attempts[-1] == bank.seeds
         assert proto.encodes == len(attempts) * bank.m * 16
         assert scheme.labels == fresh_labels(proto, range(16), bank.seeds)
+
+    def test_label_run_asks_expected_once_per_pair(self, monkeypatch):
+        # the first attempt is refused whatever it finds, so a second one
+        # runs; both attempts and the verify pass share one set of verdicts
+        attempts = []
+        checked = universal.bank_bad_fraction
+
+        def first_refused(protocol, inputs, bank):
+            attempts.append(bank.seeds)
+            worst, pair = checked(protocol, inputs, bank)
+            return (Fraction(1), pair) if len(attempts) == 1 else (worst, pair)
+
+        monkeypatch.setattr(universal, "bank_bad_fraction", first_refused)
+        calls = collections.Counter()
+
+        class CountingExpected(TreeKDistance):
+            def expected(self, x, y):
+                calls[x, y] += 1
+                return super().expected(x, y)
+
+        proto = CountingExpected(random_tree(random.Random(5), 16), 2, self.EPS)
+        bank = newman_seed_bank(proto, 16, self.EPS, self.EPS, 77)
+        scheme = derandomized_labeling(proto, 16, bank)
+        assert len(attempts) == 2 and attempts[0] != attempts[1] == bank.seeds
+        assert calls == {(x, y): 1 for x in range(16) for y in range(x, 16)}
+        assert scheme == derandomized_labeling(TreeKDistance(proto.tree, 2, self.EPS), 16,
+                                               SeedBank(bank.seeds, self.EPS, self.EPS))
 
     def test_verified_and_hand_built_banks_give_equal_schemes(self):
         proto = TreeKDistance(random_tree(random.Random(5), 16), 2, self.EPS)
@@ -817,6 +854,37 @@ class TestMessageWidthsChecked:
         self._occurring_graph_refuses(self.TOY, "encode")
 
 
+def count_rule_calls(cls, monkeypatch) -> collections.Counter:
+    """Make ``cls.rule_from_params`` build rules that count, in the returned
+    counter, their ``decide`` and ``decide_all`` calls."""
+    build = cls.rule_from_params
+    calls = collections.Counter()
+
+    def counting(params, rnd=None):
+        rule = build(params, rnd)
+
+        def decide(a, b):
+            calls["decide"] += 1
+            return rule.decide(a, b)
+
+        def decide_all(*args):
+            calls["decide_all"] += 1
+            return rule.all_pairs.decide_all(*args)
+
+        return rule._replace(decide=decide,
+                             all_pairs=rule.all_pairs._replace(decide_all=decide_all))
+
+    monkeypatch.setattr(cls, "rule_from_params",
+                        classmethod(lambda _, params, rnd=None: counting(params, rnd)))
+    return calls
+
+
+def mixed_scheme(proto, m, labels):
+    """A scheme of the protocol's params over ``labels``, each m messages."""
+    params = {"protocol": proto.params(), "bank_m": m, "message_bits": proto.cost_bits}
+    return LabelingScheme("seed-majority", params, m * proto.cost_bits, tuple(labels))
+
+
 class TestAllPairsPath:
     """The bank check and both verify passes run the rules' all-pairs forms."""
 
@@ -831,26 +899,7 @@ class TestAllPairsPath:
     @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
     def test_label_run_makes_no_per_pair_decide(self, kind, monkeypatch):
         proto, xs = kernel_case(kind)
-        cls = type(proto)
-        build = cls.rule_from_params
-        calls = collections.Counter()
-
-        def counting(params, rnd=None):
-            rule = build(params, rnd)
-
-            def decide(a, b):
-                calls["decide"] += 1
-                return rule.decide(a, b)
-
-            def decide_all(*args):
-                calls["decide_all"] += 1
-                return rule.all_pairs.decide_all(*args)
-
-            return rule._replace(decide=decide,
-                                 all_pairs=rule.all_pairs._replace(decide_all=decide_all))
-
-        monkeypatch.setattr(cls, "rule_from_params",
-                            classmethod(lambda _, params, rnd=None: counting(params, rnd)))
+        calls = count_rule_calls(type(proto), monkeypatch)
         bank = newman_seed_bank(proto, xs, self.EPS, self.EPS, 7)
         scheme = derandomized_labeling(proto, xs, bank)
         assert calls["decide"] == 0 and calls["decide_all"] >= 2
@@ -885,8 +934,7 @@ class TestAllPairsPath:
         labels = tuple(concat_all(data.draw(st.lists(st.sampled_from(pool), min_size=m,
                                                      max_size=m)))
                        for _ in range(n))
-        params = {"protocol": proto.params(), "bank_m": m, "message_bits": proto.cost_bits}
-        scheme = LabelingScheme("seed-majority", params, m * proto.cost_bits, labels)
+        scheme = mixed_scheme(proto, m, labels)
         vote = {(i, j): decode_labels(scheme, labels[i], labels[j])
                 for i in range(n) for j in range(i, n)}
         assert list(scheme_mismatches(scheme, lambda i, j: vote[i, j])) == []
@@ -903,6 +951,73 @@ class TestAllPairsPath:
         bad, fraction, pair = exhaustive_bad_fraction(odd, xs, bank)
         assert (fraction, pair) == (1, (xs[2], xs[5]))
         assert bank_bad_fraction(odd, xs, bank) == (fraction, pair)
+
+
+class TestRowDecode:
+    """A blind rule with an all-pairs form decodes pairs of scheme labels
+    from kept rows, and every pair as the settled scalar vote does."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_the_scalar_vote(self, kind, data):
+        # labels mix real messages of three seeds, so per-seed verdicts
+        # split and, at even m, tie; some label values repeat, and
+        # strangers meet the scheme's labels on either side
+        proto, xs = kernel_case(kind)
+        pool = [message for seed in range(3)
+                for message in proto.encode_all(xs[:6], HashRandomness(seed))]
+        m = data.draw(st.integers(1, 6), label="m")
+        label = st.lists(st.sampled_from(pool), min_size=m, max_size=m).map(concat_all)
+        own = data.draw(st.lists(label, max_size=6), label="own")
+        if own:
+            own += data.draw(st.lists(st.sampled_from(own), max_size=3), label="repeats")
+        strangers = [lx for lx in data.draw(st.lists(label, max_size=2), label="strangers")
+                     if lx not in own]
+        scheme = mixed_scheme(proto, m, own)
+        vote = _table_vote(*universal._scheme_rules(scheme))
+        everyone = own + strangers
+        for lx in everyone:
+            for ly in everyone:
+                assert decode_labels(scheme, lx, ly) == vote(lx, ly)
+        if everyone:  # every distinct scheme label met on the left after the first pair
+            assert len(scheme._rows.rows) == (len(set(own)) if len(own) > 1 else 0)
+
+    def test_empty_scheme_decodes_strangers_by_the_vote(self):
+        proto, xs = kernel_case("tree")
+        scheme = mixed_scheme(proto, 3, [])
+        vote = _table_vote(*universal._scheme_rules(scheme))
+        strangers = fresh_labels(proto, xs[:4], range(3))
+        for lx in strangers:
+            for ly in strangers:
+                assert decode_labels(scheme, lx, ly) == vote(lx, ly)
+        assert scheme._rows.rows == {}
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    def test_scheme_pairs_make_no_per_pair_decide(self, kind, monkeypatch):
+        # the scheme's first pair takes the vote; every later pair of its
+        # own labels reads a row, one kernel call per distinct left label
+        proto, xs = kernel_case(kind)
+        eps = Fraction(1, 5)
+        scheme = labeling_from_json(labeling_to_json(derandomized_labeling(
+            proto, xs, newman_seed_bank(proto, xs, eps, eps, 7))))
+        calls = count_rule_calls(type(proto), monkeypatch)
+        labels = scheme.labels
+        assert decode_labels(scheme, labels[0], labels[0])
+        assert calls["decide"] > 0 and calls["decide_all"] == 0
+        calls.clear()
+        got = [decode_labels(scheme, lx, ly) for lx in labels for ly in labels]
+        assert calls["decide"] == 0 and calls["decide_all"] == len(set(labels))
+        assert got == [positive_verdict(proto.expected(x, y)) for x in xs for y in xs]
+
+    def test_wrong_width_raises_before_anything_is_built(self):
+        proto, xs = kernel_case("tree")
+        scheme = mixed_scheme(proto, 3, fresh_labels(proto, xs, range(3)))
+        label, bits = scheme.labels[0], scheme.label_bits
+        for lx, ly in [(Bits(0, bits - 1), label), (label, Bits(0, bits + 1))]:
+            with pytest.raises(InputError, match="labels must be"):
+                decode_labels(scheme, lx, ly)
+        assert scheme._vote is None and scheme._rows is None
 
 
 class TestHierarchyLengths:
