@@ -60,6 +60,16 @@ REPORT_CASES = {
     "experiment-hypercube-weak-k3-q33.json": {"family": "hypercube", "n_range": [5], "k": 3,
                                               "eps": [1, 40], "model": "weak", "trials": 20,
                                               "master_seed": MASTER},
+    # blind rules over every pair, each near stratum holding more pairs than
+    # trials: the strata search, each stratum's decide and its equal-input
+    # trials (the distance-0 stratum)
+    "experiment-tree-n60-all.json": {"family": "tree", "n_range": [60], "k": 2, "eps": [1, 4],
+                                     "trials": 36, "master_seed": MASTER},
+    "experiment-planar2-n40-all.json": {"family": "planar2", "n_range": [40], "eps": [1, 4],
+                                        "trials": 30, "master_seed": MASTER},
+    "experiment-arboricity-n60-all.json": {"family": "arboricity", "n_range": [60],
+                                           "eps": [1, 4], "trials": 48,
+                                           "master_seed": MASTER},
 }
 
 
