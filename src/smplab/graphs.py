@@ -188,14 +188,16 @@ def bfs_distance(G: Graph, x: int, y: int):
     return inf
 
 
-def all_pairs_distances(G: Graph) -> np.ndarray:
+def all_pairs_distances(G: Graph, within: int | None = None) -> np.ndarray:
     """All-pairs hop distances as a float matrix (np.inf when unreachable).
 
-    Backed by scipy's compiled BFS; bfs_distance stays the pure-Python
-    reference so the two can cross-check each other.
+    With ``within``, the search stops at that distance: pairs farther apart
+    read np.inf too, and the search costs what the near pairs do.  Backed by
+    scipy's compiled search; bfs_distance stays the pure-Python reference
+    so the two can cross-check each other.
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.csgraph import dijkstra
 
     edges = G.edges()
     n = G.n
@@ -205,14 +207,15 @@ def all_pairs_distances(G: Graph) -> np.ndarray:
         m = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     else:
         m = csr_matrix((n, n))
-    return shortest_path(m, method="D", unweighted=True, directed=False)
+    return dijkstra(m, directed=False, unweighted=True,
+                    limit=np.inf if within is None else within)
 
 
 def k_closure(G: Graph, k: int) -> Graph:
     """The graph with an edge wherever 0 < dist <= k, all self-loops."""
     if k < 1:
         raise InputError("closure radius must be >= 1")
-    d = all_pairs_distances(G)
+    d = all_pairs_distances(G, within=k)
     iu, iv = np.nonzero(np.triu(d <= k, 1))
     return Graph(G.n, list(zip(iu.tolist(), iv.tolist())), loops="all")
 

@@ -7,11 +7,13 @@ Three moving parts, all deterministic given a master seed:
   ``(family, n, seed)`` and serializable for the command line tools.
 * ``run_experiment`` -- Monte-Carlo error tables.  Pairs are stratified by
   an *independent* BFS oracle on the instance (never by the protocol's own
-  bookkeeping), each stratum gets the configured number of trials, and
-  every trial's randomness is derived from the master seed by labeled
-  hashing, so rows are independent jobs and reruns are byte-identical.
-  Trials run through ``SmpProtocol.run_trials``; expected verdicts come
-  from the BFS oracle alone.
+  bookkeeping), cut off at the distance threshold, each stratum gets the
+  configured number of trials, and every trial's randomness is derived
+  from the master seed by labeled hashing (one ``derive_seeds`` prefix per
+  stratum), so rows are independent jobs and reruns are byte-identical.
+  A stratum's trials run through ``SmpProtocol.run_trials``, batched into
+  one kernel call per chunk for a blind rule with an all-pairs form; the
+  verdict they expect is the stratum's, from the BFS oracle alone.
 * ``label_pipeline`` -- shared-randomness removal: draw and verify a seed
   bank, concatenate per-seed messages into vertex labels, write the scheme
   to disk, read it back, and re-check every pair through the public decoder
@@ -47,6 +49,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +108,7 @@ from .protocols.base import (
     REJECT,
 )
 from .protocols.hashing import BUDGET_CAP
-from .rng import HashRandomness, derive_seed
+from .rng import HashRandomness, derive_seed, derive_seeds
 from .universal import (
     WIDTH_CAP,
     derandomized_labeling,
@@ -394,10 +397,11 @@ def _protocol_for(family, payload, k, eps, model, budget_bits):
     return wired
 
 
-def _expected_verdict(mode, d, k):
-    if mode == "tree":
-        return distance_verdict(d) if d <= k else beyond_verdict(k)
-    return ACCEPT if d is not None and d <= k else REJECT
+def _stratum_verdict(mode, label, threshold):
+    """The verdict every pair of a stratum expects, from its label alone."""
+    if label == "beyond":
+        return beyond_verdict(threshold) if mode == "tree" else REJECT
+    return distance_verdict(int(label)) if mode == "tree" else ACCEPT
 
 
 def _stratum_labels(threshold):
@@ -405,10 +409,13 @@ def _stratum_labels(threshold):
 
 
 def _strata_pools(oracle_graph, threshold, mode, policy_count, rng):
-    """Pairs bucketed by BFS distance: label -> index arrays (xs, ys, ds).
+    """Pairs bucketed by BFS distance: label -> index arrays (xs, ys).
 
-    Each pool holds pairs x <= y in (x, y) order, with ds their distance,
-    or -1 where y is unreachable from x (only ever in "beyond").
+    Each pool holds pairs x <= y in (x, y) order.  Stratum ``str(d)`` holds
+    the pairs at distance d <= threshold, and "beyond" every other pair,
+    unreachable ones included, so over every pair the search stops at the
+    threshold.  Tree mode refuses a disconnected oracle graph: over every
+    pair by one BFS, over a sample when a sampled pair is unreachable.
     """
     N = oracle_graph.n
     if policy_count is None:
@@ -417,8 +424,10 @@ def _strata_pools(oracle_graph, threshold, mode, policy_count, rng):
                 f"universe of {N} is too large for pair_policy 'all' "
                 f"(cap {ALL_PAIRS_CAP}); use 'sampled:N'"
             )
+        if mode == "tree" and inf in bfs_from(oracle_graph, 0):
+            raise PreconditionError("tree-mode strata need a connected oracle graph")
         xs, ys = np.triu_indices(N)
-        dist = all_pairs_distances(oracle_graph)[xs, ys]
+        dist = all_pairs_distances(oracle_graph, within=threshold)[xs, ys]
     else:
         seen = set()
         for _ in range(policy_count):
@@ -435,13 +444,11 @@ def _strata_pools(oracle_graph, threshold, mode, policy_count, rng):
         xs = np.array([x for x, _ in pairs], dtype=np.intp)
         ys = np.array([y for _, y in pairs], dtype=np.intp)
         dist = np.array([rows[x][y] for x, y in pairs], dtype=float)
-    unreachable = np.isinf(dist)
-    if mode == "tree" and unreachable.any():
-        raise PreconditionError("tree-mode strata need a connected oracle graph")
-    ds = np.where(unreachable, -1, dist).astype(np.int64)
-    masks = {str(d): ds == d for d in range(threshold + 1)}
-    masks["beyond"] = unreachable | (ds > threshold)
-    return {label: (xs[mask], ys[mask], ds[mask]) for label, mask in masks.items()}
+        if mode == "tree" and np.isinf(dist).any():
+            raise PreconditionError("tree-mode strata need a connected oracle graph")
+    masks = {str(d): dist == d for d in range(threshold + 1)}
+    masks["beyond"] = dist > threshold
+    return {label: (xs[mask], ys[mask]) for label, mask in masks.items()}
 
 
 # -- experiment runs ---------------------------------------------------------
@@ -491,8 +498,9 @@ def _row(cfg, n, proto_name, stratum, **kw):
 
 def _run_stratum(cfg, proto, pool, label, n, mode, threshold):
     """One report row: ``cfg.trials`` trials through ``proto.run_trials``, trial
-    t on pair ``t % size`` under the seed derived for t; expected verdicts come
-    from the pool's BFS distance alone."""
+    t on pair ``t % size`` under ``derive_seed(master, "trial", family, n,
+    label, t)``, every seed from one ``derive_seeds`` prefix.  Every pair of
+    the stratum expects the verdict its label names."""
     one_sided_clean = proto.one_sided and label != "beyond"
     bound = Fraction(0) if one_sided_clean else (
         proto.error_bound if isinstance(proto, HashedAdjacency) else cfg.eps
@@ -502,25 +510,18 @@ def _run_stratum(cfg, proto, pool, label, n, mode, threshold):
         return _row(cfg, n, proto.name, label,
                     formula_bits=str(proto.cost_bits), bound=str(bound))
     reads = min(cfg.trials, size)
-    xs, ys, ds = (a[:reads].tolist() for a in pool)
-    wants = [_expected_verdict(mode, d if d >= 0 else None, threshold) for d in ds]
-    rnds = (HashRandomness(derive_seed(cfg.master_seed, "trial", cfg.family, n, label, t))
-            for t in range(cfg.trials))
-    verdicts = proto.run_trials(itertools.cycle(zip(xs, ys)), rnds)
-    errors = 0
-    violations = 0
-    for verdict, want in zip(verdicts, itertools.cycle(wants)):
-        if verdict != want:
-            errors += 1
-            if positive_verdict(want):
-                violations += 1
+    xs, ys = (a[:reads].tolist() for a in pool)
+    want = _stratum_verdict(mode, label, threshold)
+    seeds = derive_seeds(cfg.master_seed, ("trial", cfg.family, n, label), cfg.trials)
+    verdicts = proto.run_trials(itertools.cycle(zip(xs, ys)), map(HashRandomness, seeds))
+    errors = sum(verdict != want for verdict in verdicts)
     return _row(
         cfg, n, proto.name, label,
         pairs=size,
         trials=cfg.trials,
         errors=errors,
         error_rate=str(Fraction(errors, cfg.trials)),
-        violations=violations,
+        violations=errors if positive_verdict(want) else 0,
         mean_bits=str(proto.cost_bits),
         formula_bits=str(proto.cost_bits),
         bound=str(bound),
@@ -565,7 +566,7 @@ def label_pipeline(family, n, k, eps, out_dir, master_seed=0, delta=None) -> dic
     Draws the instance, runs the seed-bank construction against the
     family's sketch, writes the labeling as canonical JSON, reads the file
     back, and decodes **every** pair through the public decoder, comparing
-    with one all-pairs BFS.  Universes above ``ALL_PAIRS_CAP`` are refused
+    with one all-pairs BFS cut off at the threshold.  Universes above ``ALL_PAIRS_CAP`` are refused
     before a bank is drawn.  Returns a small report; any decoding mismatch
     counts in ``decode_errors`` (the bank construction itself would have
     raised long before, so nonzero means file corruption).
@@ -592,7 +593,7 @@ def label_pipeline(family, n, k, eps, out_dir, master_seed=0, delta=None) -> dic
     path.write_text(json.dumps(labeling_to_json(scheme), sort_keys=True, indent=2) + "\n")
 
     reread = labeling_from_json(json.loads(path.read_text()))
-    near = (all_pairs_distances(oracle_graph) <= threshold).tolist()
+    near = (all_pairs_distances(oracle_graph, within=threshold) <= threshold).tolist()
     decode_errors = sum(1 for _ in scheme_mismatches(reread, lambda x, y: near[x][y]))
 
     log2n = max(1, (oracle_graph.n - 1).bit_length())

@@ -15,9 +15,10 @@ messages alone, which is what lets the messages double as vertex labels in a
 fixed decision structure); others read the shared randomness
 (``referee_reads_randomness = True``) and are built per seed.
 
-``run_trials`` is the one trial loop; ``exact_error`` runs it over every
-draw assignment, so small instances get exact rational error probabilities
-rather than estimates.
+``run_trials`` is the one trial loop, which decides chunks of trials in one
+all-pairs kernel call where the rule is blind and states the form;
+``exact_error`` runs it over every draw assignment, so small instances get
+exact rational error probabilities rather than estimates.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ WIDTH_CAP = 1 << 20  # widest message or label, in bits, built from outside inpu
 # are a few ints, so a run meets only a handful of distinct rules
 RULE_CACHE_SIZE = 64
 PAIR_CELLS = 1 << 20  # fields times message pairs one all-pairs kernel call holds
+TRIAL_CHUNK = 512  # trials one batched ``run_trials`` kernel call decides at most
 
 
 @dataclass(frozen=True)
@@ -338,12 +340,33 @@ class SmpProtocol:
         return TrialResult(x, y, ma, mb, self.referee(ma, mb, rnd), self.expected(x, y))
 
     def run_trials(self, pairs, rnds):
-        """The verdicts ``run`` gives the trials ``zip(pairs, rnds)``, lazily, by the
-        ``Rule``: built once, or once per rnd for a referee that reads the draws."""
+        """The verdicts ``run`` gives the trials ``zip(pairs, rnds)``, lazily.
+
+        A trial of equal inputs encodes once and sends that message twice.  A
+        blind rule with an all-pairs form decides a chunk of at most
+        ``TRIAL_CHUNK`` trials, and at most ``PAIR_CELLS`` fields, in one
+        kernel call on the width-checked message values, so memory and
+        read-ahead stay one chunk whatever the trial count.  Other rules
+        decide each trial through the ``Rule``, built once, or once per rnd
+        for a referee that reads the draws; that loop is the reference.
+        """
         blind = None if self.referee_reads_randomness else self.rule()
-        for (x, y), rnd in zip(pairs, rnds):
-            ma, mb = self.encode(x, rnd), self.encode(y, rnd)
-            yield (blind or self.rule(rnd))(ma, mb)
+        form = None if blind is None else blind.all_pairs
+        trials = zip(pairs, rnds)
+        if form is None:
+            for (x, y), rnd in trials:
+                ma = self.encode(x, rnd)
+                yield (blind or self.rule(rnd))(ma, ma if x == y else self.encode(y, rnd))
+            return
+        encode, value = self.encode, blind.value
+        chunk = max(1, min(TRIAL_CHUNK, PAIR_CELLS // (2 * len(form.widths))))
+        while batch := list(itertools.islice(trials, chunk)):
+            values = []
+            for (x, y), rnd in batch:
+                va = value(encode(x, rnd))
+                values += (va, va if x == y else value(encode(y, rnd)))
+            codes = form.seed_codes(form.table(values), 2, [0], [1])
+            yield from map(form.verdicts.__getitem__, codes[:, 0].tolist())
 
     def _errors(self, x: int, y: int, rnds) -> int:
         """How many trials of the pair (x, y), one per rnd, miss its expected verdict."""

@@ -21,6 +21,10 @@ module-level tables.  These are shortcuts to the same digests: the stream is
 unchanged, ``integers`` returns exactly the ``integer`` loop's values, and
 ``tests/test_rng.py`` pins both with known-answer vectors.
 
+``derive_seed`` derives a stream seed from a master seed and a label path
+by the same keyed hash; ``derive_seeds`` derives the seeds of one path
+prefix followed by 0, 1, 2, ..., canonicalizing the prefix once.
+
 ``TableRandomness`` replaces the hash with an explicit assignment of values
 to labels; exhaustive error computations enumerate all assignments of the
 labels a protocol declares it may touch.  ``RecordingRandomness`` answers 0
@@ -224,6 +228,28 @@ def derive_seed(master: int, *parts) -> int:
     key = int(master).to_bytes(16, "big", signed=True)
     digest = hashlib.blake2b(_canon(tuple(parts)), key=key, digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
+
+
+def derive_seeds(master: int, prefix: tuple, count: int):
+    """``derive_seed(master, *prefix, t)`` for t in range(count), lazily.
+
+    The prefix is canonicalized and the keyed state fed its bytes once, up
+    front (so a bad part raises here); each seed hashes a copy of that state
+    fed only ``repr(t)`` and the closing bracket.
+    """
+    prefix = tuple(prefix)
+    head = _canon(prefix)[:-1] + (b"," if prefix else b"")
+    state = hashlib.blake2b(head, key=int(master).to_bytes(16, "big", signed=True),
+                            digest_size=8)
+
+    def seeds():
+        copy, from_bytes = state.copy, int.from_bytes
+        for t in range(count):
+            h = copy()
+            h.update(b"%d)" % t)
+            yield from_bytes(h.digest(), "big") >> 1
+
+    return seeds()
 
 
 def support_size(support: list[tuple]) -> int:

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -13,7 +14,7 @@ from smplab.bits import Bits
 from smplab.errors import CapacityError, InputError, PreconditionError
 from smplab.gadgets import GadgetInstance, IntervalGtInstance
 from smplab.generators import random_tree
-from smplab.graphs import Graph, bfs_distance
+from smplab.graphs import Graph, all_pairs_distances, bfs_distance
 from smplab.lab import (
     _protocol_for,
     _strata_pools,
@@ -279,11 +280,21 @@ class TestRunExperiment:
         assert (tmp_path / "r.csv").read_text().startswith("family,")
 
 
-def _pool_tuples(pools):
-    """Index-array pools as (x, y, d) lists, d None where unreachable."""
-    return {label: [(x, y, None if d < 0 else d)
-                    for x, y, d in zip(*(a.tolist() for a in arrays))]
-            for label, arrays in pools.items()}
+def _pool_pairs(pools):
+    """Index-array pools as (x, y) lists."""
+    return {label: list(zip(*(a.tolist() for a in arrays))) for label, arrays in pools.items()}
+
+
+def _assert_pools_match(got, want):
+    """Each stratum's (x, y) list, order included, is the tuple reference's;
+    the reference's d column of a near stratum is the stratum's label, which
+    is all a pool row needs of it."""
+    assert _pool_pairs(got) == {label: [(x, y) for x, y, _ in pool]
+                                for label, pool in want.items()}
+    assert all(d == int(label) for label, pool in want.items() if label != "beyond"
+               for _, _, d in pool)
+    assert all(type(v) is int for pool in _pool_pairs(got).values() for pair in pool
+               for v in pair)
 
 
 class TestStrataPools:
@@ -297,22 +308,36 @@ class TestStrataPools:
             # sparse graphs are often disconnected, dense ones rarely
             graph = oracles.random_graph(rng, n, p=rng.choice([0.05, 0.15, 0.5]))
             threshold = rng.randint(1, 3)
-            got = _pool_tuples(_strata_pools(graph, threshold, "accept", policy,
-                                             random.Random(case)))
+            got = _strata_pools(graph, threshold, "accept", policy, random.Random(case))
             want = oracles.strata_pools_tuples(graph, threshold, "accept", threshold,
                                                policy, random.Random(case))
-            assert got == want
-            assert all(type(v) is int for pool in got.values()
-                       for x, y, d in pool for v in (x, y, d) if v is not None)
+            _assert_pools_match(got, want)
 
     @pytest.mark.parametrize("policy", [None, 30])
     def test_tree_mode_pools_match_the_tuple_reference(self, policy):
         for seed in range(10):
             tree = random_tree(random.Random(seed), 3 + 2 * seed)
-            got = _pool_tuples(_strata_pools(tree, 2, "tree", policy, random.Random(seed)))
+            got = _strata_pools(tree, 2, "tree", policy, random.Random(seed))
             want = oracles.strata_pools_tuples(tree, 2, "tree", 2, policy,
                                                random.Random(seed))
-            assert got == want
+            _assert_pools_match(got, want)
+
+    def test_cut_off_search_equals_the_full_one(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(1, 30)
+            graph = oracles.random_graph(rng, n, p=rng.choice([0.03, 0.1, 0.3]))
+            threshold = rng.randint(0, 4)
+            full = all_pairs_distances(graph)
+            assert np.array_equal(all_pairs_distances(graph, within=threshold),
+                                  np.where(full <= threshold, full, np.inf))
+            xs, ys = np.triu_indices(n)
+            d = full[xs, ys]
+            masks = {str(t): d == t for t in range(threshold + 1)}
+            masks["beyond"] = d > threshold
+            want = {label: (xs[mask], ys[mask]) for label, mask in masks.items()}
+            assert _pool_pairs(_strata_pools(graph, threshold, "accept", None, None)) == \
+                _pool_pairs(want)
 
     @pytest.mark.parametrize("policy", [None, 50])
     def test_tree_mode_refuses_a_disconnected_graph(self, policy):

@@ -1,5 +1,6 @@
 """Known-answer vectors for the draw stream, the label-bytes memo's edges, and
-``integers`` pinned to the ``integer`` loop it batches.
+``integers`` pinned to the ``integer`` loop it batches, and ``derive_seeds``
+to the ``derive_seed`` loop.
 
 The expected values pin the stream that label files and reports depend on:
 weak-lattice label files store bank seeds and are decoded by re-drawing
@@ -21,6 +22,7 @@ from smplab.rng import (
     SharedRandomness,
     TableRandomness,
     derive_seed,
+    derive_seeds,
     indexed_draws,
 )
 
@@ -387,3 +389,35 @@ class TestRecordingRandomness:
             r.integer(("c", 3), 6)
         with pytest.raises(InputError):
             r.integer(("c", 4), 0)
+
+
+def derive_seed_loop(master, prefix, count):
+    return [derive_seed(master, *prefix, t) for t in range(count)]
+
+
+class TestDeriveSeeds:
+    """``derive_seeds`` is the ``derive_seed`` loop over a last part t."""
+
+    @pytest.mark.parametrize("master", [0, -1, -(2**70), 2**62, 2**100])
+    @pytest.mark.parametrize("prefix", [("trial", "tree", 400, "beyond"), (), (7,),
+                                        ("a,b", "it's", "(x", ("nest", 1)), (",", "'", "(")])
+    def test_equals_the_loop(self, master, prefix):
+        assert list(derive_seeds(master, prefix, 40)) == derive_seed_loop(master, prefix, 40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_known_answer(self, seed):
+        assert LABELS[0] == ("s", 0)
+        assert list(derive_seeds(seed, ("s",), 1)) == DERIVED[seed][:1]
+
+    def test_true_is_not_one(self):
+        assert list(derive_seeds(5, ("s", True), 3)) == derive_seed_loop(5, ("s", True), 3)
+        assert list(derive_seeds(5, ("s", True), 3)) != list(derive_seeds(5, ("s", 1), 3))
+
+    def test_count_zero_and_lazy(self):
+        assert list(derive_seeds(3, ("t",), 0)) == []
+        seeds = derive_seeds(3, ("t",), 10**18)  # lazy: nothing is drawn up front
+        assert [next(seeds), next(seeds)] == derive_seed_loop(3, ("t",), 2)
+
+    def test_bad_part_raises_up_front(self):
+        with pytest.raises(InputError):
+            derive_seeds(0, ("s", 1.0), 3)

@@ -1,15 +1,19 @@
 """The trial engine: exact and Monte-Carlo error values pinned per protocol,
-and ``run_trials`` against ``run`` on every experiment family.
+and ``run_trials`` against ``run`` on every experiment family, its batched
+all-pairs path included.
 
 The values were computed by the per-trial ``run`` loop, so any change to how
 trials are encoded, decided or seeded shows up here as a changed fraction.
 """
 
+import copy
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from smplab.bits import Bits
+from smplab.errors import InputError
 from smplab.generators import path_graph
 from smplab.lab import FAMILIES, _protocol_for, generate
 from smplab.lattices import boolean_lattice
@@ -20,6 +24,7 @@ from smplab.protocols import (
     UniversalLatticeDistance,
     WeakLatticeDistance,
 )
+from smplab.protocols import base
 from smplab.rng import HashRandomness
 from smplab.universal import fix_seed
 
@@ -113,3 +118,46 @@ def test_run_trials_is_lazy():
     trials = proto.run_trials(itertools.repeat((0, 3)), rnds)
     assert list(itertools.islice(trials, 3)) == [proto.run(0, 3, HashRandomness(s)).verdict
                                                  for s in range(3)]
+
+
+# families whose rule is blind and states an all-pairs form under "universal"
+BLIND_FAMILIES = ("distributive", "hypercube", "tree", "arboricity", "planar2",
+                  "gadget:arboricity2")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("family,n,k", [c for c in FAMILY_CASES if c[0] in BLIND_FAMILIES])
+def test_batched_run_trials_are_run_verdicts(family, n, k, chunk, monkeypatch):
+    monkeypatch.setattr(base, "TRIAL_CHUNK", chunk)
+    proto, graph, _, _ = _protocol_for(family, generate(family, n, 3).payload, k,
+                                       F(3, 4), "universal", budget_bits=8)
+    assert not proto.referee_reads_randomness and proto.rule().all_pairs is not None
+    ys = range(0, graph.n, 1 + graph.n // 24)  # spread over the universe
+    # every third trial on equal inputs; a short last chunk for chunks 2 and 3
+    pairs = [(x, x) if i % 3 == 0 else (x, y)
+             for i, (x, y) in enumerate(itertools.product(range(min(graph.n, 8)), ys))]
+    pairs = pairs[:6 * (len(pairs) // 6) - 1]
+    rnds = [HashRandomness(3000 + i) for i in range(len(pairs))]
+    verdicts = list(proto.run_trials(pairs, rnds))
+    assert verdicts == [proto.run(x, y, rnd).verdict for (x, y), rnd in zip(pairs, rnds)]
+    assert len(set(verdicts)) > 1
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (2, 0), (2, 2)])
+def test_batched_run_trials_refuse_a_drifting_encoder(pair):
+    proto = _protocol("tree")
+    assert proto.rule().all_pairs is not None
+    drifted = copy.copy(proto)
+    drifted.encode = lambda v, rnd: proto.encode(v, rnd).concat(Bits(0, v == 2))
+    pairs = [(0, 1), pair, (1, 3)]
+    with pytest.raises(InputError):
+        list(drifted.run_trials(pairs, map(HashRandomness, range(3))))
+
+
+def test_batched_run_trials_are_lazy():
+    proto = _protocol("tree")
+    assert proto.rule().all_pairs is not None
+    trials = proto.run_trials(itertools.cycle([(0, 2), (1, 1)]),
+                              map(HashRandomness, itertools.count()))
+    assert list(itertools.islice(trials, 3)) == [
+        proto.run(x, y, HashRandomness(s)).verdict for s, (x, y) in enumerate([(0, 2), (1, 1), (0, 2)])]
