@@ -566,10 +566,11 @@ def label_pipeline(family, n, k, eps, out_dir, master_seed=0, delta=None) -> dic
     Draws the instance, runs the seed-bank construction against the
     family's sketch, writes the labeling as canonical JSON, reads the file
     back, and decodes **every** pair through the public decoder, comparing
-    with one all-pairs BFS cut off at the threshold.  Universes above ``ALL_PAIRS_CAP`` are refused
-    before a bank is drawn.  Returns a small report; any decoding mismatch
-    counts in ``decode_errors`` (the bank construction itself would have
-    raised long before, so nonzero means file corruption).
+    with one all-pairs BFS cut off at the threshold.  Universes above
+    ``ALL_PAIRS_CAP`` are refused before a bank is drawn.  Returns a small
+    report; any decoding mismatch counts in ``decode_errors`` (the bank
+    construction itself would have raised long before, so nonzero means
+    file corruption).
     """
     if family not in LABEL_FAMILIES:
         raise InputError(f"no labeling pipeline for {family!r}; choose from {LABEL_FAMILIES}")

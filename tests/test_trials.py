@@ -157,7 +157,7 @@ def test_batched_run_trials_refuse_a_drifting_encoder(pair):
 def test_batched_run_trials_are_lazy():
     proto = _protocol("tree")
     assert proto.rule().all_pairs is not None
-    trials = proto.run_trials(itertools.cycle([(0, 2), (1, 1)]),
-                              map(HashRandomness, itertools.count()))
+    cycle = [(0, 2), (1, 1)]
+    trials = proto.run_trials(itertools.cycle(cycle), map(HashRandomness, itertools.count()))
     assert list(itertools.islice(trials, 3)) == [
-        proto.run(x, y, HashRandomness(s)).verdict for s, (x, y) in enumerate([(0, 2), (1, 1), (0, 2)])]
+        proto.run(x, y, HashRandomness(s)).verdict for s, (x, y) in enumerate(cycle + cycle[:1])]
