@@ -6,8 +6,8 @@ The package splits into layers:
   ``generators``;
 * randomized sketches over them: ``protocols`` (lattice distance, tree
   distance, sparse adjacency, planar distance-2, budgeted hashing);
-* model plumbing: ``universal`` (decision graphs, seed banks,
-  derandomized labelings) and ``rng``;
+* model plumbing: ``universal`` (seed banks, derandomized labelings)
+  and ``rng``;
 * hardness reductions: ``gadgets``;
 * experiment drivers: ``lab`` and the ``smplab`` command line.
 """
@@ -25,7 +25,6 @@ from .gadgets import (
     all_graphs_instance,
     interval_gt_instance,
     modular_gadget,
-    subspace_ambient,
     verify_gadget,
 )
 from .generators import (
@@ -72,7 +71,6 @@ from .protocols import (
 )
 from .rng import HashRandomness, derive_seed
 from .universal import (
-    decision_graph,
     decode_labels,
     derandomized_labeling,
     newman_seed_bank,
@@ -109,7 +107,6 @@ __all__ = [
     "build_lattice",
     "classify",
     "cover_graph",
-    "decision_graph",
     "decode_labels",
     "degeneracy",
     "derandomized_labeling",
@@ -129,7 +126,6 @@ __all__ = [
     "schnyder_wood",
     "split_graph",
     "stacked_triangulation",
-    "subspace_ambient",
     "twin_reduction",
     "union_of_two_trees",
     "validate_embedding",

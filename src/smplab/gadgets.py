@@ -173,11 +173,6 @@ class _Ambient:
 _AMBIENTS: dict[int, _Ambient] = {}
 
 
-def subspace_ambient(d: int = SUBSPACE_DIMENSION) -> Lattice:
-    """The (cached) full subspace lattice of F_2^d."""
-    return _ambient(d).lattice
-
-
 def _ambient(d):
     if d not in _AMBIENTS:
         _AMBIENTS[d] = _Ambient(d)

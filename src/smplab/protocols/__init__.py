@@ -15,18 +15,15 @@ from .lattice import (
     UniversalLatticeDistance,
     WeakLatticeDistance,
     universal_sketch_params,
-    weak_sketch_params,
 )
 from .planar import PlanarTwoDistance
 from .registry import PROTOCOLS
-from .toy import EqualitySketch
 from .tree import TreeKDistance
 
 __all__ = [
     "ACCEPT",
     "REJECT",
     "ArboricityAdjacency",
-    "EqualitySketch",
     "HashedAdjacency",
     "PROTOCOLS",
     "PlanarTwoDistance",
@@ -39,5 +36,4 @@ __all__ = [
     "beyond_verdict",
     "distance_verdict",
     "universal_sketch_params",
-    "weak_sketch_params",
 ]

@@ -135,15 +135,12 @@ class Rule(NamedTuple):
     all_pairs: AllPairs | None = None
 
     def fields(self, message: Bits):
-        """``unpack`` of one message, after checking its width; a message of
-        another width raises ``InputError``."""
-        if message.length != self.width:
-            raise InputError(f"messages must be {self.width} bits, got {message.length}")
-        return self.unpack(message.value)
+        """``unpack`` of one message's width-checked ``value``."""
+        return self.unpack(self.value(message))
 
     def value(self, message: Bits) -> int:
-        """A message's value, after the width check of ``fields`` (which keeps
-        its own copy of the check: every trial calls it twice)."""
+        """A message's value, after checking its width; a message of another
+        width raises ``InputError``."""
         if message.length != self.width:
             raise InputError(f"messages must be {self.width} bits, got {message.length}")
         return message.value

@@ -21,7 +21,7 @@ a small-set-difference problem, solved two ways:
 * ``UniversalLatticeDistance`` sends, per round, the parity vector of its
   hashed set occupancy.  The referee accepts iff every round's XOR has
   weight at most k - a fixed rule of the two messages alone, which is what
-  makes the messages reusable as vertex labels of a fixed decision graph.
+  makes the messages reusable as vertex labels that one rule decodes.
 """
 
 from __future__ import annotations
@@ -92,12 +92,6 @@ def weak_sketch_width(m: int, k: int, eps) -> int:
 def weak_bucket_count(k: int, eps) -> int:
     """Bucket count m of the weak-referee sketch."""
     return math.ceil((k + 2) ** 2 / as_fraction(eps))
-
-
-def weak_sketch_params(k: int, eps) -> tuple[int, int]:
-    """Bucket count m and message width q for the weak-referee sketch."""
-    m = weak_bucket_count(k, eps)
-    return m, weak_sketch_width(m, k, eps)
 
 
 def universal_sketch_params(k: int, eps) -> tuple[int, int]:

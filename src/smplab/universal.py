@@ -1,16 +1,11 @@
-"""Decision graphs, seed banks, and derandomized vertex labelings.
+"""Seed banks and derandomized vertex labelings.
 
-A blind referee is a fixed function of two messages, so its accept set is
-a graph: vertices are messages, edges the accepted pairs.  Running a
-protocol then *is* mapping inputs into that fixed graph -- encoders become
-vertex maps, per-pair correctness becomes faithfulness of the map, and
-message length becomes the log of the graph's size.  ``decision_graph``
-materializes that graph.
-
-The derandomization half: sample a bank of seeds, verify per input pair
-that only a small fraction of seeds mislead the referee, then concatenate
-the per-seed messages into one label per vertex and decode by majority
-vote.  Each seed's messages come from one ``encode_all`` call over the
+A blind referee is a fixed function of two messages.  Fix the shared
+randomness to a bank of seeds and a protocol becomes a labeling: sample a
+bank, verify per input pair that only a small fraction of seeds mislead
+the referee, then concatenate the per-seed messages into one label per
+vertex and decode a pair of labels by majority vote of the per-seed
+verdicts.  Each seed's messages come from one ``encode_all`` call over the
 whole universe, which draws each label once per seed, and the bank keeps
 them for the labels, so a label run encodes each seed once.  After
 verification the scheme is deterministic and exact -- zero errors on its
@@ -43,6 +38,7 @@ the vote, and m otherwise.  Tables and rows live on the scheme object.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -53,7 +49,6 @@ import numpy as np
 
 from .bits import Bits, concat_all
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
-from .graphs import Graph
 from .protocols.base import (
     WIDTH_CAP,
     AllPairs,
@@ -64,16 +59,15 @@ from .protocols.base import (
     triu_pairs,
 )
 from .protocols.registry import PROTOCOLS
-from .rng import HashRandomness, SharedRandomness
-
-BRUTE_MESSAGE_CAP = 16  # widest message space decision_graph will enumerate
+from .rng import HashRandomness
 
 
 _verdict_key = operator.attrgetter("kind", "value")  # what Verdict equality compares
 
 
 def positive_verdict(v: Verdict) -> bool:
-    """Collapse a verdict to the boolean the decision graph records."""
+    """Collapse a verdict to the boolean a labeling decodes: accept, or a
+    distance within the threshold."""
     return v.kind in ("accept", "distance")
 
 
@@ -81,121 +75,6 @@ def _input_list(inputs) -> list[int]:
     if isinstance(inputs, int):
         return list(range(inputs))
     return list(inputs)
-
-
-def _as_randomness(rnd) -> SharedRandomness:
-    if isinstance(rnd, SharedRandomness):
-        return rnd
-    if isinstance(rnd, int):
-        return HashRandomness(rnd)
-    raise InputError("need an integer seed or a SharedRandomness instance")
-
-
-# -- decision graphs -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecisionGraph:
-    """A referee's accept set, materialized over a message space.
-
-    Vertex i stands for the message value ``messages[i]``; in all-messages
-    mode that is just i itself.
-    """
-
-    graph: Graph
-    message_bits: int
-    messages: tuple[int, ...]
-    mode: str
-
-    def message(self, vertex: int) -> Bits:
-        return Bits(self.messages[vertex], self.message_bits)
-
-
-def decision_graph(protocol: SmpProtocol, mode: str = "all",
-                   cap: int = BRUTE_MESSAGE_CAP, inputs=None,
-                   rnd=None) -> DecisionGraph:
-    """Materialize the referee as a graph over messages.
-
-    ``mode="all"`` enumerates every c-bit message (c capped at ``cap``);
-    ``mode="occurring"`` restricts to the messages the given inputs produce
-    under the given randomness, which has no width cap.  Every message goes
-    through ``Rule.fields``, so one of the wrong width raises ``InputError``.
-    The referee must be blind (fix a seed first for the seed-reading kind).
-    """
-    if protocol.referee_reads_randomness:
-        raise InputError(
-            "the referee reads the shared randomness; pin a seed with "
-            "fix_seed (or build the per-seed family) first"
-        )
-    c = protocol.cost_bits
-    if mode == "all":
-        if c > cap:
-            raise CapacityError(f"{c}-bit message space exceeds the {cap}-bit cap")
-        sent = [Bits(a, c) for a in range(1 << c)]
-    elif mode == "occurring":
-        if inputs is None:
-            raise InputError("occurring-messages mode needs the input list")
-        source = _as_randomness(rnd)
-        sent = sorted(set(protocol.encode_all(_input_list(inputs), source)),
-                      key=operator.attrgetter("value"))
-    else:
-        raise InputError(f"unknown decision-graph mode {mode!r}")
-    rule = protocol.rule()
-    fields = [rule.fields(message) for message in sent]
-    messages = tuple(message.value for message in sent)
-    edges = []
-    loops = []
-    for i, fa in enumerate(fields):
-        if positive_verdict(rule.decide(fa, fa)):
-            loops.append(i)
-        for j in range(i + 1, len(fields)):
-            forward = positive_verdict(rule.decide(fa, fields[j]))
-            if forward != positive_verdict(rule.decide(fields[j], fa)):
-                raise VerificationError(
-                    f"referee disagrees with itself on messages {messages[i]}, {messages[j]}"
-                )
-            if forward:
-                edges.append((i, j))
-    return DecisionGraph(Graph(len(messages), edges, loops=loops), c, messages, mode)
-
-
-class FixedSeedProtocol(SmpProtocol):
-    """A seed-reading protocol with the shared randomness pinned.
-
-    Encoding and refereeing both use the stored seed, so the referee
-    becomes a fixed function of the messages and the protocol as a whole
-    is deterministic (its draw support is empty).
-    """
-
-    def __init__(self, inner: SmpProtocol, seed: int):
-        self.inner = inner
-        self.seed = seed
-        self._rnd = HashRandomness(seed)
-        self.name = f"{inner.name}-seed{seed}"
-        self.one_sided = inner.one_sided
-
-    def params(self):
-        return {"inner": self.inner.params(), "seed": self.seed}
-
-    @property
-    def cost_bits(self):
-        return self.inner.cost_bits
-
-    def encode(self, v, rnd=None):
-        return self.inner.encode(v, self._rnd)
-
-    def encode_all(self, vs, rnd=None):
-        return self.inner.encode_all(vs, self._rnd)
-
-    def rule(self, rnd=None):
-        return self.inner.rule(self._rnd)
-
-    def expected(self, x, y):
-        return self.inner.expected(x, y)
-
-
-def fix_seed(protocol: SmpProtocol, seed: int) -> FixedSeedProtocol:
-    return FixedSeedProtocol(protocol, seed)
 
 
 # -- seed banks -------------------------------------------------------------
@@ -314,15 +193,28 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
 
 
 def _bank_codes(protocol: SmpProtocol, bank: SeedBank, messages):
-    """``Rule.pair_codes`` blocks of the seeds' width-checked messages: one
-    blind rule for every seed, or a seed-reading rule built per seed."""
-    if not protocol.referee_reads_randomness:
-        rule = protocol.rule()
-        yield from rule.pair_codes([list(map(rule.value, sent)) for sent in messages])
-        return
-    for seed, sent in zip(bank.seeds, messages):
-        rule = protocol.rule(HashRandomness(seed))
-        yield from rule.pair_codes([list(map(rule.value, sent))])
+    """``_pair_code_blocks`` of the seeds' width-checked messages: one blind
+    rule for every seed, or a seed-reading rule per seed, each built when
+    its seed comes up.  A protocol's rules share its width, so the first
+    rule checks every message."""
+    if protocol.referee_reads_randomness:
+        later = map(protocol.rule, map(HashRandomness, bank.seeds))
+        rule = next(later)
+        rules = itertools.chain([rule], later)
+    else:
+        rules = rule = protocol.rule()
+    return _pair_code_blocks(rules, [list(map(rule.value, sent)) for sent in messages])
+
+
+def _pair_code_blocks(rules, seed_values):
+    """``Rule.pair_codes`` blocks of ``seed_values``, a list of message values
+    per seed, in seed order.  ``rules`` is one blind rule, which decides
+    every seed in one call, or an iterable of per-seed rules, read one at a
+    time, each deciding its own seed in a call of its own."""
+    if isinstance(rules, Rule):
+        return rules.pair_codes(seed_values)
+    return (block for rule, values in zip(rules, seed_values)
+            for block in rule.pair_codes([values]))
 
 
 def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
@@ -478,12 +370,10 @@ def _scheme_rules(scheme: LabelingScheme) -> tuple[list[Rule], int]:
     return rules, c
 
 
-def _blind_form(rules: list[Rule]):
-    """The all-pairs form of a scheme's rules when they are one blind rule
-    stating it, else None."""
-    if all(rule is rules[0] for rule in rules):
-        return rules[0].all_pairs
-    return None
+def _blind_rule(rules: list[Rule]) -> Rule | None:
+    """The one rule a scheme's rules all are, when they are one blind rule,
+    else None."""
+    return rules[0] if all(rule is rules[0] for rule in rules) else None
 
 
 def _positive_seeds(blocks, pairs: int) -> np.ndarray:
@@ -552,7 +442,8 @@ def _scheme_decoder(scheme: LabelingScheme):
     if scheme._vote is None:
         rules, c = _scheme_rules(scheme)
         object.__setattr__(scheme, "_vote", _table_vote(rules, c))
-        form = _blind_form(rules)
+        blind = _blind_rule(rules)
+        form = None if blind is None else blind.all_pairs
         if form is not None:
             object.__setattr__(scheme, "_rows", _LabelRows(scheme.labels, form, len(rules), c))
         return scheme._vote, None
@@ -600,11 +491,8 @@ def scheme_mismatches(scheme: LabelingScheme, want):
     m = len(rules)
     rows, cols = triu_pairs(len(labels))
     seed_values = _seed_values([label.value for label in labels], m, c)
-    if _blind_form(rules) is not None:  # every seed at once
-        seed_codes = rules[0].pair_codes(seed_values)
-    else:
-        seed_codes = (codes for rule, sent in zip(rules, seed_values)
-                      for codes in rule.pair_codes([sent]))
+    blind = _blind_rule(rules)
+    seed_codes = _pair_code_blocks(rules if blind is None else blind, seed_values)
     decoded = (2 * _positive_seeds(seed_codes, len(rows)) > m).tolist()
     for i, j, got in zip(rows.tolist(), cols.tolist(), decoded):
         if got != want(i, j):

@@ -10,7 +10,12 @@ from math import inf
 
 import numpy as np
 
+from smplab.bits import Bits
+from smplab.errors import InputError
+from smplab.gadgets import SUBSPACE_DIMENSION, _ambient
 from smplab.graphs import Graph, VertexMap
+from smplab.protocols.base import ACCEPT, REJECT, Rule, SmpProtocol
+from smplab.rng import HashRandomness
 
 
 def floyd_warshall(G: Graph):
@@ -362,14 +367,12 @@ def declared_supports(proto, v):
     """The draw support proto once declared for input v."""
     from smplab.protocols import (
         ArboricityAdjacency,
-        EqualitySketch,
         HashedAdjacency,
         PlanarTwoDistance,
         TreeKDistance,
         UniversalLatticeDistance,
         WeakLatticeDistance,
     )
-    from smplab.universal import FixedSeedProtocol
 
     if isinstance(proto, FixedSeedProtocol):
         return []
@@ -397,8 +400,6 @@ def declared_supports(proto, v):
 
 def equality_take(ma, mb, rnd=None):
     """Accept iff the overlapping leading rounds of the two messages agree."""
-    from smplab.protocols import ACCEPT, REJECT
-
     overlap = min(ma.length, mb.length)
     return ACCEPT if ma.take(0, overlap) == mb.take(0, overlap) else REJECT
 
@@ -443,3 +444,91 @@ def degeneracy_orientation_scan(G: Graph):
         for w in outs:
             remaining_deg[w] -= 1
     return tuple(parents), max((len(p) for p in parents), default=0)
+
+
+# -- protocols and lattices that only tests build ---------------------------
+# No run, label file or demo pins a seed, sends the equality toy or reads the
+# bare subspace lattice; tests use them as protocols with closed-form errors,
+# as deterministic seed-reading sketches, and as modular lattices.
+
+
+class EqualitySketch(SmpProtocol):
+    """A deliberately tiny equality sketch.
+
+    Each party sends ``rounds`` shared hash bits of its input; the referee
+    accepts iff the two messages agree.  It exists to exercise the exact
+    error enumerator and the width checks on something with a closed-form
+    answer: for x != y the false-accept probability is exactly 2^-rounds.
+    """
+
+    name = "equality-hash"
+    one_sided = True
+
+    def __init__(self, size: int, rounds: int = 2):
+        if size < 1 or rounds < 1:
+            raise InputError("size and round count must be positive")
+        self.size = size
+        self.rounds = rounds
+
+    def params(self):
+        return {"name": self.name, "size": self.size, "rounds": self.rounds}
+
+    @property
+    def cost_bits(self):
+        return self.rounds
+
+    def encode(self, v, rnd):
+        if not 0 <= v < self.size:
+            raise InputError(f"input {v} outside [0, {self.size})")
+        return Bits.pack([rnd.integer(("h", t, v), 2) for t in range(self.rounds)], 1)
+
+    def rule(self, rnd=None):
+        """Accept iff the two messages agree."""
+        return Rule(self.rounds, int, lambda a, b: ACCEPT if a == b else REJECT)
+
+    def expected(self, x, y):
+        return ACCEPT if x == y else REJECT
+
+
+class FixedSeedProtocol(SmpProtocol):
+    """A seed-reading protocol with the shared randomness pinned.
+
+    Encoding and refereeing both use the stored seed, so the referee
+    becomes a fixed function of the messages and the protocol as a whole
+    is deterministic (its draw support is empty).
+    """
+
+    def __init__(self, inner: SmpProtocol, seed: int):
+        self.inner = inner
+        self.seed = seed
+        self._rnd = HashRandomness(seed)
+        self.name = f"{inner.name}-seed{seed}"
+        self.one_sided = inner.one_sided
+
+    def params(self):
+        return {"inner": self.inner.params(), "seed": self.seed}
+
+    @property
+    def cost_bits(self):
+        return self.inner.cost_bits
+
+    def encode(self, v, rnd=None):
+        return self.inner.encode(v, self._rnd)
+
+    def encode_all(self, vs, rnd=None):
+        return self.inner.encode_all(vs, self._rnd)
+
+    def rule(self, rnd=None):
+        return self.inner.rule(self._rnd)
+
+    def expected(self, x, y):
+        return self.inner.expected(x, y)
+
+
+def fix_seed(protocol: SmpProtocol, seed: int) -> FixedSeedProtocol:
+    return FixedSeedProtocol(protocol, seed)
+
+
+def subspace_ambient(d: int = SUBSPACE_DIMENSION):
+    """The (cached) full subspace lattice of F_2^d."""
+    return _ambient(d).lattice

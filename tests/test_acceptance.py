@@ -31,12 +31,11 @@ from pathlib import Path
 import numpy as np
 
 import oracles
-from oracles import find_embedding, is_faithful
+from oracles import find_embedding, is_faithful, subspace_ambient
 from smplab.gadgets import (
     arboricity2_gadget,
     interval_gt_instance,
     modular_gadget,
-    subspace_ambient,
 )
 from smplab.generators import random_downset_lattice, union_of_two_trees
 from smplab.graphs import (

@@ -21,13 +21,13 @@ from smplab.gadgets import (
     gadget_to_json,
     interval_gt_instance,
     modular_gadget,
-    subspace_ambient,
     verify_gadget,
 )
 from smplab.graphs import Graph, VertexMap, bfs_distance, degeneracy
 from smplab.lattices import MODULAR, Poset, build_lattice, classify, cover_graph, lattice_distance
 
 import oracles
+from oracles import subspace_ambient
 
 
 def reflexive(n, edges):

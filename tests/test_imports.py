@@ -1,5 +1,5 @@
 """Static checks over the package source: every imported name is used, and
-every exported name exists."""
+every exported name exists and is read by the package or a demo."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import smplab
 import smplab.protocols
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "smplab"
+DEMOS = PACKAGE.parents[1] / "demos"
 # the package __init__ files only re-export, so their imports are their use
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
@@ -42,3 +43,24 @@ def test_every_export_resolves():
         assert len(package.__all__) == len(set(package.__all__)), package.__name__
         missing = [name for name in package.__all__ if not hasattr(package, name)]
         assert missing == [], package.__name__
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: each loaded ``ast.Name`` and ``ast.Attribute``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def from_imports(source: str) -> set[str]:
+    """Names a script imports with ``from ... import``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_export_is_read():
+    read = set().union(*(read_names(path.read_text()) for path in MODULES))
+    read |= set().union(*(from_imports(path.read_text()) for path in DEMOS.glob("*.py")))
+    unread = [name for package in (smplab, smplab.protocols) for name in package.__all__
+              if name not in read]
+    assert unread == []

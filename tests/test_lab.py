@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import EqualitySketch, fix_seed
 from smplab.bits import Bits
 from smplab.errors import CapacityError, InputError, PreconditionError
 from smplab.gadgets import GadgetInstance, IntervalGtInstance
@@ -37,13 +38,12 @@ from smplab.planar import PlanarEmbedding
 from smplab.protocols import (
     ACCEPT,
     REJECT,
-    EqualitySketch,
     WeakLatticeDistance,
     beyond_verdict,
     distance_verdict,
 )
 from smplab.rng import HashRandomness, derive_seed
-from smplab.universal import fix_seed, positive_verdict
+from smplab.universal import positive_verdict
 
 
 class TestGenerate:

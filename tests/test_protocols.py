@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import EqualitySketch, fix_seed
 from smplab.bits import Bits
 from smplab.errors import CapacityError, InputError
 from smplab.generators import (
@@ -28,7 +29,6 @@ from smplab.protocols import (
     PROTOCOLS,
     REJECT,
     ArboricityAdjacency,
-    EqualitySketch,
     HashedAdjacency,
     PlanarTwoDistance,
     TreeKDistance,
@@ -37,7 +37,6 @@ from smplab.protocols import (
     beyond_verdict,
     distance_verdict,
     universal_sketch_params,
-    weak_sketch_params,
 )
 from smplab.protocols import base as protocols_base
 from smplab.protocols.arboricity import color_slots_rule
@@ -57,13 +56,13 @@ from smplab.protocols.lattice import (
     _xor_subsets,
     parity_blocks_rule,
     weak_bucket_count,
+    weak_sketch_width,
     weak_xor_rule,
     xor_side_size,
 )
 from smplab.protocols.planar import two_hop_rule
 from smplab.protocols.tree import window_rule, window_widths
 from smplab.rng import HashRandomness, RecordingRandomness, SharedRandomness, TableRandomness
-from smplab.universal import fix_seed
 
 
 class TestVerdicts:
@@ -100,8 +99,10 @@ class TestEqualityToy:
 
 class TestWeakLatticeDistance:
     def test_parameter_table(self):
-        assert weak_sketch_params(1, Fraction(1, 3)) == (27, 7)
-        m, q = weak_sketch_params(3, Fraction(1, 4))
+        assert weak_bucket_count(1, Fraction(1, 3)) == 27
+        assert weak_sketch_width(27, 1, Fraction(1, 3)) == 7
+        m = weak_bucket_count(3, Fraction(1, 4))
+        q = weak_sketch_width(m, 3, Fraction(1, 4))
         assert m == 100
         total = sum(math.comb(100, i) for i in range(4))
         assert 2 ** (q - 1) < 4 * total <= 2**q
@@ -119,7 +120,7 @@ class TestWeakLatticeDistance:
         assert xor_side_size(10**30, 10**30) > XOR_SIDE_CAP  # stops at the cap
         assert xor_side_size(3, 10**30) == 8
         for k in (1, 2, 3):  # every sketch the formulas size at eps >= 1/8
-            m, _ = weak_sketch_params(k, Fraction(1, 8))
+            m = weak_bucket_count(k, Fraction(1, 8))
             assert xor_side_size(m, k) <= XOR_SIDE_CAP
 
     @pytest.mark.parametrize("m,q,k", [(24, 70, 2), (24, 64, 2), (243, 45, 7), (80, 11, 9),
@@ -252,6 +253,13 @@ class TestUniversalLatticeDistance:
         rnd = HashRandomness(5)
         ma, mb = proto.encode(0, rnd), proto.encode(1, rnd)
         assert proto.referee(ma, mb) == proto.referee(ma, mb, rnd)
+        # over all 16 messages of the 4-bucket single-round sketch at k=1,
+        # the rule accepts exactly the pairs at XOR weight <= 1
+        rule = UniversalLatticeDistance(L, 1, Fraction(1, 3), m=4).rule()
+        assert rule.width == 4
+        assert [(a, b) for a in range(16) for b in range(16)
+                if rule.decide(rule.unpack(a), rule.unpack(b)) == ACCEPT] == [
+            (a, b) for a in range(16) for b in range(16) if (a ^ b).bit_count() <= 1]
 
     def test_one_sided_on_near_pairs(self):
         L = boolean_lattice(4)
@@ -860,6 +868,10 @@ class TestEncodeAll:
         assert proto.encode_all(range(n), rnd) == want
         assert proto.encode_all(iter(range(n)), rnd) == want
         assert proto.encode_all((), rnd) == []
+        # the rule decides every pair of the universe's messages alike either way round
+        rule = proto.rule(rnd)
+        fields = list(map(rule.fields, want))
+        assert all(rule.decide(a, b) == rule.decide(b, a) for a in fields for b in fields)
 
 
 class TestEqualityRule:
@@ -912,8 +924,8 @@ class TestSizingFormulas:
     def test_each_formula_is_shared(self):
         for k, eps in [(1, Fraction(1, 3)), (2, Fraction(1, 7)), (3, Fraction(1, 4))]:
             proto = WeakLatticeDistance(boolean_lattice(2), k, eps)
-            assert (proto.m, proto.q) == weak_sketch_params(k, eps)
             assert proto.m == weak_bucket_count(k, eps)
+            assert proto.q == weak_sketch_width(proto.m, k, eps)
         proto = ArboricityAdjacency(union_of_two_trees(random.Random(7), 12), Fraction(1, 5))
         assert proto.color_width == field_width(proto.m)
         assert ArboricityAdjacency.rule_from_params(proto.params()).width == proto.cost_bits

@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import EqualitySketch, fix_seed
 from smplab.bits import Bits
 from smplab.errors import InputError
 from smplab.generators import path_graph
 from smplab.lab import FAMILIES, _protocol_for, generate
 from smplab.lattices import boolean_lattice
 from smplab.protocols import (
-    EqualitySketch,
     HashedAdjacency,
     TreeKDistance,
     UniversalLatticeDistance,
@@ -26,7 +26,6 @@ from smplab.protocols import (
 )
 from smplab.protocols import base
 from smplab.rng import HashRandomness
-from smplab.universal import fix_seed
 
 F = Fraction
 

@@ -1,4 +1,4 @@
-"""Decision graphs, seed banks, labelings."""
+"""Seed banks, labelings, and the pinned-seed oracle."""
 
 import collections
 import copy
@@ -14,26 +14,20 @@ from hypothesis import strategies as st
 
 import oracles
 import test_golden
-from oracles import parity_blocks_slices
+from oracles import EqualitySketch, fix_seed, parity_blocks_slices
 from smplab.bits import Bits, concat_all
 from smplab.errors import (
-    CapacityError,
     InputError,
     PreconditionError,
     VerificationError,
 )
 from smplab.generators import cycle_graph, random_tree
-from smplab.graphs import (
-    Graph,
-    bfs_distance,
-    twin_reduction,
-)
+from smplab.graphs import bfs_distance
 from smplab.lab import _protocol_for, generate, label_pipeline
 from smplab.lattices import boolean_lattice, lattice_distance
 from smplab.protocols import (
     ACCEPT,
     REJECT,
-    EqualitySketch,
     HashedAdjacency,
     TreeKDistance,
     UniversalLatticeDistance,
@@ -49,15 +43,12 @@ from smplab.protocols.tree import window_rule
 from smplab.rng import HashRandomness, derive_seed
 from smplab import universal
 from smplab.universal import (
-    DecisionGraph,
     _table_vote,
     LabelingScheme,
     SeedBank,
     bank_bad_fraction,
-    decision_graph,
     decode_labels,
     derandomized_labeling,
-    fix_seed,
     labeling_from_json,
     labeling_to_json,
     newman_bank_size,
@@ -87,106 +78,6 @@ class OneBitEquality(SmpProtocol):
 
     def params(self):
         return {"name": self.name}
-
-
-class LessThanReferee(OneBitEquality):
-    """Deliberately order-dependent rule, for the symmetry guard."""
-
-    def rule(self, rnd=None):
-        return Rule(1, int, lambda a, b: ACCEPT if a < b else REJECT)
-
-
-class TestDecisionGraph:
-    def test_one_bit_equality(self):
-        dg = decision_graph(OneBitEquality())
-        assert dg.graph.n == 2
-        assert dg.graph.edges() == []
-        assert sorted(dg.graph.loops) == [0, 1]
-        assert dg.message_bits == 1
-        assert dg.mode == "all"
-
-    def test_parity_sketch_is_cube_closure(self):
-        # All 16 messages of the 4-bucket single-round sketch at k=1; the
-        # accept set must be exactly the pairs at XOR weight <= 1.
-        proto = UniversalLatticeDistance(boolean_lattice(3), 1, Fraction(1, 3), m=4)
-        assert proto.cost_bits == 4
-        dg = decision_graph(proto)
-        assert dg.graph.n == 16
-        want = sorted(
-            (a, b)
-            for a in range(16)
-            for b in range(a + 1, 16)
-            if (a ^ b).bit_count() <= 1
-        )
-        assert dg.graph.edges() == want
-        assert sorted(dg.graph.loops) == list(range(16))
-
-    def test_toy_graph_is_symmetric(self):
-        dg = decision_graph(EqualitySketch(4, 2))
-        m = dg.graph.matrix()
-        assert (m == m.T).all()
-
-    def test_asymmetric_referee_is_caught(self):
-        with pytest.raises(VerificationError):
-            decision_graph(LessThanReferee())
-
-    def test_all_messages_cap(self):
-        proto = UniversalLatticeDistance(boolean_lattice(2), 1, Fraction(1, 3))
-        assert proto.cost_bits == 14
-        with pytest.raises(CapacityError):
-            decision_graph(proto, cap=8)
-
-    def test_weak_referee_needs_a_seed(self):
-        weak = WeakLatticeDistance(boolean_lattice(2), 1, Fraction(1, 3), m=3, q=2)
-        with pytest.raises(InputError):
-            decision_graph(weak)
-        dg = decision_graph(fix_seed(weak, 7))
-        assert dg.graph.n == 4
-
-    @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_fixed_seed_graph_is_the_referee_under_that_seed(self, seed):
-        weak = WeakLatticeDistance(boolean_lattice(3), 2, Fraction(1, 3), m=6, q=4)
-        hashed = HashedAdjacency(cycle_graph(7), 3)
-        for proto in (weak, hashed):
-            dg = decision_graph(fix_seed(proto, seed))
-            rnd = HashRandomness(seed)
-            c = proto.cost_bits
-            edges, loops = [], []
-            for a in range(1 << c):
-                for b in range(a, 1 << c):
-                    if not positive_verdict(proto.referee(Bits(a, c), Bits(b, c), rnd)):
-                        continue
-                    if a == b:
-                        loops.append(a)
-                    else:
-                        edges.append((a, b))
-            assert dg.graph == Graph(1 << c, edges, loops=loops)
-
-    def test_occurring_messages_mode(self):
-        tree = random_tree(random.Random(1), 9)
-        proto = TreeKDistance(tree, 1, Fraction(1, 2))
-        dg = decision_graph(proto, mode="occurring", inputs=9, rnd=5)
-        rnd = HashRandomness(5)
-        seen = sorted({proto.encode(v, rnd).value for v in range(9)})
-        assert list(dg.messages) == seen
-        assert dg.graph.n == len(seen)
-        # adjacency agrees with the referee on the stored messages
-        c = proto.cost_bits
-        for i in range(dg.graph.n):
-            for j in range(i, dg.graph.n):
-                verdict = proto.referee(dg.message(i), dg.message(j))
-                assert dg.graph.adjacent(i, j) == positive_verdict(verdict)
-
-    def test_occurring_mode_needs_inputs(self):
-        proto = TreeKDistance(random_tree(random.Random(1), 5), 1, Fraction(1, 2))
-        with pytest.raises(InputError):
-            decision_graph(proto, mode="occurring", rnd=5)
-        with pytest.raises(InputError):
-            decision_graph(proto, mode="nonsense")
-
-    def test_vertex_lookup(self):
-        dg = decision_graph(OneBitEquality())
-        assert dg.message(0) == Bits(0, 1)
 
 
 class TestFixSeed:
@@ -804,11 +695,11 @@ def _one_bit_wider(proto, method):
 
 
 class TestMessageWidthsChecked:
-    """The bank check and the decision graph read every message through
-    ``Rule.fields``, so an encoder that drifts from its rule is refused at
-    once, not after the bank's retries.  A drifted ``encode`` reaches them
-    through the base ``encode_all`` loop (the equality toy keeps it); the
-    tree sketch overrides ``encode_all``, so its drift is put there."""
+    """The bank check reads every message through ``Rule.value``, so an
+    encoder that drifts from its rule is refused at once, not after the
+    bank's retries.  A drifted ``encode`` reaches it through the base
+    ``encode_all`` loop (the equality toy keeps it); the tree sketch
+    overrides ``encode_all``, so its drift is put there."""
 
     TREE = TreeKDistance(random_tree(random.Random(5), 8), 2, Fraction(1, 3))
     TOY = EqualitySketch(8, 2)
@@ -838,20 +729,6 @@ class TestMessageWidthsChecked:
     def test_all_pairs_bank_drifted_encode_all(self, kind, monkeypatch):
         proto, _ = kernel_case(kind)
         self._first_attempt_refuses(_one_bit_wider(proto, "encode_all"), monkeypatch)
-
-    @staticmethod
-    def _occurring_graph_refuses(proto, method):
-        dg = decision_graph(proto, mode="occurring", inputs=8, rnd=5)
-        assert all(value >> dg.message_bits == 0 for value in dg.messages)
-        wide = _one_bit_wider(proto, method)
-        with pytest.raises(InputError, match="messages must be"):
-            decision_graph(wide, mode="occurring", inputs=8, rnd=5)
-
-    def test_occurring_decision_graph(self):
-        self._occurring_graph_refuses(self.TREE, "encode_all")
-
-    def test_occurring_decision_graph_drifted_encode(self):
-        self._occurring_graph_refuses(self.TOY, "encode")
 
 
 def count_rule_calls(cls, monkeypatch) -> collections.Counter:
@@ -1018,12 +895,3 @@ class TestRowDecode:
             with pytest.raises(InputError, match="labels must be"):
                 decode_labels(scheme, lx, ly)
         assert scheme._vote is None and scheme._rows is None
-
-
-class TestHierarchyLengths:
-    def test_decision_graph_never_needs_more_bits_than_messages(self):
-        toy = EqualitySketch(8, 4)
-        dg = decision_graph(toy)
-        blind_bits = (twin_reduction(dg.graph)[0].n - 1).bit_length()
-        assert blind_bits <= dg.message_bits
-        assert dg.message_bits == toy.cost_bits
