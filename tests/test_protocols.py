@@ -253,13 +253,6 @@ class TestUniversalLatticeDistance:
         rnd = HashRandomness(5)
         ma, mb = proto.encode(0, rnd), proto.encode(1, rnd)
         assert proto.referee(ma, mb) == proto.referee(ma, mb, rnd)
-        # over all 16 messages of the 4-bucket single-round sketch at k=1,
-        # the rule accepts exactly the pairs at XOR weight <= 1
-        rule = UniversalLatticeDistance(L, 1, Fraction(1, 3), m=4).rule()
-        assert rule.width == 4
-        assert [(a, b) for a in range(16) for b in range(16)
-                if rule.decide(rule.unpack(a), rule.unpack(b)) == ACCEPT] == [
-            (a, b) for a in range(16) for b in range(16) if (a ^ b).bit_count() <= 1]
 
     def test_one_sided_on_near_pairs(self):
         L = boolean_lattice(4)

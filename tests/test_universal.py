@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,30 @@ class OneBitEquality(SmpProtocol):
 
     def params(self):
         return {"name": self.name}
+
+
+def accept_graph(proto):
+    """The referee's accepted pairs over every message of ``cost_bits`` bits,
+    as a 0/1 matrix indexed by message value."""
+    messages = [Bits(v, proto.cost_bits) for v in range(2**proto.cost_bits)]
+    return np.array([[proto.referee(a, b) == ACCEPT for b in messages] for a in messages])
+
+
+class TestDecisionGraph:
+    def test_parity_sketch_is_cube_closure(self):
+        # All 16 messages of the 4-bucket single-round sketch at k=1; the
+        # accept set must be exactly the pairs at XOR weight <= 1.
+        proto = UniversalLatticeDistance(boolean_lattice(3), 1, Fraction(1, 3), m=4)
+        assert proto.cost_bits == 4
+        graph = accept_graph(proto)
+        assert graph.shape == (16, 16)
+        assert graph.tolist() == [[(a ^ b).bit_count() <= 1 for b in range(16)]
+                                  for a in range(16)]
+
+    def test_toy_graph_is_symmetric(self):
+        graph = accept_graph(EqualitySketch(4, 2))
+        assert (graph == graph.T).all()
+        assert graph.tolist() == np.eye(4, dtype=bool).tolist()
 
 
 class TestFixSeed:
