@@ -10,16 +10,24 @@ deliberate format change, with::
 
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from smplab.bits import Bits
 from smplab.lab import config_from_json, label_pipeline, run_experiment
 from smplab.lattices import boolean_lattice
 from smplab.protocols import WeakLatticeDistance
-from smplab.universal import derandomized_labeling, labeling_to_json, newman_seed_bank
+from smplab.universal import (
+    decode_labels,
+    derandomized_labeling,
+    labeling_from_json,
+    labeling_to_json,
+    newman_seed_bank,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 MASTER = 20191108
@@ -77,24 +85,49 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def label_digest(family, n, k, out_dir) -> str:
+def label_file(family, n, k, out_dir) -> Path:
     report = label_pipeline(family, n, k, EPS, out_dir, master_seed=MASTER)
     assert report["decode_errors"] == 0
-    return _sha256(Path(report["path"]).read_bytes())
+    return Path(report["path"])
 
 
-def weak_label_digest() -> str:
-    """A weak-lattice label file, which stores its bank seeds.
+def label_digest(family, n, k, out_dir) -> str:
+    return _sha256(label_file(family, n, k, out_dir).read_bytes())
+
+
+def weak_labeling():
+    """A weak-lattice labeling, whose file stores its bank seeds.
 
     ``label_pipeline`` labels lattices with the universal sketch only, so
-    this one is made by ``derandomized_labeling`` directly and serialized
-    the way the pipeline writes its files.
+    this one is made by ``derandomized_labeling`` directly.
     """
     proto = WeakLatticeDistance(boolean_lattice(3), 2, EPS)
     bank = newman_seed_bank(proto, range(8), EPS, EPS, MASTER)
-    scheme = derandomized_labeling(proto, range(8), bank)
-    return _sha256((json.dumps(labeling_to_json(scheme), sort_keys=True, indent=2)
+    return derandomized_labeling(proto, range(8), bank)
+
+
+def weak_label_digest() -> str:
+    """The weak labeling serialized the way the pipeline writes its files."""
+    return _sha256((json.dumps(labeling_to_json(weak_labeling()), sort_keys=True, indent=2)
                     + "\n").encode())
+
+
+def decode_digest(scheme) -> str:
+    """The '1'/'0' verdicts of every ordered pair over the scheme's labels
+    and four stranger labels drawn from ``random.Random(MASTER)``.  The
+    label run's own check decodes only pairs of scheme labels; this one
+    pins the strangers too."""
+    rng = random.Random(MASTER)
+    bits = scheme.label_bits
+    labels = list(scheme.labels) + [Bits(rng.getrandbits(bits), bits) for _ in range(4)]
+    return _sha256("".join("1" if decode_labels(scheme, lx, ly) else "0"
+                           for lx in labels for ly in labels).encode())
+
+
+def file_decode_digest(family, n, k, out_dir) -> str:
+    """``decode_digest`` of a label file as read back."""
+    doc = json.loads(label_file(family, n, k, out_dir).read_text())
+    return decode_digest(labeling_from_json(doc))
 
 
 def experiment_digest() -> str:
@@ -123,6 +156,16 @@ def test_weak_label_file_digest():
     assert weak_label_digest() == _stored()["labels-weak-boolean3-k2.json"]
 
 
+@pytest.mark.parametrize("family,n,k", LABEL_CASES)
+def test_label_file_decode_digest(family, n, k, tmp_path):
+    key = f"decode-{family}-n{n}-k{k}"
+    assert file_decode_digest(family, n, k, tmp_path) == _stored()[key]
+
+
+def test_weak_labeling_decode_digest():
+    assert decode_digest(weak_labeling()) == _stored()["decode-weak-boolean3-k2"]
+
+
 def test_experiment_report_digest():
     assert experiment_digest() == _stored()["experiment-tree.json"]
 
@@ -140,6 +183,9 @@ def _write(out_dir: Path) -> None:
     digests = {f"labels-{f}-n{n}-k{k}.json": label_digest(f, n, k, out_dir)
                for f, n, k in LABEL_CASES}
     digests["labels-weak-boolean3-k2.json"] = weak_label_digest()
+    digests.update((f"decode-{f}-n{n}-k{k}", file_decode_digest(f, n, k, out_dir))
+                   for f, n, k in LABEL_CASES)
+    digests["decode-weak-boolean3-k2"] = decode_digest(weak_labeling())
     digests["experiment-tree.json"] = experiment_digest()
     digests["experiment-allgraphs.csv"] = hashed_csv_digest()
     digests.update((key, report_digest(doc)) for key, doc in REPORT_CASES.items())
