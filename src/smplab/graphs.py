@@ -188,13 +188,14 @@ def bfs_distance(G: Graph, x: int, y: int):
     return inf
 
 
-def all_pairs_distances(G: Graph, within: int | None = None) -> np.ndarray:
+def all_pairs_distances(G: Graph, within: int | None = None, sources=None) -> np.ndarray:
     """All-pairs hop distances as a float matrix (np.inf when unreachable).
 
     With ``within``, the search stops at that distance: pairs farther apart
-    read np.inf too, and the search costs what the near pairs do.  Backed by
-    scipy's compiled search; bfs_distance stays the pure-Python reference
-    so the two can cross-check each other.
+    read np.inf too, and the search costs what the near pairs do.  With
+    ``sources``, a sequence of vertices, row i holds the distances from
+    ``sources[i]`` alone.  Backed by scipy's compiled search; bfs_distance
+    stays the pure-Python reference so the two can cross-check each other.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -207,7 +208,7 @@ def all_pairs_distances(G: Graph, within: int | None = None) -> np.ndarray:
         m = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     else:
         m = csr_matrix((n, n))
-    return dijkstra(m, directed=False, unweighted=True,
+    return dijkstra(m, directed=False, unweighted=True, indices=sources,
                     limit=np.inf if within is None else within)
 
 

@@ -413,19 +413,18 @@ def _strata_pools(oracle_graph, threshold, mode, policy_count, rng):
 
     Each pool holds pairs x <= y in (x, y) order.  Stratum ``str(d)`` holds
     the pairs at distance d <= threshold, and "beyond" every other pair,
-    unreachable ones included, so over every pair the search stops at the
-    threshold.  Tree mode refuses a disconnected oracle graph: over every
-    pair by one BFS, over a sample when a sampled pair is unreachable.
+    unreachable ones included, so the search stops at the threshold.  Tree
+    mode refuses a disconnected oracle graph, found by one BFS.
     """
     N = oracle_graph.n
+    if policy_count is None and N > ALL_PAIRS_CAP:
+        raise CapacityError(
+            f"universe of {N} is too large for pair_policy 'all' "
+            f"(cap {ALL_PAIRS_CAP}); use 'sampled:N'"
+        )
+    if mode == "tree" and inf in bfs_from(oracle_graph, 0):
+        raise PreconditionError("tree-mode strata need a connected oracle graph")
     if policy_count is None:
-        if N > ALL_PAIRS_CAP:
-            raise CapacityError(
-                f"universe of {N} is too large for pair_policy 'all' "
-                f"(cap {ALL_PAIRS_CAP}); use 'sampled:N'"
-            )
-        if mode == "tree" and inf in bfs_from(oracle_graph, 0):
-            raise PreconditionError("tree-mode strata need a connected oracle graph")
         xs, ys = np.triu_indices(N)
         dist = all_pairs_distances(oracle_graph, within=threshold)[xs, ys]
     else:
@@ -437,15 +436,10 @@ def _strata_pools(oracle_graph, threshold, mode, policy_count, rng):
                 x, y = y, x
             seen.add((x, y))
         pairs = sorted(seen)
-        rows = {}
-        for x, _ in pairs:
-            if x not in rows:
-                rows[x] = bfs_from(oracle_graph, x)
         xs = np.array([x for x, _ in pairs], dtype=np.intp)
         ys = np.array([y for _, y in pairs], dtype=np.intp)
-        dist = np.array([rows[x][y] for x, y in pairs], dtype=float)
-        if mode == "tree" and np.isinf(dist).any():
-            raise PreconditionError("tree-mode strata need a connected oracle graph")
+        sources, row = np.unique(xs, return_inverse=True)
+        dist = all_pairs_distances(oracle_graph, within=threshold, sources=sources)[row, ys]
     masks = {str(d): dist == d for d in range(threshold + 1)}
     masks["beyond"] = dist > threshold
     return {label: (xs[mask], ys[mask]) for label, mask in masks.items()}

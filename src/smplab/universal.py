@@ -21,19 +21,14 @@ attempt and the verify pass.
 
 Decoding cost: a scheme holds one rule per bank seed -- the protocol's
 rule, built once for that seed's draws, or the same blind rule m times.
-When that blind rule has an all-pairs form, ``decode_labels`` decodes the
-scheme's first pair by the scalar vote, and every later pair of two
-scheme labels from the row of its left label: the label against each of
-the scheme's N distinct labels under all m seeds, one kernel pass of N*m
-seed-pairs through ``AllPairs.seed_codes``, bounded by ``PAIR_CELLS``, over
-a seed-major field table cut once.  Rows are kept, so a scheme holds at
-most N rows of N bools, and a pair whose left label has its row is a
-lookup.  The vote decodes every other pair: under a seed-reading rule, a
-rule without the form, or with a label outside the scheme.  It cuts each
-label it meets into its m messages and unpacks each at most once, so a
-scheme over n vertices costs at most n*m unpacks, and a pair costs
-m // 2 + 1 ``decide`` calls when those first seeds agree, which settles
-the vote, and m otherwise.  Tables and rows live on the scheme object.
+Its verdict matrix decodes every pair of its own N labels: one
+``pair_codes`` pass over all of them, as in the verify pass, which
+builds it, so a scheme ``derandomized_labeling`` returns holds it
+already.  A re-read scheme builds it on its second pair when its rule is
+blind with an all-pairs form.  Every other pair goes through the vote,
+which stops once it is settled: m // 2 + 1 ``decide`` calls on a pair
+whose seeds all agree positive, ceil(m / 2) on one whose seeds all agree
+negative, and at most m.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from .bits import Bits, concat_all
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
 from .protocols.base import (
     WIDTH_CAP,
-    AllPairs,
     Rule,
     SmpProtocol,
     Verdict,
@@ -262,22 +256,32 @@ def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
 class LabelingScheme:
     """Per-vertex labels plus the named rule that decodes a pair of them.
 
-    Treat a scheme as read-only: ``decode_labels`` keeps what it builds in
-    two private fields that live and die with this object and take no part
-    in equality.  ``_vote`` holds the scalar vote, built on the first pair,
-    with its per-label tables.  ``_rows`` holds, for a blind rule with an
-    all-pairs form, the ``_LabelRows`` that decode every later pair of two
-    scheme labels: the seed-major field table of the scheme's distinct
-    labels and, per label met on the left, its row of verdicts against
-    them all, so a scheme of N labels keeps at most N rows of N bools.
+    Treat a scheme as read-only: ``decode_labels`` and ``scheme_mismatches``
+    keep what they build in one private field, ``_decoding``, that lives
+    and dies with this object and takes no part in equality: a
+    ``_Decoding`` of the scheme's rules, built from its params on first
+    use, and, once built, the verdict matrix of its N labels, N*N bools.
     """
 
     decoder: str
     params: dict
     label_bits: int
     labels: tuple[Bits, ...]
-    _vote: object = field(default=None, init=False, compare=False, repr=False)
-    _rows: object = field(default=None, init=False, compare=False, repr=False)
+    _decoding: object = field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass
+class _Decoding:
+    """What a scheme keeps for decoding: its rules, one per bank seed, and
+    message width c; ``index``, each label value's index (the last, where
+    values repeat: equal values decode alike), made when first needed; and
+    ``matrix``, once built, where ``matrix[i][j]`` is the decoded verdict
+    on labels i and j."""
+
+    rules: list[Rule]
+    c: int
+    index: dict[int, int] | None = None
+    matrix: list[list[bool]] | None = None
 
 
 def _bank_shape(params, label_bits: int) -> tuple[int, int]:
@@ -302,49 +306,6 @@ def _labelable_class(proto_params: dict):
     """The registered class whose rule rebuilds from these params, or None."""
     name = proto_params.get("name")
     return PROTOCOLS.get(name) if isinstance(name, str) else None
-
-
-def _table_vote(rules: list[Rule], c: int):
-    """Majority vote over per-label field tables, one rule per bank seed.
-
-    The vote reads the first h = m // 2 + 1 seeds first: all h positive is
-    already a strict majority, and none positive leaves the other m - h
-    seeds short of one, so such a pair is settled after h ``decide`` calls.
-    Any other pair reads the remaining seeds as well, m calls in all.  A
-    label value's head messages are cut and unpacked on first need and
-    kept, and its tail messages likewise, so a label whose pairs all
-    settle never unpacks its tail.
-    """
-    m = len(rules)
-    h = m // 2 + 1
-    mask = (1 << c) - 1
-    shifts = range((m - 1) * c, -1, -c)
-    cuts = list(zip([rule.unpack for rule in rules], shifts))
-    head_cut, tail_cut = cuts[:h], cuts[h:]
-    decides = [rule.decide for rule in rules]
-    head_decides, tail_decides = decides[:h], decides[h:]
-    heads, tails = {}, {}
-
-    def fields(table, cut, value):
-        row = table.get(value)
-        if row is None:
-            row = table[value] = [unpack(value >> shift & mask) for unpack, shift in cut]
-        return row
-
-    def vote(lx: Bits, ly: Bits) -> bool:
-        x, y = lx.value, ly.value
-        verdicts = map(operator.call, head_decides,
-                       fields(heads, head_cut, x), fields(heads, head_cut, y))
-        positives = sum(map(positive_verdict, verdicts))
-        if positives == h:
-            return True
-        if positives == 0:
-            return False
-        verdicts = map(operator.call, tail_decides,
-                       fields(tails, tail_cut, x), fields(tails, tail_cut, y))
-        return 2 * (positives + sum(map(positive_verdict, verdicts))) > m
-
-    return vote
 
 
 def _scheme_rules(scheme: LabelingScheme) -> tuple[list[Rule], int]:
@@ -376,126 +337,120 @@ def _blind_rule(rules: list[Rule]) -> Rule | None:
     return rules[0] if all(rule is rules[0] for rule in rules) else None
 
 
-def _positive_seeds(blocks, pairs: int) -> np.ndarray:
-    """Per pair, how many seeds decide it positive, summed over
-    (verdicts, codes) blocks whose ``codes[s, p]`` is pair p's code under
-    seed s."""
-    positives = np.zeros(pairs, dtype=np.intp)
-    for verdicts, codes in blocks:
-        positives += np.array(list(map(positive_verdict, verdicts)), dtype=bool)[codes].sum(axis=0)
-    return positives
-
-
 def _seed_values(values: list[int], m: int, c: int) -> list[list[int]]:
     """Per seed, the c-bit messages that label values of m messages hold."""
     mask = (1 << c) - 1
     return [[value >> shift & mask for value in values] for shift in range((m - 1) * c, -1, -c)]
 
 
-class _LabelRows:
-    """Decoded verdicts between a scheme's labels, one row per left label.
+def _vote(rules: list[Rule], c: int, x: int, y: int) -> bool:
+    """Strict majority of the per-seed verdicts on label values x and y.
 
-    The first row cuts the scheme's distinct label values into a
-    seed-major field table of the rule's all-pairs form, kept for every
-    later row.  The row of value x is the verdict of x against every
-    distinct value under all m seeds, one ``AllPairs.seed_codes`` pass of
-    N*m pairs, bounded by ``PAIR_CELLS``, decoded by strict majority as the
-    vote decodes; it is kept, so each later pair with x on the left is a
-    lookup.
+    Seed s's rule decides message s of each, in seed order, and the vote
+    stops once it is settled: True at the (m // 2 + 1)-th positive
+    verdict, False at the ceil(m / 2)-th negative one, so a tie is False.
     """
-
-    def __init__(self, labels, form: AllPairs, m: int, c: int):
-        self.labels, self.form, self.m, self.c = labels, form, m, c
-        self.column = None  # distinct label value -> its column, in first-seen order
-        self.table = None
-        self.rows = {}  # column -> its row, a bool per column
-
-    def decode(self, x: int, y: int) -> bool | None:
-        """The decoded verdict on label values x and y, or None when either is
-        not a scheme label."""
-        if self.column is None:  # made on first use: hashing every label is not free
-            self.column = {}
-            for label in self.labels:
-                self.column.setdefault(label.value, len(self.column))
-        i, j = self.column.get(x), self.column.get(y)
-        if i is None or j is None:
-            return None
-        row = self.rows.get(i)
-        if row is None:
-            row = self.rows[i] = self._row(i)
-        return row[j]
-
-    def _row(self, i: int) -> list[bool]:
-        n = len(self.column)
-        if self.table is None:
-            seed_values = _seed_values(list(self.column), self.m, self.c)
-            self.table = self.form.table([v for sent in seed_values for v in sent])
-        codes = self.form.seed_codes(self.table, n, np.full(n, i), np.arange(n))
-        positives = _positive_seeds([(self.form.verdicts, codes)], n)
-        return (2 * positives > self.m).tolist()
+    m = len(rules)
+    mask = (1 << c) - 1
+    yes = 0
+    for seen, (rule, shift) in enumerate(zip(rules, range((m - 1) * c, -1, -c)), 1):
+        yes += positive_verdict(rule.decide(rule.unpack(x >> shift & mask),
+                                            rule.unpack(y >> shift & mask)))
+        if 2 * yes > m or 2 * (seen - yes) >= m:  # settled, at the latest by seed m
+            return 2 * yes > m
 
 
-def _scheme_decoder(scheme: LabelingScheme):
-    """The scheme's vote and ``_LabelRows`` (None when its rules have no
-    all-pairs form), built from its params on first use.  The first call
-    returns no rows, so a scheme asked one pair builds no table."""
-    if scheme._vote is None:
-        rules, c = _scheme_rules(scheme)
-        object.__setattr__(scheme, "_vote", _table_vote(rules, c))
-        blind = _blind_rule(rules)
-        form = None if blind is None else blind.all_pairs
-        if form is not None:
-            object.__setattr__(scheme, "_rows", _LabelRows(scheme.labels, form, len(rules), c))
-        return scheme._vote, None
-    return scheme._vote, scheme._rows
+def _scheme_decoding(scheme: LabelingScheme) -> _Decoding:
+    """The scheme's ``_Decoding``, its rules built from its params on first use."""
+    if scheme._decoding is None:
+        object.__setattr__(scheme, "_decoding", _Decoding(*_scheme_rules(scheme)))
+    return scheme._decoding
+
+
+def _label_index(scheme: LabelingScheme) -> dict[int, int]:
+    """The scheme's label value -> index map, made on first use."""
+    kept = _scheme_decoding(scheme)
+    if kept.index is None:
+        kept.index = {label.value: i for i, label in enumerate(scheme.labels)}
+    return kept.index
+
+
+def _verdict_matrix(scheme: LabelingScheme) -> list[list[bool]]:
+    """The scheme's verdict matrix, built when it holds none.
+
+    A label of another width raises ``InputError`` before anything is
+    built.  ``Rule.pair_codes`` gives every ``triu_pairs`` pair's verdict
+    under every seed, as in ``bank_bad_fraction``, and a strict majority of
+    positive verdicts decodes positive in both triangles.
+    """
+    kept = scheme._decoding
+    if kept is not None and kept.matrix is not None:
+        return kept.matrix
+    labels = scheme.labels
+    for i, label in enumerate(labels):
+        if label.length != scheme.label_bits:
+            raise InputError(f"label {i} is {label.length} bits, not {scheme.label_bits}")
+    kept = _scheme_decoding(scheme)
+    m, n = len(kept.rules), len(labels)
+    rows, cols = triu_pairs(n)
+    blind = _blind_rule(kept.rules)
+    blocks = _pair_code_blocks(kept.rules if blind is None else blind,
+                               _seed_values([label.value for label in labels], m, kept.c))
+    positives = np.zeros(len(rows), dtype=np.intp)
+    for verdicts, codes in blocks:
+        positives += np.array(list(map(positive_verdict, verdicts)), dtype=bool)[codes].sum(axis=0)
+    matrix = np.zeros((n, n), dtype=bool)
+    matrix[rows, cols] = matrix[cols, rows] = 2 * positives > m
+    kept.matrix = matrix.tolist()
+    _label_index(scheme)
+    return kept.matrix
 
 
 def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
     """Majority vote of the per-seed referee verdicts on two labels.
 
     Pure and symmetric; a strict majority of positive verdicts decodes to
-    True, everything else (ties included) to False.  A blind rule with an
-    all-pairs form decodes every pair of two scheme labels but the
-    scheme's first from the left label's row (``_LabelRows``); any other
-    pair goes through the vote (``_table_vote``), where a pair whose first
-    m // 2 + 1 seeds agree is settled at about m/2 decisions.
+    True, everything else (ties included) to False.  A pair of two scheme
+    labels reads the scheme's verdict matrix, built first when the scheme
+    holds none, its rules are one blind rule with an all-pairs form and the
+    pair is not its first.  Every other pair takes ``_vote``: the first, so
+    one decode of a freshly read file builds no matrix, strangers, and every
+    pair of a seed-reading or form-less rule, whose matrix would cost
+    N*N*m/2 ``decide`` calls.
     """
     if lx.length != scheme.label_bits or ly.length != scheme.label_bits:
         raise InputError(
             f"labels must be {scheme.label_bits} bits, "
             f"got {lx.length} and {ly.length}"
         )
-    vote, rows = _scheme_decoder(scheme)
-    if rows is not None:
-        verdict = rows.decode(lx.value, ly.value)
-        if verdict is not None:
-            return verdict
-    return vote(lx, ly)
+    x, y = lx.value, ly.value
+    kept = scheme._decoding
+    if kept is None:  # the scheme's first pair builds its rules alone
+        kept = _scheme_decoding(scheme)
+    elif kept.matrix is None:
+        blind = _blind_rule(kept.rules)
+        if blind is not None and blind.all_pairs is not None:
+            index = _label_index(scheme)
+            if x in index and y in index:
+                _verdict_matrix(scheme)
+    if kept.matrix is not None:
+        i, j = kept.index.get(x), kept.index.get(y)
+        if i is not None and j is not None:
+            return kept.matrix[i][j]
+    return _vote(kept.rules, kept.c, x, y)
 
 
 def scheme_mismatches(scheme: LabelingScheme, want):
     """Every label pair (i, j), i <= j, that decodes other than ``want(i, j)``,
-    in ``triu_pairs`` order.
-
-    Each label is cut into its m messages once, and ``Rule.pair_codes``
-    gives every pair's verdict under every seed, as in ``bank_bad_fraction``.
-    A pair decodes positive on a strict majority of positive verdicts,
-    counted by ``_positive_seeds`` as in ``decode_labels``' rows.  A label
-    of another width raises ``InputError``.
+    in ``triu_pairs`` order, read from the scheme's verdict matrix, built
+    first when it holds none; so a scheme ``derandomized_labeling``
+    returns decodes its own pairs from the matrix its check built.  A
+    label of another width raises ``InputError``.
     """
-    labels = scheme.labels
-    for i, label in enumerate(labels):
-        if label.length != scheme.label_bits:
-            raise InputError(f"label {i} is {label.length} bits, not {scheme.label_bits}")
-    rules, c = _scheme_rules(scheme)
-    m = len(rules)
-    rows, cols = triu_pairs(len(labels))
-    seed_values = _seed_values([label.value for label in labels], m, c)
-    blind = _blind_rule(rules)
-    seed_codes = _pair_code_blocks(rules if blind is None else blind, seed_values)
-    decoded = (2 * _positive_seeds(seed_codes, len(rows)) > m).tolist()
-    for i, j, got in zip(rows.tolist(), cols.tolist(), decoded):
-        if got != want(i, j):
+    matrix = _verdict_matrix(scheme)
+    rows, cols = triu_pairs(len(scheme.labels))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if matrix[i][j] != want(i, j):
             yield i, j
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from smplab.cli import main
 from smplab.gadgets import ALLGRAPHS_SOURCE_CAP, INTERVAL_ORDER_CAP
 from smplab.lab import FAMILIES, generate, instance_to_json
@@ -22,8 +23,6 @@ from smplab.lattices import boolean_lattice
 from smplab.protocols import WeakLatticeDistance
 from smplab.bits import Bits
 from smplab.universal import (
-    _scheme_rules,
-    _table_vote,
     derandomized_labeling,
     labeling_from_json,
     labeling_to_json,
@@ -245,7 +244,14 @@ class TestLabelDecode:
         # two scheme labels, and a scheme label against a stranger either way round
         doc = json.loads(next(scheme_dir.glob("labels-*.json")).read_text())
         scheme = labeling_from_json(doc)
-        vote = _table_vote(*_scheme_rules(scheme))
+        m, c = scheme.params["bank_m"], scheme.params["message_bits"]
+        block, k = scheme.params["protocol"]["m"], scheme.params["protocol"]["k"]
+
+        def vote(lx, ly):  # the hypercube scheme's rule, the universal lattice sketch's
+            return oracles.seed_vote_slices(
+                lambda ma, mb, rnd: oracles.parity_blocks_slices(ma, mb, block, k),
+                m, c, range(m), lx, ly)
+
         bits = scheme.label_bits
         own = list(scheme.labels[:3])
         stranger = Bits((1 << bits) - 1 - own[0].value, bits)

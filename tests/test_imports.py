@@ -1,5 +1,6 @@
-"""Static checks over the package source: every imported name is used, and
-every exported name exists and is read by the package or a demo."""
+"""Static checks over the package source: every imported name is used,
+every exported name exists and is read by the package or a demo, and
+every private module-level name is read by the package."""
 
 import ast
 from pathlib import Path
@@ -63,4 +64,34 @@ def test_every_export_is_read():
     read |= set().union(*(from_imports(path.read_text()) for path in DEMOS.glob("*.py")))
     unread = [name for package in (smplab, smplab.protocols) for name in package.__all__
               if name not in read]
+    assert unread == []
+
+
+def private_names(source: str) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignment targets,
+    dunder names aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_the_check_sees_an_unread_private_helper():
+    source = ("_a = 1\n_b, c = 2, 3\n_t: int = 4\n__all__ = []\n"
+              "def _f():\n    return _a\nclass _K:\n    pass\nprint(_f())\n")
+    assert private_names(source) == ["_a", "_b", "_t", "_f", "_K"]
+    assert [name for name in private_names(source) if name not in read_names(source)] == [
+        "_b", "_t", "_K"]
+
+
+def test_every_private_helper_is_read():
+    sources = {path: path.read_text() for path in PACKAGE.rglob("*.py")}
+    read = set().union(*map(read_names, sources.values()))
+    unread = [f"{path.relative_to(PACKAGE)}: {name}" for path, source in sorted(sources.items())
+              for name in private_names(source) if name not in read]
     assert unread == []

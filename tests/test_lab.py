@@ -331,6 +331,9 @@ class TestStrataPools:
             full = all_pairs_distances(graph)
             assert np.array_equal(all_pairs_distances(graph, within=threshold),
                                   np.where(full <= threshold, full, np.inf))
+            sources = rng.sample(range(n), rng.randint(1, n))
+            assert np.array_equal(all_pairs_distances(graph, within=threshold, sources=sources),
+                                  np.where(full <= threshold, full, np.inf)[sources])
             xs, ys = np.triu_indices(n)
             d = full[xs, ys]
             masks = {str(t): d == t for t in range(threshold + 1)}

@@ -44,7 +44,7 @@ from smplab.protocols.tree import window_rule
 from smplab.rng import HashRandomness, derive_seed
 from smplab import universal
 from smplab.universal import (
-    _table_vote,
+    _vote,
     LabelingScheme,
     SeedBank,
     bank_bad_fraction,
@@ -412,24 +412,30 @@ class TestSettledVote:
     def test_every_verdict_pattern_is_a_strict_majority(self, m):
         # label x's bit s is seed s's verdict, so every pattern of m
         # verdicts is met, ties at even m included
-        vote = _table_vote(bit_rules(m), 1)
-        zero = Bits(0, m)
+        rules = bit_rules(m)
         for pattern in range(1 << m):
             want = 2 * bin(pattern).count("1") > m
-            assert vote(Bits(pattern, m), zero) == want
-            assert vote(Bits(pattern, m), Bits(pattern, m)) == want
+            assert _vote(rules, 1, pattern, 0) is want
+            assert _vote(rules, 1, pattern, pattern) is want
 
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 63])
     def test_settled_pairs_decide_half_the_seeds(self, m):
+        # the vote stops at the (m // 2 + 1)-th positive verdict or the
+        # ceil(m / 2)-th negative one, reading the seeds in order
         calls = []
-        vote = _table_vote(bit_rules(m, calls), 1)
-        counts = {(1 << m) - 1: m // 2 + 1, 0: m // 2 + 1}
-        if m > 1:  # seed 0 against all the others, either way round: unsettled
-            counts.update({1 << (m - 1): m, (1 << (m - 1)) - 1: m})
+        rules = bit_rules(m, calls)
+        counts = {(1 << m) - 1: m // 2 + 1, 0: (m + 1) // 2}
+        if m > 1:
+            # seed 0 positive, the others negative: one call, then ceil(m / 2)
+            # negatives; seed 0 negative, the others positive: when one
+            # negative is already half (m <= 2) the vote is lost at once,
+            # else m // 2 + 1 positives follow it
+            counts[1 << (m - 1)] = 1 + (m + 1) // 2
+            counts[(1 << (m - 1)) - 1] = 1 if m <= 2 else 1 + m // 2 + 1
         for pattern, count in counts.items():
             calls.clear()
-            assert vote(Bits(pattern, m), Bits(0, m)) == (2 * bin(pattern).count("1") > m)
-            assert len(calls) == count
+            assert _vote(rules, 1, pattern, 0) == (2 * bin(pattern).count("1") > m)
+            assert len(calls) == count <= m
 
     def test_tree_label_file_decodes_as_the_per_seed_vote(self, tmp_path):
         master, eps = 20191108, Fraction(1, 5)
@@ -465,7 +471,7 @@ class TestSettledVote:
                 want = oracles.seed_vote_slices(referee, bank.m, proto.cost_bits,
                                                 bank.seeds, lx, ly)
                 assert decode_labels(scheme, lx, ly) == want
-        assert scheme._vote is not None and scheme._rows is None  # a rule per seed: the vote
+        assert scheme._decoding.matrix is None  # a rule per seed: the vote, no matrix
 
     def test_mismatches_check_every_label_width(self):
         _, _, _, scheme = TestDerandomizedLabeling().tree_scheme()
@@ -857,7 +863,7 @@ class TestAllPairsPath:
 
 class TestRowDecode:
     """A blind rule with an all-pairs form decodes pairs of scheme labels
-    from kept rows, and every pair as the settled scalar vote does."""
+    from the kept verdict matrix, and every pair as the scalar vote does."""
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
     @given(data=st.data())
@@ -877,28 +883,28 @@ class TestRowDecode:
         strangers = [lx for lx in data.draw(st.lists(label, max_size=2), label="strangers")
                      if lx not in own]
         scheme = mixed_scheme(proto, m, own)
-        vote = _table_vote(*universal._scheme_rules(scheme))
+        rules, c = universal._scheme_rules(scheme)
         everyone = own + strangers
         for lx in everyone:
             for ly in everyone:
-                assert decode_labels(scheme, lx, ly) == vote(lx, ly)
-        if everyone:  # every distinct scheme label met on the left after the first pair
-            assert len(scheme._rows.rows) == (len(set(own)) if len(own) > 1 else 0)
+                assert decode_labels(scheme, lx, ly) == _vote(rules, c, lx.value, ly.value)
+        if everyone:  # a pair of scheme labels after the first builds the matrix
+            assert (scheme._decoding.matrix is not None) == (len(own) > 1)
 
     def test_empty_scheme_decodes_strangers_by_the_vote(self):
         proto, xs = kernel_case("tree")
         scheme = mixed_scheme(proto, 3, [])
-        vote = _table_vote(*universal._scheme_rules(scheme))
+        rules, c = universal._scheme_rules(scheme)
         strangers = fresh_labels(proto, xs[:4], range(3))
         for lx in strangers:
             for ly in strangers:
-                assert decode_labels(scheme, lx, ly) == vote(lx, ly)
-        assert scheme._rows.rows == {}
+                assert decode_labels(scheme, lx, ly) == _vote(rules, c, lx.value, ly.value)
+        assert scheme._decoding.matrix is None
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
     def test_scheme_pairs_make_no_per_pair_decide(self, kind, monkeypatch):
-        # the scheme's first pair takes the vote; every later pair of its
-        # own labels reads a row, one kernel call per distinct left label
+        # the scheme's first pair takes the vote; the second builds the
+        # verdict matrix in one kernel call, and every later pair reads it
         proto, xs = kernel_case(kind)
         eps = Fraction(1, 5)
         scheme = labeling_from_json(labeling_to_json(derandomized_labeling(
@@ -909,7 +915,21 @@ class TestRowDecode:
         assert calls["decide"] > 0 and calls["decide_all"] == 0
         calls.clear()
         got = [decode_labels(scheme, lx, ly) for lx in labels for ly in labels]
-        assert calls["decide"] == 0 and calls["decide_all"] == len(set(labels))
+        assert calls["decide"] == 0 and calls["decide_all"] == 1
+        assert got == [positive_verdict(proto.expected(x, y)) for x in xs for y in xs]
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    def test_labeling_decodes_its_pairs_from_its_check(self, kind, monkeypatch):
+        # derandomized_labeling's check builds the matrix, so no pair of the
+        # returned scheme's own labels calls a rule at all
+        proto, xs = kernel_case(kind)
+        eps = Fraction(1, 5)
+        calls = count_rule_calls(type(proto), monkeypatch)
+        scheme = derandomized_labeling(proto, xs, newman_seed_bank(proto, xs, eps, eps, 7))
+        assert calls["decide_all"] >= 1
+        calls.clear()
+        got = [decode_labels(scheme, lx, ly) for lx in scheme.labels for ly in scheme.labels]
+        assert calls["decide"] == 0 and calls["decide_all"] == 0
         assert got == [positive_verdict(proto.expected(x, y)) for x in xs for y in xs]
 
     def test_wrong_width_raises_before_anything_is_built(self):
@@ -919,4 +939,4 @@ class TestRowDecode:
         for lx, ly in [(Bits(0, bits - 1), label), (label, Bits(0, bits + 1))]:
             with pytest.raises(InputError, match="labels must be"):
                 decode_labels(scheme, lx, ly)
-        assert scheme._vote is None and scheme._rows is None
+        assert scheme._decoding is None
