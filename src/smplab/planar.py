@@ -33,15 +33,26 @@ class PlanarEmbedding:
     def n(self) -> int:
         return len(self.rotation)
 
+    # Both graphs are built on first use and kept in the instance's __dict__,
+    # outside the dataclass fields, so equality and hashing are unchanged;
+    # a Graph is immutable, so every caller may share one.
     def graph(self) -> Graph:
         """All embedded edges, auxiliary ones included."""
-        edges = {(min(u, v), max(u, v)) for u in range(self.n) for v in self.rotation[u]}
-        return Graph(self.n, sorted(edges))
+        built = self.__dict__.get("_graph")
+        if built is None:
+            built = self.__dict__["_graph"] = Graph(self.n, sorted(self._edges()))
+        return built
 
     def base_graph(self) -> Graph:
         """The embedded edges minus auxiliary (triangulation) edges."""
-        edges = {(min(u, v), max(u, v)) for u in range(self.n) for v in self.rotation[u]}
-        return Graph(self.n, sorted(edges - set(self.aux_edges)))
+        built = self.__dict__.get("_base_graph")
+        if built is None:
+            built = self.__dict__["_base_graph"] = Graph(
+                self.n, sorted(self._edges() - set(self.aux_edges)))
+        return built
+
+    def _edges(self) -> set:
+        return {(min(u, v), max(u, v)) for u in range(self.n) for v in self.rotation[u]}
 
 
 def embedding_to_json(emb: PlanarEmbedding) -> dict:

@@ -20,15 +20,14 @@ import numpy as np
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, Orientation, degeneracy_orientation
-from ..rng import indexed_draws
 from .base import (
     ACCEPT,
     REJECT,
     RULE_CACHE_SIZE,
     WIDTH_CAP,
     AllPairs,
+    PlannedProtocol,
     Rule,
-    SmpProtocol,
     as_fraction,
     eps_to_json,
     field_width,
@@ -37,7 +36,7 @@ from .base import (
 )
 
 
-class ArboricityAdjacency(SmpProtocol):
+class ArboricityAdjacency(PlannedProtocol):
     name = "sparse-adjacency"
     one_sided = True
 
@@ -52,42 +51,17 @@ class ArboricityAdjacency(SmpProtocol):
         self.outdeg = orientation.max_outdegree
         self.m = math.ceil(2 * max(1, self.outdeg) / self.eps)
         self.color_width = field_width(self.m)
-        self._plans = {}  # vertex -> its 1 + outdeg color slots; see _plan
+        self.field_widths = (self.color_width,) * (1 + self.outdeg)
 
     def params(self):
         return {"name": self.name, "eps": eps_to_json(self.eps),
                 "n": self.graph.n, "outdegree": self.outdeg, "m": self.m}
 
-    @property
-    def cost_bits(self):
-        return (1 + self.outdeg) * self.color_width
-
-    def encode(self, v, rnd):
-        own = rnd.integer(("c", v), self.m)
-        slots = [rnd.integer(("c", p), self.m) for p in self.orientation.parents[v]]
-        slots += [own] * (self.outdeg - len(slots))
-        return Bits.pack([own] + slots, self.color_width)
-
-    def _plan(self, v):
-        """The vertices whose colors v sends: itself, its parents, then itself
-        again in each empty parent slot."""
-        plan = self._plans.get(v)
-        if plan is None:
-            parents = self.orientation.parents[v]
-            plan = self._plans[v] = (v, *parents) + (v,) * (self.outdeg - len(parents))
-        return plan
-
-    def encode_all(self, vs, rnd):
-        plans = [self._plan(v) for v in vs]
-        colors = indexed_draws(rnd, "c", {u for plan in plans for u in plan}, self.m)
-        width, bits = self.color_width, self.cost_bits
-        out = []
-        for plan in plans:
-            value = 0
-            for u in plan:
-                value = value << width | colors[u]
-            out.append(Bits(value, bits))
-        return out
+    def message_fields(self, v):
+        """The colors of v, of its parents, then of v again in each empty
+        parent slot."""
+        parents = self.orientation.parents[v]
+        return [(("c", u), self.m) for u in (v, *parents, *(v,) * (self.outdeg - len(parents)))]
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

@@ -5,10 +5,13 @@ fixed-width bit message using labeled shared randomness, and both parties
 send it; ``rule_from_params`` (or an overridden ``rule``) maps two message
 values to a verdict.  With ``expected``, ``params`` and ``cost_bits`` that is
 the contract.  ``encode_all`` encodes many inputs under one seed; its loop
-over ``encode`` is the reference, and a labelable protocol overrides it to
-draw each label the inputs read once and build every message from cached
+over ``encode`` is the reference, and a labelable protocol draws each label
+the inputs read once instead and builds every message from cached
 per-input plans, returning the same messages and reading no label outside
-their supports.  ``support`` is recorded from one encode under
+their supports.  A ``PlannedProtocol`` states its message once per input,
+as fields that are each a labeled draw or a fixed value; one cached
+``Plan`` per input then gives its ``encode``, its ``encode_all`` and its
+batched trial table.  ``support`` is recorded from one encode under
 ``RecordingRandomness``, and ``referee`` calls the rule, the one check of
 both message widths.  Most rules are *blind* (a fixed function of the
 messages alone, which is what lets the messages double as vertex labels in a
@@ -16,7 +19,9 @@ fixed decision structure); others read the shared randomness
 (``referee_reads_randomness = True``) and are built per seed.
 
 ``run_trials`` is the one trial loop, which decides chunks of trials in one
-all-pairs kernel call where the rule is blind and states the form;
+all-pairs kernel call where the rule is blind and states the form (a
+planned protocol gathers that call's table from its plans' draws, with no
+message built);
 ``exact_error`` runs it over every draw assignment, so small instances get
 exact rational error probabilities rather than estimates.
 """
@@ -35,11 +40,14 @@ import numpy as np
 from ..bits import Bits
 from ..errors import InputError
 from ..rng import (
+    DrawPlan,
     HashRandomness,
     RecordingRandomness,
     SharedRandomness,
     TableRandomness,
     enumerate_assignments,
+    indexed_draws,
+    plan_reads,
     support_size,
 )
 
@@ -355,15 +363,22 @@ class SmpProtocol:
                 ma = self.encode(x, rnd)
                 yield (blind or self.rule(rnd))(ma, ma if x == y else self.encode(y, rnd))
             return
-        encode, value = self.encode, blind.value
         chunk = max(1, min(TRIAL_CHUNK, PAIR_CELLS // (2 * len(form.widths))))
+        for table in self._trial_tables(trials, blind, chunk):
+            codes = form.seed_codes(table, 2, [0], [1])
+            yield from map(form.verdicts.__getitem__, codes[:, 0].tolist())
+
+    def _trial_tables(self, trials, rule: Rule, chunk: int):
+        """Per chunk of at most ``chunk`` trials, the kernel table of its
+        messages: each trial's x message, then its y message (x's again when
+        x == y), cut from their width-checked values."""
+        encode, value, form = self.encode, rule.value, rule.all_pairs
         while batch := list(itertools.islice(trials, chunk)):
             values = []
             for (x, y), rnd in batch:
                 va = value(encode(x, rnd))
                 values += (va, va if x == y else value(encode(y, rnd)))
-            codes = form.seed_codes(form.table(values), 2, [0], [1])
-            yield from map(form.verdicts.__getitem__, codes[:, 0].tolist())
+            yield form.table(values)
 
     def _errors(self, x: int, y: int, rnds) -> int:
         """How many trials of the pair (x, y), one per rnd, miss its expected verdict."""
@@ -381,6 +396,155 @@ class SmpProtocol:
         master = random.Random(seed)
         rnds = (HashRandomness(master.getrandbits(63)) for _ in range(trials))
         return Fraction(self._errors(x, y, rnds), trials)
+
+
+class Plan(NamedTuple):
+    """One input's message as the kernel reads it: the labels it draws, each
+    once, and its fields, field f being ``(draws + fixed)[source[f]]``."""
+
+    draws: DrawPlan
+    source: tuple[int, ...]
+    fixed: tuple[int, ...]
+
+
+class _Layout(NamedTuple):
+    """Many plans' messages over one pool of values: each family's draws in
+    order, then every plan's fixed values; message p's field f is
+    ``pool[gathers[p][f]]``."""
+
+    plans: list
+    families: list  # (prefix, cardinality, sorted indices)
+    fixed: list
+    gathers: list
+
+    @classmethod
+    def of(cls, plans):
+        members = {}  # (prefix, cardinality) -> {index: label bytes}
+        for plan in plans:
+            for label, n, data in zip(*plan.draws):
+                members.setdefault((label[:-1], n), {})[label[-1]] = data
+        families = [(prefix, n, sorted(ids)) for (prefix, n), ids in members.items()]
+        pool = [members[prefix, n][i] for prefix, n, ids in families for i in ids]
+        slot = {data: at for at, data in enumerate(pool)}  # label bytes -> place in the pool
+        fixed, gathers = [], []
+        for plan in plans:
+            start = len(slot) + len(fixed)
+            values = [slot[data] for data in plan.draws.data]
+            values += range(start, start + len(plan.fixed))
+            fixed += plan.fixed
+            gathers.append([values[at] for at in plan.source])
+        return cls(plans, families, fixed, gathers)
+
+
+class PlannedProtocol(SmpProtocol):
+    """A sketch whose message is ``field_widths`` fields, big-endian, each a
+    labeled draw or a fixed value, as ``message_fields`` states per input.
+
+    ``plan`` states it once per input and checks it against the widths: the
+    field count, every fixed value and every draw's cardinality must fit.
+    ``encode``, ``encode_all`` and the batched ``run_trials`` all read the
+    cached plan; a trial's messages go straight to the kernel table, with no
+    ``Bits`` built, and a plan whose fields do not fit raises ``InputError``
+    on every path.
+    """
+
+    field_widths: tuple[int, ...]  # set by each subclass, first field first
+    _layout: _Layout | None = None  # of the last ``encode_all`` call's plans
+
+    def message_fields(self, v: int) -> list:
+        """Per field of v's message, first first: a fixed int, or a
+        (label, cardinality) draw."""
+        raise NotImplementedError
+
+    @property
+    def cost_bits(self) -> int:
+        return sum(self.field_widths)
+
+    @functools.cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def plan(self, v: int) -> Plan:
+        """v's message plan, built on first use and kept."""
+        plan = self._plans.get(v)
+        if plan is None:
+            plan = self._plans[v] = self._build_plan(v)
+        return plan
+
+    def _build_plan(self, v: int) -> Plan:
+        widths = self.field_widths
+        fields = list(self.message_fields(v))
+        if len(fields) != len(widths):
+            raise InputError(f"messages must be {len(widths)} fields, "
+                             f"input {v!r} states {len(fields)}")
+        draws, at = plan_reads(field for field in fields if type(field) is not int)
+        at, source, fixed = iter(at), [], []
+        for field, width in zip(fields, widths):
+            if type(field) is int:
+                if not 0 <= field < 1 << width:
+                    raise InputError(f"fixed value {field} does not fit its {width}-bit field")
+                source.append(len(draws.labels) + len(fixed))
+                fixed.append(field)
+            elif field[1] > 1 << width:
+                raise InputError(f"draw {field[0]!r} of {field[1]} values overflows "
+                                 f"its {width}-bit field")
+            else:
+                source.append(next(at))
+        return Plan(draws, tuple(source), tuple(fixed))
+
+    def encode(self, v, rnd):
+        plan = self.plan(v)
+        return _pack([*rnd.draw_plan(plan.draws), *plan.fixed], plan.source,
+                     self.field_widths, self.cost_bits)
+
+    def encode_all(self, vs, rnd):
+        """Each label of the inputs' plans drawn once, by one ``indexed_draws``
+        call per family: the labels ``(*prefix, i)`` of one prefix and
+        cardinality.  The families, and where each message's fields sit in
+        their draws, are laid out once per run of plans and kept."""
+        plans = [self.plan(v) for v in vs]
+        layout = self._layout
+        if layout is None or layout.plans != plans:
+            layout = self._layout = _Layout.of(plans)
+        pool = []
+        for prefix, n, ids in layout.families:
+            drawn = indexed_draws(rnd, prefix, ids, n)
+            pool += [drawn[i] for i in ids]
+        pool += layout.fixed
+        widths, bits = self.field_widths, self.cost_bits
+        return [_pack(pool, gather, widths, bits) for gather in layout.gathers]
+
+    def _trial_tables(self, trials, rule: Rule, chunk: int):
+        """The base's tables, gathered by numpy from the plans' draws and
+        fixed values, with no ``Bits`` built; the field widths are checked
+        against the rule's once."""
+        form = rule.all_pairs
+        if self.field_widths != form.widths:
+            raise InputError(f"message fields {self.field_widths} differ from "
+                             f"the rule's {form.widths}")
+        plan, dtype = self.plan, _word_layout(form.widths)[-1]
+        while batch := list(itertools.islice(trials, chunk)):
+            pool, starts, sources = [], [], []
+            for (x, y), rnd in batch:
+                for v in (x,) if x == y else (x, y):
+                    p = plan(v)
+                    starts.append(len(pool))
+                    sources.append(p.source)
+                    pool += rnd.draw_plan(p.draws)
+                    pool += p.fixed
+                if x == y:
+                    starts.append(starts[-1])
+                    sources.append(sources[-1])
+            index = np.array(sources, dtype=np.intp).T + np.array(starts, dtype=np.intp)
+            yield np.array(pool, dtype=dtype)[index]
+
+
+def _pack(values: list[int], source: tuple[int, ...], widths: tuple[int, ...], bits: int) -> Bits:
+    """The message whose field f, ``widths[f]`` bits wide, is ``values[source[f]]``."""
+    value = 0
+    for width, at in zip(widths, source):
+        value = value << width | values[at]
+    return Bits(value, bits)
 
 
 def as_fraction(eps) -> Fraction:

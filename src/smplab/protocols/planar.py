@@ -35,14 +35,13 @@ from ..planar import (
     schnyder_wood,
     triangulate,
 )
-from ..rng import indexed_draws
 from .base import (
     ACCEPT,
     REJECT,
     RULE_CACHE_SIZE,
     AllPairs,
+    PlannedProtocol,
     Rule,
-    SmpProtocol,
     as_fraction,
     eps_to_json,
     field_width,
@@ -53,7 +52,7 @@ from .base import (
 CLOSURE_SLOTS = 17
 
 
-class PlanarTwoDistance(SmpProtocol):
+class PlanarTwoDistance(PlannedProtocol):
     name = "planar-distance-2"
     one_sided = True
 
@@ -74,15 +73,11 @@ class PlanarTwoDistance(SmpProtocol):
         self.m2 = math.ceil(68 / self.eps)
         self.w1, self.w2 = two_hop_widths(self.m1, self.m2)
         self._dist_cache = {}
-        self._plans = {}  # vertex -> (13 tree slots, closure labels); see _plan
+        self.field_widths = (self.w1,) * 13 + (self.w2,) * (1 + CLOSURE_SLOTS)
 
     def params(self):
         return {"name": self.name, "eps": eps_to_json(self.eps),
                 "n": self.base.n, "m1": self.m1, "m2": self.m2}
-
-    @property
-    def cost_bits(self):
-        return 13 * self.w1 + (1 + CLOSURE_SLOTS) * self.w2
 
     # -- slots ---------------------------------------------------------------
     def _tree_slots(self, v):
@@ -96,65 +91,18 @@ class PlanarTwoDistance(SmpProtocol):
                 slots += list(self.wood.parent[p])
         return slots
 
-    def _plan(self, v):
-        """v's 13 tree slots and its closure draw labels (own color first).
-
-        A tree slot is a draw label, or for a missing parent or grandparent
-        the index of the earlier slot whose color it repeats.
-        """
-        plan = self._plans.get(v)
-        if plan is None:
-            tree = []
-            for pos, u in enumerate(self._tree_slots(v)):
-                if u is not None:
-                    tree.append(("c1", u))
-                elif pos < 4:
-                    tree.append(0)  # missing parent: own color
-                else:
-                    tree.append(1 + (pos - 4) // 3)  # missing grandparent: its parent's
-            closure = [("c2", v)] + [("c2", p) for p in self.closure_orientation.parents[v]]
-            plan = self._plans[v] = (tuple(tree), tuple(closure))
-        return plan
-
-    def encode(self, v, rnd):
-        tree, closure = self._plan(v)
-        w1, w2 = self.w1, self.w2
-        colors = []
-        value = 0
-        for slot in tree:
-            color = rnd.integer(slot, self.m1) if type(slot) is tuple else colors[slot]
-            colors.append(color)
-            value = value << w1 | color
-        own2 = rnd.integer(closure[0], self.m2)
-        value = value << w2 | own2
-        for label in closure[1:]:
-            value = value << w2 | rnd.integer(label, self.m2)
-        for _ in range(CLOSURE_SLOTS + 1 - len(closure)):
-            value = value << w2 | own2
-        return Bits(value, self.cost_bits)
-
-    def encode_all(self, vs, rnd):
-        plans = [self._plan(v) for v in vs]
-        c1 = indexed_draws(rnd, "c1", {slot[1] for tree, _ in plans for slot in tree
-                                       if type(slot) is tuple}, self.m1)
-        c2 = indexed_draws(rnd, "c2", {label[1] for _, closure in plans
-                                       for label in closure}, self.m2)
-        w1, w2, bits = self.w1, self.w2, self.cost_bits
-        out = []
-        for tree, closure in plans:
-            colors = []
-            value = 0
-            for slot in tree:
-                color = c1[slot[1]] if type(slot) is tuple else colors[slot]
-                colors.append(color)
-                value = value << w1 | color
-            for label in closure:
-                value = value << w2 | c2[label[1]]
-            own2 = c2[closure[0][1]]
-            for _ in range(CLOSURE_SLOTS + 1 - len(closure)):
-                value = value << w2 | own2
-            out.append(Bits(value, bits))
-        return out
+    def message_fields(self, v):
+        """v's 13 tree colors, a missing parent repeating v's own and a
+        missing grandparent its parent's, then its own closure color, its
+        closure parents' and its own again in each empty closure slot."""
+        tree = []
+        for pos, u in enumerate(self._tree_slots(v)):
+            if u is not None:
+                tree.append((("c1", u), self.m1))
+            else:
+                tree.append(tree[0] if pos < 4 else tree[1 + (pos - 4) // 3])
+        closure = [(("c2", u), self.m2) for u in (v, *self.closure_orientation.parents[v])]
+        return tree + closure + closure[:1] * (1 + CLOSURE_SLOTS - len(closure))
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

@@ -23,13 +23,12 @@ import numpy as np
 from ..bits import Bits
 from ..errors import InputError
 from ..graphs import Graph, bfs_from
-from ..rng import indexed_draws
 from .base import (
     RULE_CACHE_SIZE,
     WIDTH_CAP,
     AllPairs,
+    PlannedProtocol,
     Rule,
-    SmpProtocol,
     Verdict,
     as_fraction,
     beyond_verdict,
@@ -41,7 +40,7 @@ from .base import (
 )
 
 
-class TreeKDistance(SmpProtocol):
+class TreeKDistance(PlannedProtocol):
     name = "tree-distance"
     one_sided = False
 
@@ -68,15 +67,11 @@ class TreeKDistance(SmpProtocol):
             for u in tree.neighbors(v):
                 if self.depth[u] == self.depth[v] - 1:
                     self.parent[v] = u
-        self._plans = {}  # vertex -> (header, 2k slots); see _plan
+        self.field_widths = (2, self.res_width) + (self.color_width,) * (2 * k)
 
     def params(self):
         return {"name": self.name, "k": self.k, "eps": eps_to_json(self.eps),
                 "n": self.tree.n, "root": self.root, "m": self.m}
-
-    @property
-    def cost_bits(self):
-        return 2 + self.res_width + 2 * self.k * self.color_width
 
     # -- ancestor window ---------------------------------------------------
     def _window_vertices(self, v):
@@ -93,41 +88,14 @@ class TreeKDistance(SmpProtocol):
                 out.append(("virtual", j - self.depth[v]))
         return ext, k1, out
 
-    def _plan(self, v):
-        """v's header value (band mod 3, residue) and its 2k color slots.
-
-        A slot is a draw label for a real ancestor, or the fixed color of a
-        virtual height or of padding.
-        """
-        plan = self._plans.get(v)
-        if plan is None:
-            ext, _, window = self._window_vertices(v)
-            header = (ext // self.k % 3) << self.res_width | ext % self.k
-            slots = [("c", u) if kind == "real" else u % self.m  # sentinel color by height
-                     for kind, u in window]
-            slots += [self.pad] * (2 * self.k - len(slots))
-            plan = self._plans[v] = (header, tuple(slots))
-        return plan
-
-    def encode(self, v, rnd):
-        value, slots = self._plan(v)
-        width, m = self.color_width, self.m
-        for slot in slots:
-            color = rnd.integer(slot, m) if type(slot) is tuple else slot
-            value = value << width | color
-        return Bits(value, self.cost_bits)
-
-    def encode_all(self, vs, rnd):
-        plans = [self._plan(v) for v in vs]
-        colors = indexed_draws(rnd, "c", {slot[1] for _, slots in plans for slot in slots
-                                          if type(slot) is tuple}, self.m)
-        width, bits = self.color_width, self.cost_bits
-        out = []
-        for value, slots in plans:
-            for slot in slots:
-                value = value << width | (colors[slot[1]] if type(slot) is tuple else slot)
-            out.append(Bits(value, bits))
-        return out
+    def message_fields(self, v):
+        """Band mod 3 and residue of v's extended depth, then its window's 2k
+        colors: a draw for each real ancestor, the fixed color of each
+        virtual height, then the pad."""
+        ext, _, window = self._window_vertices(v)
+        colors = [(("c", u), self.m) if kind == "real" else u % self.m  # sentinel color by height
+                  for kind, u in window]
+        return [ext // self.k % 3, ext % self.k, *colors] + [self.pad] * (2 * self.k - len(colors))
 
     @classmethod
     def rule_from_params(cls, params, rnd=None):

@@ -13,13 +13,17 @@ how a seed-reading referee builds its whole table of vectors or buckets.  A
 tag may also be a flat tuple of ints and strings, a prefix: ``("idx", 2)``
 draws ``("idx", 2, 0) ... ("idx", 2, count - 1)``.  ``indexed_draws`` draws
 any index set of a family, each label once, which is how ``encode_all``
-reads every label a whole universe needs under one seed.
+reads every label a whole universe needs under one seed.  ``draw_plan``
+draws a ``DrawPlan``: labels fixed ahead of time, each once, stored with
+their cardinalities and canonical bytes (``plan_reads`` builds one from a
+message's reads), which is how a planned protocol draws one message.
 ``HashRandomness`` keys one hash state per seed and copies it for each
 draw, so the key block is compressed once; the bytes of flat labels such as
 ``("s", 17)``, and of whole indexed families, are memoized in bounded
-module-level tables.  These are shortcuts to the same digests: the stream is
-unchanged, ``integers`` returns exactly the ``integer`` loop's values, and
-``tests/test_rng.py`` pins both with known-answer vectors.
+module-level tables, and a plan carries its own.  These are shortcuts to the
+same digests: the stream is unchanged, ``integers`` and ``draw_plan`` return
+exactly the ``integer`` loop's values, and ``tests/test_rng.py`` pins them
+with known-answer vectors.
 
 ``derive_seed`` derives a stream seed from a master seed and a label path
 by the same keyed hash; ``derive_seeds`` derives the seeds of one path
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from typing import NamedTuple
 
 from .errors import CapacityError, InputError
 
@@ -115,6 +120,41 @@ def _indexed_bytes(tag, count: int) -> tuple[bytes, ...]:
     return hit
 
 
+class DrawPlan(NamedTuple):
+    """Labels drawn together by ``draw_plan``, each once: its cardinality,
+    and its ``_label_bytes``, the bytes the keyed hash reads."""
+
+    labels: tuple
+    cards: tuple[int, ...]
+    data: tuple[bytes, ...]
+
+
+def plan_reads(reads) -> tuple[DrawPlan, list[int]]:
+    """The draw plan of (label, cardinality) reads, each label once at its
+    first read, and the index into it of each read's draw.
+
+    Labels are told apart by their bytes, as the hash tells them apart, so
+    ``("c", True)`` and ``("c", 1)`` are two draws.  A malformed label, a
+    cardinality below 1, or a label read at two cardinalities raises
+    ``InputError``.
+    """
+    at, labels, cards, data, index = {}, [], [], [], []
+    for label, n in reads:
+        key = _label_bytes(label)
+        i = at.get(key)
+        if i is None:
+            if n <= 0:
+                raise InputError("draw cardinality must be positive")
+            i = at[key] = len(labels)
+            labels.append(label)
+            cards.append(n)
+            data.append(key)
+        elif cards[i] != n:
+            raise InputError(f"draw {label!r} read with two cardinalities")
+        index.append(i)
+    return DrawPlan(tuple(labels), tuple(cards), tuple(data)), index
+
+
 class SharedRandomness:
     """Interface: uniform draws addressed by label."""
 
@@ -133,6 +173,14 @@ class SharedRandomness:
         prefix = _prefix(tag)
         return [self.integer((*prefix, i), n) for i in range(count)]
 
+    def draw_plan(self, plan: DrawPlan) -> list[int]:
+        """The draws of ``plan.labels`` at ``plan.cards``, in order.
+
+        This loop over ``integer`` is the reference; a subclass may draw
+        faster from ``plan.data`` but must return the same values.
+        """
+        return [self.integer(label, n) for label, n in zip(plan.labels, plan.cards)]
+
 
 class HashRandomness(SharedRandomness):
     """Pseudorandom draws keyed by (seed, label).
@@ -140,7 +188,8 @@ class HashRandomness(SharedRandomness):
     The 128-bit digest makes the modulo bias below 2**-90 for any draw
     cardinality used here; we treat the draws as exactly uniform.
     ``integers`` hashes the label bytes of its family, prefix tags
-    included, from a bounded table keyed on the prefix and its part types.
+    included, from a bounded table keyed on the prefix and its part types;
+    ``draw_plan`` hashes the bytes its plan carries.
     """
 
     def __init__(self, seed: int):
@@ -169,6 +218,21 @@ class HashRandomness(SharedRandomness):
             h = copy()
             h.update(data)
             out.append(from_bytes(h.digest(), "big") % n)
+        return out
+
+    def draw_plan(self, plan: DrawPlan) -> list[int]:
+        copy = self._keyed.copy
+        from_bytes = int.from_bytes
+        out = []
+        for data, n in zip(plan.data, plan.cards):
+            if n > 1:
+                h = copy()
+                h.update(data)
+                out.append(from_bytes(h.digest(), "big") % n)
+            elif n == 1:
+                out.append(0)
+            else:
+                raise InputError("draw cardinality must be positive")
         return out
 
 

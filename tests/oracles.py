@@ -5,6 +5,7 @@ with the library) so tests can cross-check the real implementations against
 an independent route.
 """
 
+import copy
 import itertools
 from math import inf
 
@@ -354,6 +355,41 @@ def planar2_encode_fields(proto, v, rnd):
                for p in proto.closure_orientation.parents[v]]
     closure += [own2] * (CLOSURE_SLOTS - len(closure))
     return concat_all([Bits.pack(colors, proto.w1), Bits.pack([own2] + closure, proto.w2)])
+
+
+def arboricity_encode(proto, v, rnd):
+    """ArboricityAdjacency.encode: own color, parent colors, then the own
+    color again in each empty parent slot."""
+    own = rnd.integer(("c", v), proto.m)
+    slots = [rnd.integer(("c", p), proto.m) for p in proto.orientation.parents[v]]
+    slots += [own] * (proto.outdeg - len(slots))
+    return Bits.pack([own] + slots, proto.color_width)
+
+
+def restated(proto, message_fields):
+    """A copy of a planned sketch that states its messages by
+    ``message_fields`` and builds its own plans."""
+    copied = copy.copy(proto)
+    copied._plans = {}
+    copied.message_fields = message_fields
+    return copied
+
+
+def drifted_plan(proto, wide, drift="extra"):
+    """A copy of a planned sketch whose plan of input ``wide`` no longer fits
+    its fields: one extra field (``drift="extra"``), or a first field fixed
+    one past its width (``drift="fixed"``)."""
+
+    def message_fields(v):
+        out = list(proto.message_fields(v))
+        if v == wide:
+            if drift == "extra":
+                out.append(0)
+            else:
+                out[0] = 1 << proto.field_widths[0]
+        return out
+
+    return restated(proto, message_fields)
 
 
 # -- draw supports and the equality referee as first written --------------

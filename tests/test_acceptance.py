@@ -188,7 +188,8 @@ def test_criterion_02_distance_sketch_false_accepts():
         for k in (1, 2, 3):
             pools = {
                 "hypercube": [
-                    (build[model](hyper, k, eps[model]), x, y)
+                    (proto, x, y)
+                    for proto in (build[model](hyper, k, eps[model]),)
                     for x, y in beyond_pairs(hyper, k)
                 ],
                 "downsets": [

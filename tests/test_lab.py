@@ -42,6 +42,7 @@ from smplab.protocols import (
     beyond_verdict,
     distance_verdict,
 )
+from smplab.protocols.base import PlannedProtocol
 from smplab.rng import HashRandomness, derive_seed
 from smplab.universal import positive_verdict
 
@@ -425,9 +426,14 @@ WIDTH_CASES = _width_cases()
 
 
 def _drifted(proto, side):
-    """A copy of proto whose ``encode`` sends one bit more on Alice's input 0
-    (side a) or on Bob's input 1 (side b)."""
+    """A copy of proto whose encoder drifts on Alice's input 0 (side a) or on
+    Bob's input 1 (side b): a planned sketch's plan of that input gets one
+    extra field (side a) or a fixed value wider than its field (side b),
+    since trials read the plan and not ``encode``; any other sketch's
+    ``encode`` sends one bit more."""
     wide = {"a": 0, "b": 1}[side]
+    if isinstance(proto, PlannedProtocol):
+        return oracles.drifted_plan(proto, wide, {"a": "extra", "b": "fixed"}[side])
 
     def encode(v, rnd):
         message = proto.encode(v, rnd)
@@ -455,9 +461,11 @@ class TestOneWidthCheck:
         drifted = _drifted(proto, side)
         rnd = HashRandomness(1)
         proto.run(0, 1, rnd)  # the undrifted encoder passes
-        ma, mb = drifted.encode(0, rnd), drifted.encode(1, rnd)
+        wide = {"a": 0, "b": 1}[side]
+        ma, mb = (proto.encode(v, rnd).concat(Bits(0, v == wide)) for v in (0, 1))
         for decide in (lambda: drifted.run(0, 1, rnd),
                        lambda: proto.referee(ma, mb, rnd),
+                       lambda: list(drifted.run_trials([(1, 1), (0, 1)], [rnd, rnd])),
                        lambda: drifted.monte_carlo_error(0, 1, 3, 7)):
             with pytest.raises(InputError):
                 decide()

@@ -1,6 +1,7 @@
 """Embedding, triangulation, and 3-tree decomposition tests."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from smplab.planar import (
     validate_embedding,
     validate_schnyder,
 )
+from smplab.protocols import PlanarTwoDistance
 
 K4 = PlanarEmbedding(((1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1)), (0, 2, 1))
 
@@ -254,3 +256,33 @@ class TestSplitAndClosure:
                 for j in range(i + 1, len(outs)):
                     a, b = outs[i], outs[j]
                     assert (min(a, b), max(a, b)) in union
+
+
+class TestEmbeddingGraphs:
+    """``graph`` and ``base_graph`` are built once per embedding and kept
+    outside its fields: equality and hashing do not see them."""
+
+    def test_built_once_per_embedding(self, monkeypatch):
+        builds = []
+        edges = PlanarEmbedding._edges
+
+        def counted(emb):
+            builds.append(id(emb))
+            return edges(emb)
+
+        monkeypatch.setattr(PlanarEmbedding, "_edges", counted)
+        emb = stacked_triangulation(random.Random(3), 30)
+        PlanarTwoDistance(emb, Fraction(1, 3))
+        emb.graph(), emb.base_graph()
+        assert max(builds.count(e) for e in builds) <= 2  # one graph() and one base_graph()
+        assert emb.graph() is emb.graph() and emb.base_graph() is emb.base_graph()
+
+    def test_equality_and_hash_ignore_the_kept_graphs(self):
+        built = stacked_triangulation(random.Random(4), 12)
+        fresh = stacked_triangulation(random.Random(4), 12)
+        built.graph(), built.base_graph()
+        assert built == fresh and hash(built) == hash(fresh)
+        assert built.graph().edges() == fresh.graph().edges()
+        assert built.base_graph().edges() == fresh.base_graph().edges()
+        aux = triangulate(cycle_embedding(6))
+        assert aux.graph().edge_count() > aux.base_graph().edge_count() == 6

@@ -467,17 +467,28 @@ class _RecordedDraws(SharedRandomness):
         return self.inner.integer(label, n)
 
 
+def _first_reads(draws):
+    """The (label, cardinality) reads, each label once, at its first read."""
+    return list(dict.fromkeys(draws))
+
+
 class TestCachedEncoderPlans:
-    """Tree and planar2 encoders shift cached per-vertex plans into one int;
-    messages and the draws behind them equal the encoders first written."""
+    """Tree, planar2 and arboricity encoders read cached per-vertex plans;
+    their messages equal the encoders first written, and they read the same
+    (label, cardinality) pairs in first-read order, each label once."""
 
     @staticmethod
-    def _check_every_vertex(proto, n, reference, seeds):
+    def _check_every_vertex(proto, n, reference, seeds) -> int:
+        """Check every vertex under every seed; return how many repeated
+        reads the reference made that the plans did not."""
+        repeats = 0
         for seed in seeds:  # the first seed builds each plan, later ones reuse it
             for v in range(n):
                 new, old = _RecordedDraws(seed), _RecordedDraws(seed)
                 assert proto.encode(v, new) == reference(proto, v, old)
-                assert new.draws == old.draws
+                assert new.draws == _first_reads(old.draws)
+                repeats += len(old.draws) - len(new.draws)
+        return repeats
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 4),
@@ -494,6 +505,111 @@ class TestCachedEncoderPlans:
         proto = PlanarTwoDistance(stacked_triangulation(random.Random(seed), n), eps)
         self._check_every_vertex(proto, n, oracles.planar2_encode_fields,
                                  (seed, seed + 1, -seed))
+
+    def test_planar2_plan_reads_a_repeated_grandparent_once(self):
+        proto = PlanarTwoDistance(stacked_triangulation(random.Random(2), 30), Fraction(1, 3))
+        assert self._check_every_vertex(proto, 30, oracles.planar2_encode_fields, (5,)) > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 40), st.sampled_from([Fraction(1, 3), Fraction(1, 50)]),
+           st.integers(0, 2**32))
+    def test_arboricity_encoder(self, n, eps, seed):
+        proto = ArboricityAdjacency(union_of_two_trees(random.Random(seed), n), eps)
+        self._check_every_vertex(proto, n, oracles.arboricity_encode, (seed, -seed))
+
+
+class TestPlanChecks:
+    """A plan is checked against the field widths when it is built: its
+    field count, every fixed value and every draw's cardinality must fit."""
+
+    @staticmethod
+    def _with_fields(proto, restate):
+        return oracles.restated(proto, lambda v: restate(proto.message_fields(v)))
+
+    def test_plans_that_do_not_fit_are_refused(self):
+        proto = TreeKDistance(path_graph(4), 1, Fraction(1, 2))
+        # band 2, residue 0, the root's color, the sentinel color of height 1
+        assert proto.message_fields(0) == [2, 0, (("c", 0), 12), 1]
+        top = 1 << proto.color_width
+        for restate, match in [
+            (lambda f: f + [0], "messages must be 4 fields, input 0 states 5"),
+            (lambda f: f[:-1], "messages must be 4 fields, input 0 states 3"),
+            (lambda f: [4] + f[1:], "fixed value 4 does not fit its 2-bit field"),
+            (lambda f: f[:3] + [-1], "fixed value -1 does not fit"),
+            (lambda f: f[:3] + [(("c", 9), top + 1)], "overflows its 4-bit field"),
+            (lambda f: f[:3] + [(("c", 0), 13)], "two cardinalities"),
+            (lambda f: f[:3] + [(("c", 9), 0)], "positive"),
+            (lambda f: f[:3] + [(("c", 0.5), 3)], "label parts"),
+        ]:
+            with pytest.raises(InputError, match=match):
+                self._with_fields(proto, restate).encode(0, HashRandomness(1))
+        fits = self._with_fields(proto, lambda f: f[:3] + [top - 1])
+        assert fits.encode(0, HashRandomness(1)).length == proto.cost_bits
+        widest = self._with_fields(proto, lambda f: f[:3] + [(("c", 9), top)])
+        assert widest.plan(0).draws.cards == (12, top)
+
+
+# planned sketch -> the encoder it was first written with
+PLAN_ORACLES = {"tree": oracles.tree_encode_fields, "planar2": oracles.planar2_encode_fields,
+                "sparse": oracles.arboricity_encode}
+
+
+def _planned_case(family, rng, n, eps):
+    """(a random instance of a planned sketch, its input count)."""
+    if family == "tree":
+        return TreeKDistance(random_tree(rng, n), rng.randint(1, 4), eps, root=rng.randrange(n)), n
+    if family == "planar2":
+        return PlanarTwoDistance(stacked_triangulation(rng, max(3, n)), eps), max(3, n)
+    return ArboricityAdjacency(union_of_two_trees(rng, max(2, n)), eps), max(2, n)
+
+
+class TestPlannedSketches:
+    """What a planned sketch derives from its plans, under hashed and tabled
+    draws: ``encode`` is the encoder first written, the batched trial table
+    is ``AllPairs.table`` of that encoder's messages, and ``encode_all`` is
+    the ``encode`` loop."""
+
+    @pytest.mark.parametrize("family", sorted(PLAN_ORACLES))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_plans_derive_the_reference_encoder(self, family, data):
+        seed = data.draw(st.integers(0, 2**32))
+        eps = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 8), Fraction(1, 60)]))
+        proto, n = _planned_case(family, random.Random(seed), data.draw(st.integers(1, 30)), eps)
+        reference = PLAN_ORACLES[family]
+        union = merge_support(*map(proto.support, range(n)))
+        values = random.Random(seed)
+        table = TableRandomness({label: values.randrange(card) for label, card in union})
+        rule = proto.rule()
+        form = rule.all_pairs
+        inputs = st.integers(0, n - 1)
+        trials = data.draw(st.lists(st.tuples(inputs, inputs), min_size=1, max_size=12))
+        trials += [(x, x) for x, _ in trials[:2]]  # equal inputs send one message twice
+        vs = data.draw(st.lists(inputs, max_size=2 * n))  # repeats, or none
+        chunk = data.draw(st.integers(1, 5))
+        for rnd in (HashRandomness(seed), table):
+            want = [reference(proto, v, rnd) for v in range(n)]
+            assert [proto.encode(v, rnd) for v in range(n)] == want
+            rnds = itertools.repeat(rnd)
+            got = np.concatenate(list(proto._trial_tables(zip(trials, rnds), rule, chunk)), axis=1)
+            expect = form.table([want[v].value for pair in trials for v in pair])
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+            assert proto.encode_all(iter(vs), rnd) == [want[v] for v in vs]
+            assert proto.encode_all((), rnd) == []
+
+    def test_encode_all_lays_out_each_run_of_inputs_anew(self):
+        proto, n = _planned_case("planar2", random.Random(1), 12, Fraction(1, 3))
+        for seed in range(3):
+            rnd = HashRandomness(seed)
+            want = [proto.encode(v, rnd) for v in range(n)]
+            for vs in (range(n), range(n), [3, 1, 3], [], range(n - 1, -1, -1)):
+                assert proto.encode_all(vs, rnd) == [want[v] for v in vs]
+        # a copy keeps the layout but builds its own plans, so it lays them out anew
+        swapped = oracles.restated(proto, lambda v: proto.message_fields(4 if v == 3 else v))
+        assert swapped._layout is proto._layout is not None
+        got = swapped.encode_all(range(n), rnd)
+        assert got == [want[4 if v == 3 else v] for v in range(n)]
 
 
 # -- blind rules over ints ----------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from smplab import rng
 from smplab.errors import InputError
 from smplab.rng import (
+    DrawPlan,
     HashRandomness,
     RecordingRandomness,
     SharedRandomness,
@@ -24,6 +25,7 @@ from smplab.rng import (
     derive_seed,
     derive_seeds,
     indexed_draws,
+    plan_reads,
 )
 
 SEEDS = [0, -1, 2**62]
@@ -88,6 +90,18 @@ BOOL_DRAWS = {
     0: ([1, 4760746, 4716284856448340941], [2, 4780435, 3669658888857117398]),
     -1: ([2, 7149029, 4981139725353729905], [1, 16092645, 7907573050103927761]),
     2**62: ([0, 11757474, 3546440074834275252], [1, 886428, 9034420860476114326]),
+}
+
+
+# reads of mixed tags and cardinalities, ("c", True) beside ("c", 1), a draw
+# of cardinality 1, and a repeated read last
+PLAN_READS = [(("c", 3), 7), (("c1", 0), 2**24), ("plain", 5), (("c", True), 3), (("c", 1), 3),
+              (("idx", 2, 9), 2**63 + 1), (("one",), 1), (7, 1000), (("c", 3), 7)]
+# DRAW_PLAN[seed] = draw_plan of PLAN_READS' plan: its first eight reads in order
+DRAW_PLAN = {
+    0: [1, 5589543, 2, 0, 2, 947532913281849672, 0, 462],
+    -1: [2, 16770101, 3, 2, 0, 3764307190718905474, 0, 41],
+    2**62: [2, 15028216, 4, 1, 1, 4502619876003506969, 0, 664],
 }
 
 
@@ -191,6 +205,60 @@ class TestLabelMemoEdges:
 TAGS = ["s", "bucket", 0, True]
 COUNTS = [0, 1, 200]
 BAD_TAGS = [1.0, None, ("s", 1.0), [1]]
+
+
+class TestDrawPlan:
+    """``draw_plan`` pinned by known answers and to the ``integer`` loop it
+    batches; ``plan_reads`` plans each label once."""
+
+    def test_plan_reads_plans_each_label_once_in_first_read_order(self):
+        plan, index = plan_reads(PLAN_READS)
+        assert list(zip(plan.labels, plan.cards)) == PLAN_READS[:-1]
+        assert plan.data == tuple(rng._canon(label) for label in plan.labels)
+        assert index == [0, 1, 2, 3, 4, 5, 6, 7, 0]
+        assert plan_reads([]) == (DrawPlan((), (), ()), [])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_known_answers(self, seed):
+        plan, _ = plan_reads(PLAN_READS)
+        r = HashRandomness(seed)
+        assert r.draw_plan(plan) == DRAW_PLAN[seed]
+        assert SharedRandomness.draw_plan(r, plan) == DRAW_PLAN[seed]
+        assert [r.integer(label, n) for label, n in PLAN_READS[:-1]] == DRAW_PLAN[seed]
+
+    def test_table_and_recording_draw_through_the_integer_loop(self):
+        plan, _ = plan_reads(PLAN_READS)
+        assert TableRandomness.draw_plan is SharedRandomness.draw_plan
+        assert RecordingRandomness.draw_plan is SharedRandomness.draw_plan
+        table = TableRandomness({label: n - 1 for label, n in PLAN_READS})
+        # ("c", True) == ("c", 1) as keys, so the table assigns both alike
+        assert table.draw_plan(plan) == [6, 2**24 - 1, 4, 2, 2, 2**63, 0, 999]
+        recorder = RecordingRandomness()
+        assert recorder.draw_plan(plan) == [0] * 8
+        assert list(recorder.reads) == [label for label, _ in PLAN_READS[:3]] + [
+            ("c", True), ("idx", 2, 9), ("one",), 7]
+
+    def test_plan_reads_refuse_what_integer_refuses(self):
+        with pytest.raises(InputError, match="label parts"):
+            plan_reads([(("c", 1.5), 3)])
+        with pytest.raises(InputError, match="positive"):
+            plan_reads([(("c", 1), 0)])
+        with pytest.raises(InputError, match="two cardinalities"):
+            plan_reads([(("c", 1), 3), (("c", 1), 4)])
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_bad_cardinalities_raise(self, n):
+        plan = DrawPlan((("c", 1),), (n,), (rng._canon(("c", 1)),))
+        for draw in (HashRandomness(0).draw_plan,
+                     lambda p: SharedRandomness.draw_plan(HashRandomness(0), p)):
+            with pytest.raises(InputError, match="positive"):
+                draw(plan)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_the_base_refuses_a_malformed_label(self, n):
+        plan = DrawPlan((("c", 1.5),), (n,), (b"",))
+        with pytest.raises(InputError, match="label parts"):
+            SharedRandomness.draw_plan(HashRandomness(0), plan)
 
 
 def integer_loop(r, tag, count, n):

@@ -6,14 +6,12 @@ The values were computed by the per-trial ``run`` loop, so any change to how
 trials are encoded, decided or seeded shows up here as a changed fraction.
 """
 
-import copy
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from oracles import EqualitySketch, fix_seed
-from smplab.bits import Bits
+from oracles import EqualitySketch, drifted_plan, fix_seed
 from smplab.errors import InputError
 from smplab.generators import path_graph
 from smplab.lab import FAMILIES, _protocol_for, generate
@@ -144,13 +142,25 @@ def test_batched_run_trials_are_run_verdicts(family, n, k, chunk, monkeypatch):
 
 @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (2, 2)])
 def test_batched_run_trials_refuse_a_drifting_encoder(pair):
+    # the batched trials read the tree sketch's plans, so the drift is put there
     proto = _protocol("tree")
     assert proto.rule().all_pairs is not None
-    drifted = copy.copy(proto)
-    drifted.encode = lambda v, rnd: proto.encode(v, rnd).concat(Bits(0, v == 2))
     pairs = [(0, 1), pair, (1, 3)]
-    with pytest.raises(InputError):
-        list(drifted.run_trials(pairs, map(HashRandomness, range(3))))
+    for drift in ("extra", "fixed"):
+        with pytest.raises(InputError):
+            list(drifted_plan(proto, 2, drift).run_trials(pairs, map(HashRandomness, range(3))))
+
+
+def test_batched_run_trials_refuse_field_widths_that_drift_from_the_rule():
+    # a plan one field longer that fits its own widths still meets the rule's
+    proto = _protocol("tree")
+    drifted = drifted_plan(proto, 2)
+    drifted.field_widths = proto.field_widths + (1,)
+    drifted.run_trials([(2, 2)], [HashRandomness(0)])  # lazy: nothing checked yet
+    with pytest.raises(InputError, match="differ from the rule's"):
+        list(drifted.run_trials([(0, 1)], [HashRandomness(0)]))
+    with pytest.raises(InputError, match="messages must be"):
+        drifted.run(2, 0, HashRandomness(0))
 
 
 def test_batched_run_trials_are_lazy():

@@ -729,8 +729,9 @@ class TestMessageWidthsChecked:
     """The bank check reads every message through ``Rule.value``, so an
     encoder that drifts from its rule is refused at once, not after the
     bank's retries.  A drifted ``encode`` reaches it through the base
-    ``encode_all`` loop (the equality toy keeps it); the tree sketch
-    overrides ``encode_all``, so its drift is put there."""
+    ``encode_all`` loop (the equality toy keeps it); the planned sketches
+    derive ``encode_all`` from their plans, so their drift is put in the
+    ``encode_all`` they send and, apart, in the plan itself."""
 
     TREE = TreeKDistance(random_tree(random.Random(5), 8), 2, Fraction(1, 3))
     TOY = EqualitySketch(8, 2)
@@ -760,6 +761,18 @@ class TestMessageWidthsChecked:
     def test_all_pairs_bank_drifted_encode_all(self, kind, monkeypatch):
         proto, _ = kernel_case(kind)
         self._first_attempt_refuses(_one_bit_wider(proto, "encode_all"), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["planar2", "sparse", "tree"])
+    def test_all_pairs_bank_drifted_plan(self, kind, monkeypatch):
+        proto, _ = kernel_case(kind)
+        # the bank encodes inputs 0 to 7; the last one drifts
+        self._first_attempt_refuses(oracles.drifted_plan(proto, 7), monkeypatch)
+
+    def test_role_free_bank_drifted_plan(self):
+        for drift, match in (("extra", "messages must be"), ("fixed", "does not fit")):
+            with pytest.raises(InputError, match=match):
+                newman_seed_bank(oracles.drifted_plan(self.TREE, 7, drift), 8,
+                                 Fraction(1, 3), Fraction(1, 3), 1)
 
 
 def count_rule_calls(cls, monkeypatch) -> collections.Counter:
