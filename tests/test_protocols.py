@@ -43,6 +43,7 @@ from smplab.protocols.arboricity import color_slots_rule
 from smplab.protocols.base import (
     WIDTH_CAP,
     AllPairs,
+    PlannedProtocol,
     SmpProtocol,
     field_width,
     fields_of,
@@ -597,6 +598,11 @@ class TestPlannedSketches:
             assert np.array_equal(got, expect)
             assert proto.encode_all(iter(vs), rnd) == [want[v] for v in vs]
             assert proto.encode_all((), rnd) == []
+
+    def test_the_sketches_state_no_encoder_of_their_own(self):
+        for cls in (TreeKDistance, PlanarTwoDistance, ArboricityAdjacency):
+            assert issubclass(cls, PlannedProtocol)
+            assert not {"encode", "encode_all", "run_trials"} & set(vars(cls))
 
     def test_encode_all_lays_out_each_run_of_inputs_anew(self):
         proto, n = _planned_case("planar2", random.Random(1), 12, Fraction(1, 3))
