@@ -12,8 +12,9 @@ Three moving parts, all deterministic given a master seed:
   from the master seed by labeled hashing (one ``derive_seeds`` prefix per
   stratum), so rows are independent jobs and reruns are byte-identical.
   A stratum's trials run through ``SmpProtocol.run_trials``, batched into
-  one kernel call per chunk for a blind rule with an all-pairs form; the
-  verdict they expect is the stratum's, from the BFS oracle alone.
+  one kernel call per chunk for a blind rule with an all-pairs form, and
+  into one numpy pass per chunk of seeds for the hashed adjacency sketch;
+  the verdict they expect is the stratum's, from the BFS oracle alone.
 * ``label_pipeline`` -- shared-randomness removal: draw and verify a seed
   bank, concatenate per-seed messages into vertex labels, write the scheme
   to disk, read it back, and re-check every pair through the public decoder

@@ -33,23 +33,24 @@ class PlanarEmbedding:
     def n(self) -> int:
         return len(self.rotation)
 
-    # Both graphs are built on first use and kept in the instance's __dict__,
-    # outside the dataclass fields, so equality and hashing are unchanged;
-    # a Graph is immutable, so every caller may share one.
+    # Derived values (both graphs, the face walks, the validation report)
+    # are built on first use and kept in the instance's __dict__, outside the
+    # dataclass fields, so equality, hashing and repr are unchanged; each is
+    # immutable, so every caller may share one.
+    def _kept(self, key: str, build):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = self.__dict__[key] = build()
+        return value
+
     def graph(self) -> Graph:
         """All embedded edges, auxiliary ones included."""
-        built = self.__dict__.get("_graph")
-        if built is None:
-            built = self.__dict__["_graph"] = Graph(self.n, sorted(self._edges()))
-        return built
+        return self._kept("_graph", lambda: Graph(self.n, sorted(self._edges())))
 
     def base_graph(self) -> Graph:
         """The embedded edges minus auxiliary (triangulation) edges."""
-        built = self.__dict__.get("_base_graph")
-        if built is None:
-            built = self.__dict__["_base_graph"] = Graph(
-                self.n, sorted(self._edges() - set(self.aux_edges)))
-        return built
+        return self._kept("_base_graph", lambda: Graph(
+            self.n, sorted(self._edges() - set(self.aux_edges))))
 
     def _edges(self) -> set:
         return {(min(u, v), max(u, v)) for u in range(self.n) for v in self.rotation[u]}
@@ -79,7 +80,15 @@ def embedding_from_json(data: dict) -> PlanarEmbedding:
 
 
 def trace_faces(emb: PlanarEmbedding) -> list[tuple[int, ...]]:
-    """Face walks as vertex tuples; each directed edge lies on one walk."""
+    """Face walks as vertex tuples; each directed edge lies on one walk.
+
+    The walks are traced once per embedding object and kept on it; each
+    call returns a fresh list of them."""
+    return list(emb._kept("_faces", lambda: tuple(_walk_faces(emb))))
+
+
+def _walk_faces(emb: PlanarEmbedding) -> list[tuple[int, ...]]:
+    """Trace every face walk of emb by the successor rule."""
     succ_cache = {}
     for v, rot in enumerate(emb.rotation):
         deg = len(rot)
@@ -116,7 +125,17 @@ class EmbeddingReport:
 
 
 def validate_embedding(emb: PlanarEmbedding) -> EmbeddingReport:
-    """Rotation-system consistency, connectivity, Euler count, outer face."""
+    """Rotation-system consistency, connectivity, Euler count, outer face.
+
+    The checks run once per embedding object, whose report is kept on it
+    and returned by every later call; ``require_valid``, ``triangulate`` and
+    ``schnyder_wood`` read the same report, so an invalid embedding raises
+    on each of their calls."""
+    return emb._kept("_report", lambda: _check_embedding(emb))
+
+
+def _check_embedding(emb: PlanarEmbedding) -> EmbeddingReport:
+    """Run every check of ``validate_embedding`` on emb."""
     problems = []
     n = emb.n
     if n < 1:

@@ -21,7 +21,9 @@ fixed decision structure); others read the shared randomness
 ``run_trials`` is the one trial loop, which decides chunks of trials in one
 all-pairs kernel call where the rule is blind and states the form (a
 planned protocol gathers that call's table from its plans' draws, with no
-message built);
+message built).  A referee that reads the draws is rebuilt per trial, the
+reference; a protocol may override ``run_trials`` to read each chunk's
+seeds in one pass instead, as the hashed adjacency sketch does.
 ``exact_error`` runs it over every draw assignment, so small instances get
 exact rational error probabilities rather than estimates.
 """
@@ -225,6 +227,13 @@ def triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def trial_chunk(cells: int) -> int:
+    """Trials one batched ``run_trials`` chunk holds when each trial puts
+    ``cells`` cells in its numpy blocks: at most ``TRIAL_CHUNK``, and at most
+    ``PAIR_CELLS`` cells in all, but never fewer than one trial."""
+    return max(1, min(TRIAL_CHUNK, PAIR_CELLS // max(cells, 1)))
+
+
 def int_params(params: dict, **least: int) -> tuple[int, ...]:
     """The named integer parameters, in order, each at least its given floor."""
     out = []
@@ -353,7 +362,10 @@ class SmpProtocol:
         kernel call on the width-checked message values, so memory and
         read-ahead stay one chunk whatever the trial count.  Other rules
         decide each trial through the ``Rule``, built once, or once per rnd
-        for a referee that reads the draws; that loop is the reference.
+        for a referee that reads the draws; that loop is the reference.  A
+        seed-reading protocol may override this to decide a chunk's seeds
+        in one pass; ``HashedAdjacency`` does, checking both widths through
+        ``Rule.value`` and keeping its blocks under ``PAIR_CELLS`` cells.
         """
         blind = None if self.referee_reads_randomness else self.rule()
         form = None if blind is None else blind.all_pairs
@@ -363,8 +375,7 @@ class SmpProtocol:
                 ma = self.encode(x, rnd)
                 yield (blind or self.rule(rnd))(ma, ma if x == y else self.encode(y, rnd))
             return
-        chunk = max(1, min(TRIAL_CHUNK, PAIR_CELLS // (2 * len(form.widths))))
-        for table in self._trial_tables(trials, blind, chunk):
+        for table in self._trial_tables(trials, blind, trial_chunk(2 * len(form.widths))):
             codes = form.seed_codes(table, 2, [0], [1])
             yield from map(form.verdicts.__getitem__, codes[:, 0].tolist())
 

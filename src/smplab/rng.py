@@ -55,13 +55,14 @@ def _canon(label) -> bytes:
     raise InputError(f"label parts must be ints or strings, got {type(label)!r}")
 
 
-# label -> (types of its parts, _canon(label)), for flat tuples of exact
-# ints and strings only.  A hit must match the part types too, because
-# ("s", 1), ("s", True) and ("s", 1.0) are equal keys with other bytes.
-# The bytes are a function of the label alone, so one table serves every
-# seed and caller; it is emptied when full.
+# label -> _canon(label), for flat tuples of exact ints and strings only.  A
+# hit counts only when the asked label's parts are exact ints and strings
+# too, because ("s", 1), ("s", True) and ("s", 1.0) are equal keys with other
+# bytes.  The bytes are a function of the label alone, so one table serves
+# every seed and caller; it is emptied when full.
 _LABEL_BYTES: dict = {}
 _LABEL_BYTES_CAP = 4096
+_EXACT_PARTS = frozenset((int, str))
 
 
 def _label_bytes(label) -> bytes:
@@ -70,15 +71,13 @@ def _label_bytes(label) -> bytes:
         hit = _LABEL_BYTES.get(label)
     except TypeError:  # an unhashable part, which _canon rejects
         return _canon(label)
-    if hit is not None and hit[0] == tuple(map(type, label)):
-        return hit[1]
+    if hit is not None and _EXACT_PARTS.issuperset(map(type, label)):
+        return hit
     data = _canon(label)
-    if type(label) is tuple:
-        types = tuple(map(type, label))
-        if all(t is int or t is str for t in types):
-            if len(_LABEL_BYTES) >= _LABEL_BYTES_CAP:
-                _LABEL_BYTES.clear()
-            _LABEL_BYTES[label] = (types, data)
+    if type(label) is tuple and _EXACT_PARTS.issuperset(map(type, label)):
+        if len(_LABEL_BYTES) >= _LABEL_BYTES_CAP:
+            _LABEL_BYTES.clear()
+        _LABEL_BYTES[label] = data
     return data
 
 

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from smplab.errors import InputError, PreconditionError
 from smplab.generators import cycle_embedding, stacked_triangulation
+from smplab import planar
 from smplab.graphs import Graph, degeneracy
 from smplab.planar import (
     PlanarEmbedding,
     embedding_from_json,
     embedding_to_json,
     head_to_head_closure,
+    require_valid,
     schnyder_wood,
     split_graph,
     trace_faces,
@@ -259,8 +261,9 @@ class TestSplitAndClosure:
 
 
 class TestEmbeddingGraphs:
-    """``graph`` and ``base_graph`` are built once per embedding and kept
-    outside its fields: equality and hashing do not see them."""
+    """``graph``, ``base_graph``, the face walks and the validation report
+    are built once per embedding and kept outside its fields: equality,
+    hashing and repr do not see them."""
 
     def test_built_once_per_embedding(self, monkeypatch):
         builds = []
@@ -286,3 +289,46 @@ class TestEmbeddingGraphs:
         assert built.base_graph().edges() == fresh.base_graph().edges()
         aux = triangulate(cycle_embedding(6))
         assert aux.graph().edge_count() > aux.base_graph().edge_count() == 6
+
+    def test_a_planar2_build_traces_and_validates_each_embedding_once(self, monkeypatch):
+        calls = {"trace": [], "validate": []}
+        for name, key in (("_walk_faces", "trace"), ("_check_embedding", "validate")):
+            def counted(emb, body=getattr(planar, name), key=key):
+                calls[key].append(emb)
+                return body(emb)
+
+            monkeypatch.setattr(planar, name, counted)
+        emb = stacked_triangulation(random.Random(5), 40)
+        proto = PlanarTwoDistance(emb, Fraction(1, 3))
+        # the input embedding and its triangulation, each once
+        assert len(calls["trace"]) == len(calls["validate"]) == 2
+        assert calls["trace"][0] is calls["validate"][0] is emb
+        assert calls["trace"][1] is calls["validate"][1] is not emb
+        assert len({id(e) for e in calls["trace"]}) == 2
+        assert proto.wood == schnyder_wood(triangulate(emb))  # every check still runs
+
+    def test_equality_hash_and_repr_ignore_the_kept_faces_and_report(self):
+        built = stacked_triangulation(random.Random(6), 12)
+        fresh = stacked_triangulation(random.Random(6), 12)
+        trace_faces(built), validate_embedding(built)
+        assert {"_faces", "_report"} <= set(vars(built))
+        assert not {"_faces", "_report"} & set(vars(fresh))
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        assert trace_faces(built) == trace_faces(fresh)
+        assert validate_embedding(built) == validate_embedding(fresh)
+
+    def test_an_invalid_embedding_is_refused_on_every_call(self):
+        emb = PlanarEmbedding(((1, 2), (2, 0), (0,)), (0, 2, 1))  # edge 0-1 is one-sided
+        for _ in range(3):
+            for check in (require_valid, triangulate, schnyder_wood):
+                with pytest.raises(InputError, match="one-sided"):
+                    check(emb)
+        assert validate_embedding(emb) is validate_embedding(emb)
+
+    def test_a_mutated_face_list_leaves_later_traces_alone(self):
+        emb = stacked_triangulation(random.Random(7), 10)
+        faces = trace_faces(emb)
+        want = list(faces)
+        faces.clear()
+        assert trace_faces(emb) == want and trace_faces(emb) is not trace_faces(emb)
+        assert validate_embedding(emb).faces == len(want)

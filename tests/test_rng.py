@@ -238,6 +238,20 @@ class TestDrawPlan:
         assert list(recorder.reads) == [label for label, _ in PLAN_READS[:3]] + [
             ("c", True), ("idx", 2, 9), ("one",), 7]
 
+    @pytest.mark.parametrize("reads", [[(("c", 1), 5), (("c", True), 5)],
+                                       [(("c", True), 5), (("c", 1), 5)]])
+    def test_a_warm_memo_keeps_equal_labels_of_other_types_apart(self, reads):
+        plan_reads(reads)  # the memo is warm from here on
+        assert ("c", 1) in rng._LABEL_BYTES
+        plan, index = plan_reads(reads)
+        assert plan.labels == tuple(label for label, _ in reads)
+        assert plan.data == tuple(rng._canon(label) for label, _ in reads)
+        assert len(set(plan.data)) == 2 and index == [0, 1]
+        r = HashRandomness(3)
+        assert r.draw_plan(plan) == [scratch_draw(3, label, n) for label, n in reads]
+        with pytest.raises(InputError, match="label parts"):
+            plan_reads(reads + [(("c", 1.0), 5)])
+
     def test_plan_reads_refuse_what_integer_refuses(self):
         with pytest.raises(InputError, match="label parts"):
             plan_reads([(("c", 1.5), 3)])

@@ -7,13 +7,19 @@ trials are encoded, decided or seeded shows up here as a changed fraction.
 """
 
 import itertools
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import EqualitySketch, drifted_plan, fix_seed
+from oracles import EqualitySketch, drifted_plan, fix_seed, random_graph
 from smplab.errors import InputError
 from smplab.generators import path_graph
+from smplab.graphs import DENSE_CAP, Graph
 from smplab.lab import FAMILIES, _protocol_for, generate
 from smplab.lattices import boolean_lattice
 from smplab.protocols import (
@@ -22,8 +28,8 @@ from smplab.protocols import (
     UniversalLatticeDistance,
     WeakLatticeDistance,
 )
-from smplab.protocols import base
-from smplab.rng import HashRandomness
+from smplab.protocols import base, hashing
+from smplab.rng import HashRandomness, TableRandomness
 
 F = Fraction
 
@@ -122,6 +128,15 @@ BLIND_FAMILIES = ("distributive", "hypercube", "tree", "arboricity", "planar2",
                   "gadget:arboricity2")
 
 
+def _batched_pairs(n):
+    """Pairs spread over an n-vertex universe, every third trial on equal
+    inputs, and a short last chunk for chunks 2 and 3."""
+    ys = range(0, n, 1 + n // 24)
+    pairs = [(x, x) if i % 3 == 0 else (x, y)
+             for i, (x, y) in enumerate(itertools.product(range(min(n, 8)), ys))]
+    return pairs[:6 * (len(pairs) // 6) - 1]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("family,n,k", [c for c in FAMILY_CASES if c[0] in BLIND_FAMILIES])
 def test_batched_run_trials_are_run_verdicts(family, n, k, chunk, monkeypatch):
@@ -129,11 +144,7 @@ def test_batched_run_trials_are_run_verdicts(family, n, k, chunk, monkeypatch):
     proto, graph, _, _ = _protocol_for(family, generate(family, n, 3).payload, k,
                                        F(3, 4), "universal", budget_bits=8)
     assert not proto.referee_reads_randomness and proto.rule().all_pairs is not None
-    ys = range(0, graph.n, 1 + graph.n // 24)  # spread over the universe
-    # every third trial on equal inputs; a short last chunk for chunks 2 and 3
-    pairs = [(x, x) if i % 3 == 0 else (x, y)
-             for i, (x, y) in enumerate(itertools.product(range(min(graph.n, 8)), ys))]
-    pairs = pairs[:6 * (len(pairs) // 6) - 1]
+    pairs = _batched_pairs(graph.n)
     rnds = [HashRandomness(3000 + i) for i in range(len(pairs))]
     verdicts = list(proto.run_trials(pairs, rnds))
     assert verdicts == [proto.run(x, y, rnd).verdict for (x, y), rnd in zip(pairs, rnds)]
@@ -170,3 +181,83 @@ def test_batched_run_trials_are_lazy():
     trials = proto.run_trials(itertools.cycle(cycle), map(HashRandomness, itertools.count()))
     assert list(itertools.islice(trials, 3)) == [
         proto.run(x, y, HashRandomness(s)).verdict for s, (x, y) in enumerate(cycle + cycle[:1])]
+
+
+# families sketched by the budgeted hashed adjacency sketch, whose referee
+# reads the draws and whose batched trials decide a chunk in one numpy pass
+HASHED_FAMILIES = ("gadget:modular", "gadget:interval", "gadget:allgraphs")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("family,n,k", [c for c in FAMILY_CASES if c[0] in HASHED_FAMILIES])
+def test_batched_hashed_trials_are_run_verdicts(family, n, k, chunk, monkeypatch):
+    monkeypatch.setattr(base, "TRIAL_CHUNK", chunk)
+    proto, graph, _, _ = _protocol_for(family, generate(family, n, 3).payload, k,
+                                       F(3, 4), "universal", budget_bits=8)
+    assert isinstance(proto, HashedAdjacency) and proto.referee_reads_randomness
+    pairs = _batched_pairs(graph.n)
+    rnds = [HashRandomness(3000 + i) for i in range(len(pairs))]
+    verdicts = list(proto.run_trials(pairs, rnds))
+    assert verdicts == [proto.run(x, y, rnd).verdict for (x, y), rnd in zip(pairs, rnds)]
+    assert verdicts == list(base.SmpProtocol.run_trials(proto, pairs, rnds))  # the reference loop
+    assert len(set(verdicts)) > 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_hashed_trials_match_run_on_random_graphs(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    pairs_of = list(itertools.combinations(range(n), 2))
+    edges = list(itertools.compress(pairs_of, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs_of), max_size=len(pairs_of)))))
+    loops = data.draw(st.sets(st.integers(0, n - 1)), label="loops")
+    bits = data.draw(st.integers(1, 3), label="bits")
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=14), label="pairs")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    chunk = data.draw(st.integers(1, 5), label="chunk")
+    proto = HashedAdjacency(Graph(n, edges, loops=sorted(loops)), bits)
+    rnds = [HashRandomness(seed + i) for i in range(len(pairs))]
+    with mock.patch.object(base, "TRIAL_CHUNK", chunk):
+        verdicts = list(proto.run_trials(pairs, rnds))
+    assert verdicts == [proto.run(x, y, rnd).verdict for (x, y), rnd in zip(pairs, rnds)]
+
+
+def test_hashed_exact_error_is_refused():
+    # the referee reads every bucket, which the senders' table does not hold
+    proto = HashedAdjacency(path_graph(4), 1)
+    with pytest.raises(InputError, match="missing from assignment"):
+        proto.exact_error(0, 2)
+
+
+def test_batched_hashed_blocks_stay_under_pair_cells(monkeypatch):
+    n = 20
+    assert all(base.trial_chunk(m) * m <= base.PAIR_CELLS for m in range(1, DENSE_CAP + 1))
+    cells = 64  # three trials of 20 buckets, or three adjacency rows, a block
+    monkeypatch.setattr(base, "PAIR_CELLS", cells)
+    monkeypatch.setattr(hashing, "PAIR_CELLS", cells)
+    proto = HashedAdjacency(random_graph(random.Random(1), n, p=0.2), 1)
+    crowded = TableRandomness({("bucket", v): 0 for v in range(n)})  # one bucket holds all
+    rnds = [crowded] * 7 + [HashRandomness(s) for s in range(7)]
+    pairs = [(v % n, 3 * v % n) for v in range(len(rnds))]
+    want = [proto.run(x, y, rnd).verdict for (x, y), rnd in zip(pairs, rnds)]
+
+    gathers, buckets = [], []
+
+    class Watched(np.ndarray):
+        def __getitem__(self, key):
+            block = np.asarray(super().__getitem__(key))
+            gathers.append(block.size)
+            return block
+
+    accepts = proto._accepts
+
+    def watched(bucket, a, b):
+        buckets.append(bucket.size)
+        return accepts(bucket, a, b)
+
+    proto._adj = proto._adj.view(Watched)
+    proto._accepts = watched
+    assert list(proto.run_trials(pairs, rnds)) == want
+    assert buckets and max(buckets) <= cells and len(buckets) == 5  # 14 trials, 3 a chunk
+    assert gathers and max(gathers) <= cells
