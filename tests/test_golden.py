@@ -38,6 +38,9 @@ LABEL_CASES = [
     ("planar2", 8, 2),
     ("arboricity", 12, 1),
     ("hypercube", 4, 1),
+    ("distributive", 6, 1),
+    # m = 74 bits a block: past 64, so the rule has no all-pairs form
+    ("hypercube", 4, 5),
 ]
 EXPERIMENT = {"family": "tree", "n_range": [10, 14], "k": 2, "eps": [1, 4],
               "trials": 40, "master_seed": MASTER}
