@@ -589,8 +589,8 @@ def label_pipeline(family, n, k, eps, out_dir, master_seed=0, delta=None) -> dic
     path.write_text(json.dumps(labeling_to_json(scheme), sort_keys=True, indent=2) + "\n")
 
     reread = labeling_from_json(json.loads(path.read_text()))
-    near = (all_pairs_distances(oracle_graph, within=threshold) <= threshold).tolist()
-    decode_errors = sum(1 for _ in scheme_mismatches(reread, lambda x, y: near[x][y]))
+    near = all_pairs_distances(oracle_graph, within=threshold) <= threshold
+    decode_errors = sum(1 for _ in scheme_mismatches(reread, near))
 
     log2n = max(1, (oracle_graph.n - 1).bit_length())
     return {

@@ -99,19 +99,6 @@ class AllPairs(NamedTuple):
     widths: tuple[int, ...]
     decide_all: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-    def table(self, values: list[int]) -> np.ndarray:
-        """The (fields, len(values)) array of the values' fields, cut in numpy
-        from each value's big-endian 64-bit words, in the narrowest unsigned
-        dtype that holds the widest field."""
-        words, low, low_shift, high, high_shift, masks, dtype = _word_layout(self.widths)
-        table = np.zeros((words + 1, len(values)), dtype=np.uint64)  # the last row stays 0
-        if words == 1:  # numpy converts ints of up to 64 bits itself, and faster
-            table[0] = values
-        else:
-            table[:words] = np.frombuffer(b"".join([v.to_bytes(8 * words, "big") for v in values]),
-                                          dtype=">u8").reshape(len(values), words).T
-        return ((table[low] >> low_shift | table[high] << high_shift) & masks).astype(dtype)
-
     def seed_codes(self, table: np.ndarray, n: int, rows, cols) -> np.ndarray:
         """The codes of the pairs (rows[p], cols[p]), indices into each seed's
         n values in either order, under every seed of a seed-major ``table``
@@ -123,6 +110,37 @@ class AllPairs(NamedTuple):
         codes = np.concatenate([self.decide_all(table, left[at:at + room], right[at:at + room])
                                 for at in range(0, len(left), room)])
         return codes.reshape(len(offsets), len(rows))
+
+
+def field_table(values: list[int], widths: tuple[int, ...]) -> np.ndarray:
+    """The (fields, len(values)) array of the values' big-endian fields of
+    ``widths`` bits, each at most 64, cut in numpy from each value's 64-bit
+    words, in the narrowest unsigned dtype that holds the widest field."""
+    words, low, low_shift, high, high_shift, masks, dtype = _word_layout(widths)
+    table = np.zeros((words + 1, len(values)), dtype=np.uint64)  # the last row stays 0
+    if words == 1:  # numpy converts ints of up to 64 bits itself, and faster
+        table[0] = values
+    else:
+        table[:words] = np.frombuffer(b"".join([v.to_bytes(8 * words, "big") for v in values]),
+                                      dtype=">u8").reshape(len(values), words).T
+    return ((table[low] >> low_shift | table[high] << high_shift) & masks).astype(dtype)
+
+
+def word_widths(width: int) -> tuple[int, ...]:
+    """A ``width``-bit value's big-endian 64-bit words, the first holding
+    what is left over: the fields a table of rule without an all-pairs
+    form is cut into."""
+    head = (width - 1) % 64 + 1
+    return (head,) + (64,) * ((width - head) // 64)
+
+
+def _word_values(table: np.ndarray) -> list[int]:
+    """The values whose ``word_widths`` fields are the table's columns."""
+    if len(table) == 1:
+        return table[0].tolist()
+    data = table.T.astype(">u8").tobytes()
+    size = 8 * len(table)
+    return [int.from_bytes(data[at:at + size], "big") for at in range(0, len(data), size)]
 
 
 class Rule(NamedTuple):
@@ -158,30 +176,37 @@ class Rule(NamedTuple):
     def __call__(self, ma: Bits, mb: Bits) -> "Verdict":
         return self.decide(self.fields(ma), self.fields(mb))
 
-    def pair_codes(self, seed_values):
-        """The verdicts on ``seed_values``, lists of width-checked message
-        values, one per seed and all equally long, as (verdicts, codes)
-        blocks in seed order: ``codes[s, p]`` is the code into ``verdicts`` of
-        pair p of ``triu_pairs`` under the block's seed s.
+    @property
+    def table_widths(self) -> tuple[int, ...]:
+        """The fields a table of this rule's messages is cut into: the
+        all-pairs form's, else the message's ``word_widths``."""
+        return word_widths(self.width) if self.all_pairs is None else self.all_pairs.widths
+
+    def pair_codes(self, table: np.ndarray, n: int):
+        """The verdicts on a seed-major ``table`` of width-checked messages cut
+        at ``table_widths``, n per seed (seed s holds columns s*n to s*n + n
+        - 1), as (verdicts, codes) blocks in seed order: ``codes[s, p]`` is
+        the code into ``verdicts`` of pair p of ``triu_pairs(n)`` under the
+        block's seed s.  No messages give no blocks.
 
         The all-pairs form decides the pairs of as many seeds as fit in
         ``PAIR_CELLS`` fields at once, or one seed's pairs in slices that do,
         so its memory is bounded whatever the seed count, universe or layout;
-        without the form, ``decide`` runs on every pair and each seed is a
-        block of its own.
+        without the form, ``decide`` runs on every pair of each seed's
+        message values, joined from their words, and each seed is a block of
+        its own.
         """
-        seed_values = list(seed_values)
         form = self.all_pairs
-        if form is None or not seed_values or not seed_values[0]:
-            yield from map(self._loop_codes, seed_values)
+        if not n:
             return
-        n = len(seed_values[0])
+        if form is None:
+            for at in range(0, table.shape[1], n):
+                yield self._loop_codes(_word_values(table[:, at:at + n]))
+            return
         rows, cols = triu_pairs(n)
-        batch = max(1, PAIR_CELLS // len(form.widths) // len(rows))  # seeds one call holds
-        for start in range(0, len(seed_values), batch):
-            chunk = seed_values[start:start + batch]
-            table = form.table([v for values in chunk for v in values])
-            yield form.verdicts, form.seed_codes(table, n, rows, cols)
+        batch = n * max(1, PAIR_CELLS // len(form.widths) // len(rows))  # columns one call holds
+        for at in range(0, table.shape[1], batch):
+            yield form.verdicts, form.seed_codes(table[:, at:at + batch], n, rows, cols)
 
     def _loop_codes(self, values: list[int]) -> tuple[tuple[Verdict, ...], np.ndarray]:
         fields = list(map(self.unpack, values))
@@ -311,10 +336,16 @@ class SmpProtocol:
     def encode(self, v: int, rnd: SharedRandomness) -> Bits:
         raise NotImplementedError
 
-    def encode_all(self, vs, rnd: SharedRandomness) -> list[Bits]:
-        """``[self.encode(v, rnd) for v in vs]``; this loop is the reference
-        that an override drawing each label once must equal."""
-        return [self.encode(v, rnd) for v in vs]
+    def encode_table(self, vs, rnds) -> np.ndarray:
+        """The messages of the inputs vs under each of rnds, as one seed-major
+        (fields, seeds * len(vs)) table cut at ``table_widths``: column
+        s * len(vs) + i holds vs[i]'s message under the s-th rnd.  This loop
+        over ``encode``, each message width-checked, is the reference that an
+        override drawing each label once per seed must equal; a message of
+        another width raises ``InputError``."""
+        vs, widths = list(vs), self.table_widths
+        value = Rule(sum(widths), int, None).value  # the width check; it decides nothing
+        return field_table([value(self.encode(v, rnd)) for rnd in rnds for v in vs], widths)
 
     def expected(self, x: int, y: int) -> Verdict:
         raise NotImplementedError
@@ -333,6 +364,14 @@ class SmpProtocol:
     @property
     def cost_bits(self) -> int:
         raise NotImplementedError
+
+    @property
+    def table_widths(self) -> tuple[int, ...]:
+        """The fields ``encode_table`` cuts each message into: the blind
+        rule's ``table_widths``, or a seed-reading rule's message words."""
+        if self.referee_reads_randomness:
+            return word_widths(self.cost_bits)
+        return self.rule().table_widths
 
     # -- derived from the encoder and the rule ---------------------------
     def support(self, v: int):
@@ -389,7 +428,7 @@ class SmpProtocol:
             for (x, y), rnd in batch:
                 va = value(encode(x, rnd))
                 values += (va, va if x == y else value(encode(y, rnd)))
-            yield form.table(values)
+            yield field_table(values, form.widths)
 
     def _errors(self, x: int, y: int, rnds) -> int:
         """How many trials of the pair (x, y), one per rnd, miss its expected verdict."""
@@ -453,14 +492,14 @@ class PlannedProtocol(SmpProtocol):
 
     ``plan`` states it once per input and checks it against the widths: the
     field count, every fixed value and every draw's cardinality must fit.
-    ``encode``, ``encode_all`` and the batched ``run_trials`` all read the
-    cached plan; a trial's messages go straight to the kernel table, with no
-    ``Bits`` built, and a plan whose fields do not fit raises ``InputError``
-    on every path.
+    ``encode``, ``encode_table`` and the batched ``run_trials`` all read the
+    cached plan; a bank's or a trial's messages go straight to the kernel
+    table, with no ``Bits`` built, and a plan whose fields do not fit raises
+    ``InputError`` on every path.
     """
 
     field_widths: tuple[int, ...]  # set by each subclass, first field first
-    _layout: _Layout | None = None  # of the last ``encode_all`` call's plans
+    _layout: _Layout | None = None  # of the last ``encode_table`` call's plans
 
     def message_fields(self, v: int) -> list:
         """Per field of v's message, first first: a fixed int, or a
@@ -508,22 +547,31 @@ class PlannedProtocol(SmpProtocol):
         return _pack([*rnd.draw_plan(plan.draws), *plan.fixed], plan.source,
                      self.field_widths, self.cost_bits)
 
-    def encode_all(self, vs, rnd):
-        """Each label of the inputs' plans drawn once, by one ``indexed_draws``
-        call per family: the labels ``(*prefix, i)`` of one prefix and
-        cardinality.  The families, and where each message's fields sit in
-        their draws, are laid out once per run of plans and kept."""
+    def encode_table(self, vs, rnds):
+        """The base's table, with each label of the inputs' plans drawn once
+        per seed, by one ``indexed_draws`` call per family: the labels
+        ``(*prefix, i)`` of one prefix and cardinality.  The families, and
+        where each message's fields sit in their draws, are laid out once per
+        run of plans and kept; one numpy take then gathers every seed's
+        fields, and ``field_widths`` is checked against ``table_widths`` once."""
+        widths = self.table_widths
+        if self.field_widths != widths:
+            raise InputError(f"message fields {self.field_widths} differ from "
+                             f"the rule's {widths}")
         plans = [self.plan(v) for v in vs]
         layout = self._layout
         if layout is None or layout.plans != plans:
             layout = self._layout = _Layout.of(plans)
-        pool = []
-        for prefix, n, ids in layout.families:
-            drawn = indexed_draws(rnd, prefix, ids, n)
-            pool += [drawn[i] for i in ids]
-        pool += layout.fixed
-        widths, bits = self.field_widths, self.cost_bits
-        return [_pack(pool, gather, widths, bits) for gather in layout.gathers]
+        pool, starts = [], []
+        for rnd in rnds:
+            starts.append(len(pool))
+            for prefix, n, ids in layout.families:
+                drawn = indexed_draws(rnd, prefix, ids, n)
+                pool += map(drawn.__getitem__, ids)
+            pool += layout.fixed
+        gathers = np.array(layout.gathers, dtype=np.intp).reshape(len(plans), len(widths)).T
+        index = gathers[:, None, :] + np.array(starts, dtype=np.intp)[:, None]
+        return np.array(pool, dtype=_word_layout(widths)[-1])[index.reshape(len(widths), -1)]
 
     def _trial_tables(self, trials, rule: Rule, chunk: int):
         """The base's tables, gathered by numpy from the plans' draws and

@@ -47,6 +47,7 @@ from .base import (
     as_fraction,
     ceil_log2,
     eps_to_json,
+    field_table,
     fields_of,
     int_params,
 )
@@ -165,18 +166,21 @@ class WeakLatticeDistance(_LatticeSketch):
             acc ^= rnd.integer(("s", i), 2**self.q)
         return Bits(acc, self.q)
 
-    def encode_all(self, vs, rnd):
+    def encode_table(self, vs, rnds):
+        """The base's table, with each bucket label and each vector drawn
+        once per seed."""
         members = [self._jset[v] for v in vs]
-        idx = indexed_draws(rnd, "idx", set().union(*members), self.m)
-        buckets = [{idx[j] for j in js} for js in members]
-        vecs = indexed_draws(rnd, "s", set().union(*buckets), 2**self.q)
-        out = []
-        for hit in buckets:
-            acc = 0
-            for i in hit:
-                acc ^= vecs[i]
-            out.append(Bits(acc, self.q))
-        return out
+        values = []
+        for rnd in rnds:
+            idx = indexed_draws(rnd, "idx", set().union(*members), self.m)
+            buckets = [{idx[j] for j in js} for js in members]
+            vecs = indexed_draws(rnd, "s", set().union(*buckets), 2**self.q)
+            for hit in buckets:
+                acc = 0
+                for i in hit:
+                    acc ^= vecs[i]
+                values.append(acc)
+        return field_table(values, self.table_widths)
 
     def referee(self, ma, mb, rnd=None):
         return weak_xor_referee(ma, mb, rnd, self.m, self.q, self.k)
@@ -310,23 +314,39 @@ class UniversalLatticeDistance(_LatticeSketch):
             parts.append(Bits(vec, self.m))
         return concat_all(parts)
 
-    def encode_all(self, vs, rnd):
-        members = [self._jset[v] for v in vs]
-        ids = set().union(*members)
+    def encode_table(self, vs, rnds):
+        """The base's table, with each bucket row ``("idx", t, j)`` drawn once
+        per seed: irreducible j flips bit b of round t's block.  For m <= 64
+        each block is the XOR of its members' one-hot flips, reduced in
+        numpy; wider blocks are built as ints and cut into words."""
+        vs = list(vs)
+        ids = sorted(set().union(*(self._jset[v] for v in vs)))
+        place = {j: i for i, j in enumerate(ids)}
+        members = [[place[j] for j in self._jset[v]] for v in vs]
         m, rounds = self.m, self.rounds
-        # round t's block sits (rounds - 1 - t) * m bits up, and its bucket
-        # row ("idx", t, j) is drawn once: irreducible j flips bit b there
-        flips = [{j: 1 << (rounds - 1 - t) * m + b
-                  for j, b in indexed_draws(rnd, ("idx", t), ids, m).items()}
-                 for t in range(rounds)]
-        out = []
-        for js in members:
-            value = 0
-            for row in flips:
-                for j in js:
-                    value ^= row[j]
-            out.append(Bits(value, m * rounds))
-        return out
+        rows = [list(map(drawn.__getitem__, ids)) for rnd in rnds
+                for drawn in (indexed_draws(rnd, ("idx", t), ids, m) for t in range(rounds))]
+        bucket = np.array(rows, dtype=np.uint64).reshape(len(rows) // rounds, rounds, len(ids))
+        if m > 64:
+            values = []
+            for seed in bucket.tolist():
+                flips = [[1 << (rounds - 1 - t) * m + b for b in row] for t, row in enumerate(seed)]
+                for places in members:
+                    value = 0
+                    for row in flips:
+                        for i in places:
+                            value ^= row[i]
+                    values.append(value)
+            return field_table(values, self.table_widths)
+        # place len(ids) flips nothing, so every input's run of places is nonempty
+        gather, starts = [], []
+        for places in members:
+            starts.append(len(gather))
+            gather += [len(ids), *places]
+        flips = np.zeros(bucket.shape[:2] + (len(ids) + 1,), dtype=np.uint64)
+        flips[..., :-1] = np.uint64(1) << bucket
+        blocks = np.bitwise_xor.reduceat(flips[..., gather], starts, axis=2)
+        return blocks.transpose(1, 0, 2).reshape(rounds, -1).astype(np.min_scalar_type((1 << m) - 1))
 
     def referee(self, ma, mb, rnd=None):
         return parity_blocks_referee(ma, mb, self.m, self.rounds, self.k)

@@ -33,7 +33,6 @@ negative, and at most m.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -42,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import Bits, concat_all
+from .bits import Bits
 from .errors import CapacityError, InputError, PreconditionError, VerificationError
 from .protocols.base import (
     WIDTH_CAP,
@@ -50,6 +49,7 @@ from .protocols.base import (
     SmpProtocol,
     Verdict,
     as_fraction,
+    field_table,
     triu_pairs,
 )
 from .protocols.registry import PROTOCOLS
@@ -89,8 +89,8 @@ class SeedBank:
     ``worst_bad`` records the largest per-pair fraction of misleading
     seeds observed at verification time (None for hand-built banks).
     A checked bank keeps, in ``_messages``, a ``_Kept`` record of the
-    protocol object it was checked against, its inputs, the messages
-    ``encode_all`` gave them under each seed and their expected verdicts,
+    protocol object it was checked against, its inputs, the table
+    ``encode_table`` gave them under the seeds and their expected verdicts,
     so labels built from the bank reuse them; the private field takes no
     part in equality or repr.  A bank without seeds raises ``InputError``.
     """
@@ -112,14 +112,14 @@ class SeedBank:
 
 @dataclass
 class _Kept:
-    """What a bank keeps for one protocol object and input list: per seed,
-    the messages, and the expected verdicts as codes into ``keys``, the
-    distinct (kind, value) pairs in first-seen order, one code per
-    ``triu_pairs`` pair.  Each is filled on first need."""
+    """What a bank keeps for one protocol object and input list: the
+    seed-major table of every seed's messages, and the expected verdicts as
+    codes into ``keys``, the distinct (kind, value) pairs in first-seen
+    order, one code per ``triu_pairs`` pair.  Each is filled on first need."""
 
     protocol: SmpProtocol
     xs: list
-    messages: list[list[Bits]] | None = None
+    table: np.ndarray | None = None
     keys: list[tuple] | None = None
     wanted: np.ndarray | None = None
 
@@ -134,13 +134,22 @@ def _kept(protocol: SmpProtocol, xs: list, bank: SeedBank) -> _Kept:
     return kept
 
 
-def _seed_messages(protocol: SmpProtocol, xs: list, bank: SeedBank) -> list[list[Bits]]:
-    """Per bank seed, ``protocol.encode_all`` of the inputs, in order: the
-    messages the bank keeps for them, else every seed encoded and kept."""
+def _seed_table(protocol: SmpProtocol, xs: list, bank: SeedBank) -> np.ndarray:
+    """``protocol.encode_table`` of the inputs under the bank's seeds: the
+    table the bank keeps for them, else one encoded, checked and kept.  A
+    table that is not one column per seed and input of ``table_widths``
+    fields, each within its width, raises ``InputError``."""
     kept = _kept(protocol, xs, bank)
-    if kept.messages is None:
-        kept.messages = [protocol.encode_all(xs, rnd) for rnd in map(HashRandomness, bank.seeds)]
-    return kept.messages
+    if kept.table is None:
+        widths = protocol.table_widths
+        table = protocol.encode_table(xs, map(HashRandomness, bank.seeds))
+        if table.shape != (len(widths), bank.m * len(xs)):
+            raise InputError(f"messages must be {len(widths)} fields each; the table of "
+                             f"{bank.m} seeds and {len(xs)} inputs is {table.shape}")
+        if np.any(table > np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]):
+            raise InputError(f"messages must be fields of {widths} bits; one overflows")
+        kept.table = table
+    return kept.table
 
 
 def _expected_codes(protocol: SmpProtocol, xs: list, bank: SeedBank):
@@ -167,48 +176,45 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     all-pairs kernel over many seeds per call, else the ``decide`` loop.  A
     verdict is bad when its (kind, value) differs from the expected one's,
     so an expected verdict the rule never returns is bad under every seed.
-    The messages and expected verdicts come from the bank's ``_Kept``
-    record, so the labeling reuses them, and the messages pass
-    ``Rule.value``, so an encoder that drifts from its rule raises
-    ``InputError``.  No inputs raise ``InputError``.
+    The message table and expected verdicts come from the bank's ``_Kept``
+    record, so the labeling reuses them, and the table is width-checked, so
+    an encoder that drifts from its rule raises ``InputError``.  No inputs
+    raise ``InputError``.
     """
     xs = _input_list(inputs)
     if not xs:
         raise InputError("need at least one input")
     rows, cols = triu_pairs(len(xs))
-    messages = _seed_messages(protocol, xs, bank)
+    table = _seed_table(protocol, xs, bank)
     keys, wanted = _expected_codes(protocol, xs, bank)
     bad = np.zeros(len(rows), dtype=np.intp)
-    for verdicts, codes in _bank_codes(protocol, bank, messages):
+    for verdicts, codes in _bank_codes(protocol, bank, table, len(xs)):
         code_of = {_verdict_key(v): c for c, v in enumerate(verdicts)}
         bad += (codes != np.array([code_of.get(key, -1) for key in keys])[wanted]).sum(axis=0)
     worst = int(np.argmax(bad))
     return Fraction(int(bad[worst]), bank.m), (xs[rows[worst]], xs[cols[worst]])
 
 
-def _bank_codes(protocol: SmpProtocol, bank: SeedBank, messages):
-    """``_pair_code_blocks`` of the seeds' width-checked messages: one blind
-    rule for every seed, or a seed-reading rule per seed, each built when
-    its seed comes up.  A protocol's rules share its width, so the first
-    rule checks every message."""
+def _bank_codes(protocol: SmpProtocol, bank: SeedBank, table: np.ndarray, n: int):
+    """``_pair_code_blocks`` of the seeds' message table: one blind rule for
+    every seed, or a seed-reading rule per seed, each built when its seed
+    comes up."""
     if protocol.referee_reads_randomness:
-        later = map(protocol.rule, map(HashRandomness, bank.seeds))
-        rule = next(later)
-        rules = itertools.chain([rule], later)
+        rules = map(protocol.rule, map(HashRandomness, bank.seeds))
     else:
-        rules = rule = protocol.rule()
-    return _pair_code_blocks(rules, [list(map(rule.value, sent)) for sent in messages])
+        rules = protocol.rule()
+    return _pair_code_blocks(rules, table, n)
 
 
-def _pair_code_blocks(rules, seed_values):
-    """``Rule.pair_codes`` blocks of ``seed_values``, a list of message values
+def _pair_code_blocks(rules, table: np.ndarray, n: int):
+    """``Rule.pair_codes`` blocks of a seed-major message table, n columns
     per seed, in seed order.  ``rules`` is one blind rule, which decides
     every seed in one call, or an iterable of per-seed rules, read one at a
     time, each deciding its own seed in a call of its own."""
     if isinstance(rules, Rule):
-        return rules.pair_codes(seed_values)
-    return (block for rule, values in zip(rules, seed_values)
-            for block in rule.pair_codes([values]))
+        return rules.pair_codes(table, n)
+    return (block for s, rule in enumerate(rules)
+            for block in rule.pair_codes(table[:, s * n:s * n + n], n))
 
 
 def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
@@ -260,7 +266,8 @@ class LabelingScheme:
     keep what they build in one private field, ``_decoding``, that lives
     and dies with this object and takes no part in equality: a
     ``_Decoding`` of the scheme's rules, built from its params on first
-    use, and, once built, the verdict matrix of its N labels, N*N bools.
+    use, and, once built, the verdict matrix of its N labels, an N×N bool
+    array.
     """
 
     decoder: str
@@ -275,13 +282,13 @@ class _Decoding:
     """What a scheme keeps for decoding: its rules, one per bank seed, and
     message width c; ``index``, each label value's index (the last, where
     values repeat: equal values decode alike), made when first needed; and
-    ``matrix``, once built, where ``matrix[i][j]`` is the decoded verdict
-    on labels i and j."""
+    ``matrix``, once built, a bool array where ``matrix[i, j]`` is the
+    decoded verdict on labels i and j."""
 
     rules: list[Rule]
     c: int
     index: dict[int, int] | None = None
-    matrix: list[list[bool]] | None = None
+    matrix: np.ndarray | None = None
 
 
 def _bank_shape(params, label_bits: int) -> tuple[int, int]:
@@ -337,10 +344,26 @@ def _blind_rule(rules: list[Rule]) -> Rule | None:
     return rules[0] if all(rule is rules[0] for rule in rules) else None
 
 
-def _seed_values(values: list[int], m: int, c: int) -> list[list[int]]:
-    """Per seed, the c-bit messages that label values of m messages hold."""
-    mask = (1 << c) - 1
-    return [[value >> shift & mask for value in values] for shift in range((m - 1) * c, -1, -c)]
+def _label_table(values: list[int], widths: tuple[int, ...], m: int) -> np.ndarray:
+    """The seed-major table of the messages that label values of m messages
+    hold, each cut at ``widths``: one ``field_table`` cut of every label at
+    the widths repeated m times, its rows then put seed after seed."""
+    table = field_table(values, widths * m).reshape(m, len(widths), len(values))
+    return table.transpose(1, 0, 2).reshape(len(widths), m * len(values))
+
+
+def _label_values(table: np.ndarray, widths: tuple[int, ...], m: int) -> list[int]:
+    """The label values that hold a seed-major table's messages of m seeds,
+    cut at ``widths``, first seed first: every field's bits, then each
+    label's bits packed into bytes, in numpy."""
+    n = table.shape[1] // m
+    field = np.repeat(np.arange(len(widths)), widths)  # each message bit's field
+    shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths]).astype(table.dtype)
+    bits = table[field].reshape(len(field), m, n) >> shift[:, None, None] & 1
+    bits = bits.transpose(2, 1, 0).reshape(n, m * len(field))
+    padded = np.zeros((n, -bits.shape[1] % 8 + bits.shape[1]), dtype=np.uint8)
+    padded[:, padded.shape[1] - bits.shape[1]:] = bits
+    return [int.from_bytes(row, "big") for row in np.packbits(padded, axis=1)]
 
 
 def _vote(rules: list[Rule], c: int, x: int, y: int) -> bool:
@@ -375,13 +398,14 @@ def _label_index(scheme: LabelingScheme) -> dict[int, int]:
     return kept.index
 
 
-def _verdict_matrix(scheme: LabelingScheme) -> list[list[bool]]:
+def _verdict_matrix(scheme: LabelingScheme) -> np.ndarray:
     """The scheme's verdict matrix, built when it holds none.
 
     A label of another width raises ``InputError`` before anything is
-    built.  ``Rule.pair_codes`` gives every ``triu_pairs`` pair's verdict
-    under every seed, as in ``bank_bad_fraction``, and a strict majority of
-    positive verdicts decodes positive in both triangles.
+    built.  The labels are cut into one seed-major table of their messages
+    (``_label_table``), ``Rule.pair_codes`` gives every ``triu_pairs`` pair's
+    verdict under every seed, as in ``bank_bad_fraction``, and a strict
+    majority of positive verdicts decodes positive in both triangles.
     """
     kept = scheme._decoding
     if kept is not None and kept.matrix is not None:
@@ -394,16 +418,15 @@ def _verdict_matrix(scheme: LabelingScheme) -> list[list[bool]]:
     m, n = len(kept.rules), len(labels)
     rows, cols = triu_pairs(n)
     blind = _blind_rule(kept.rules)
-    blocks = _pair_code_blocks(kept.rules if blind is None else blind,
-                               _seed_values([label.value for label in labels], m, kept.c))
+    table = _label_table([label.value for label in labels], kept.rules[0].table_widths, m)
     positives = np.zeros(len(rows), dtype=np.intp)
-    for verdicts, codes in blocks:
+    for verdicts, codes in _pair_code_blocks(kept.rules if blind is None else blind, table, n):
         positives += np.array(list(map(positive_verdict, verdicts)), dtype=bool)[codes].sum(axis=0)
     matrix = np.zeros((n, n), dtype=bool)
     matrix[rows, cols] = matrix[cols, rows] = 2 * positives > m
-    kept.matrix = matrix.tolist()
+    kept.matrix = matrix
     _label_index(scheme)
-    return kept.matrix
+    return matrix
 
 
 def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
@@ -436,22 +459,24 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
     if kept.matrix is not None:
         i, j = kept.index.get(x), kept.index.get(y)
         if i is not None and j is not None:
-            return kept.matrix[i][j]
+            return kept.matrix.item(i, j)
     return _vote(kept.rules, kept.c, x, y)
 
 
-def scheme_mismatches(scheme: LabelingScheme, want):
-    """Every label pair (i, j), i <= j, that decodes other than ``want(i, j)``,
-    in ``triu_pairs`` order, read from the scheme's verdict matrix, built
-    first when it holds none; so a scheme ``derandomized_labeling``
-    returns decodes its own pairs from the matrix its check built.  A
-    label of another width raises ``InputError``.
+def scheme_mismatches(scheme: LabelingScheme, want: np.ndarray):
+    """Every label pair (i, j), i <= j, that decodes other than ``want[i, j]``,
+    an N×N bool matrix over the scheme's N labels, in ``triu_pairs`` order:
+    ``np.nonzero`` of the upper triangle of their difference from the
+    scheme's verdict matrix, built first when it holds none; so a scheme
+    ``derandomized_labeling`` returns decodes its own pairs from the matrix
+    its check built.  A label of another width, or a ``want`` of another
+    shape, raises ``InputError``.
     """
     matrix = _verdict_matrix(scheme)
-    rows, cols = triu_pairs(len(scheme.labels))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if matrix[i][j] != want(i, j):
-            yield i, j
+    if np.shape(want) != matrix.shape:
+        raise InputError(f"want must be {matrix.shape}, got {np.shape(want)}")
+    rows, cols = np.nonzero(np.triu(matrix != want))
+    return zip(rows.tolist(), cols.tolist())
 
 
 def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
@@ -462,9 +487,10 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
     most an eps+delta < 1/2 fraction of bad seeds per pair, the correct
     verdict always holds a strict majority, so the decoded predicate has
     zero errors -- which is checked on every pair before returning.  The
-    per-seed messages and expected verdicts are the ones the bank kept
-    from its check when it was checked against this protocol object and
-    these inputs, and are made here otherwise.
+    message table and expected verdicts are the ones the bank kept from
+    its check when it was checked against this protocol object and these
+    inputs, and are made here otherwise; the labels are packed from that
+    table in numpy.
     """
     if _labelable_class(protocol.params()) is None:
         raise PreconditionError(f"protocol {protocol.name!r} is not registered with a "
@@ -476,7 +502,8 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
         )
     xs = _input_list(inputs)
     c = protocol.cost_bits
-    labels = tuple(map(concat_all, zip(*_seed_messages(protocol, xs, bank))))
+    values = _label_values(_seed_table(protocol, xs, bank), protocol.table_widths, bank.m)
+    labels = tuple(Bits(value, bank.m * c) for value in values)
     params = {
         "protocol": protocol.params(),
         "bank_m": bank.m,
@@ -489,8 +516,7 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
     near = np.zeros((len(xs), len(xs)), dtype=bool)
     near[triu_pairs(len(xs))] = np.array([positive_verdict(Verdict(*key)) for key in keys],
                                          dtype=bool)[wanted]
-    near = near.tolist()
-    for i, j in scheme_mismatches(scheme, lambda a, b: near[a][b]):
+    for i, j in scheme_mismatches(scheme, near):
         raise VerificationError(
             f"pair ({xs[i]}, {xs[j]}) decodes wrongly; the seed bank is insufficient"
         )

@@ -264,6 +264,14 @@ def hashed_pairs(G: Graph, buckets, ma, mb, rnd):
     return ACCEPT if hit else REJECT
 
 
+def seed_values(values, m, c):
+    """Per seed, the c-bit messages that label values of m messages hold,
+    cut by big-int shifts: the reference for the library's one numpy cut of
+    every label."""
+    mask = (1 << c) - 1
+    return [[value >> shift & mask for value in values] for shift in range((m - 1) * c, -1, -c)]
+
+
 def seed_vote_slices(referee, m, c, seeds, lx, ly):
     """Majority of ``referee(slice_x, slice_y, rnd)`` over the m bank seeds."""
     from smplab.rng import HashRandomness
@@ -551,8 +559,8 @@ class FixedSeedProtocol(SmpProtocol):
     def encode(self, v, rnd=None):
         return self.inner.encode(v, self._rnd)
 
-    def encode_all(self, vs, rnd=None):
-        return self.inner.encode_all(vs, self._rnd)
+    def encode_table(self, vs, rnds):
+        return self.inner.encode_table(vs, [self._rnd for _ in rnds])
 
     def rule(self, rnd=None):
         return self.inner.rule(self._rnd)

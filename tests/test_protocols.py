@@ -42,13 +42,14 @@ from smplab.protocols import base as protocols_base
 from smplab.protocols.arboricity import color_slots_rule
 from smplab.protocols.base import (
     WIDTH_CAP,
-    AllPairs,
     PlannedProtocol,
     SmpProtocol,
+    field_table,
     field_width,
     fields_of,
     merge_support,
     triu_pairs,
+    word_widths,
 )
 from smplab.protocols.lattice import (
     PLAN_CACHE_SIZE,
@@ -566,9 +567,9 @@ def _planned_case(family, rng, n, eps):
 
 class TestPlannedSketches:
     """What a planned sketch derives from its plans, under hashed and tabled
-    draws: ``encode`` is the encoder first written, the batched trial table
-    is ``AllPairs.table`` of that encoder's messages, and ``encode_all`` is
-    the ``encode`` loop."""
+    draws: ``encode`` is the encoder first written, and the batched trial
+    table and ``encode_table`` are ``field_table`` of that encoder's
+    messages."""
 
     @pytest.mark.parametrize("family", sorted(PLAN_ORACLES))
     @given(data=st.data())
@@ -593,29 +594,32 @@ class TestPlannedSketches:
             assert [proto.encode(v, rnd) for v in range(n)] == want
             rnds = itertools.repeat(rnd)
             got = np.concatenate(list(proto._trial_tables(zip(trials, rnds), rule, chunk)), axis=1)
-            expect = form.table([want[v].value for pair in trials for v in pair])
+            expect = field_table([want[v].value for pair in trials for v in pair], form.widths)
             assert got.dtype == expect.dtype
             assert np.array_equal(got, expect)
-            assert proto.encode_all(iter(vs), rnd) == [want[v] for v in vs]
-            assert proto.encode_all((), rnd) == []
+            _assert_same_table(proto.encode_table(iter(vs), iter([rnd])),
+                               field_table([want[v].value for v in vs], form.widths))
+            assert proto.encode_table((), [rnd]).shape == (len(form.widths), 0)
 
     def test_the_sketches_state_no_encoder_of_their_own(self):
         for cls in (TreeKDistance, PlanarTwoDistance, ArboricityAdjacency):
             assert issubclass(cls, PlannedProtocol)
-            assert not {"encode", "encode_all", "run_trials"} & set(vars(cls))
+            assert not {"encode", "encode_table", "run_trials"} & set(vars(cls))
 
     def test_encode_all_lays_out_each_run_of_inputs_anew(self):
         proto, n = _planned_case("planar2", random.Random(1), 12, Fraction(1, 3))
+        widths = proto.field_widths
         for seed in range(3):
             rnd = HashRandomness(seed)
-            want = [proto.encode(v, rnd) for v in range(n)]
+            want = [proto.encode(v, rnd).value for v in range(n)]
             for vs in (range(n), range(n), [3, 1, 3], [], range(n - 1, -1, -1)):
-                assert proto.encode_all(vs, rnd) == [want[v] for v in vs]
+                _assert_same_table(proto.encode_table(vs, [rnd]),
+                                   field_table([want[v] for v in vs], widths))
         # a copy keeps the layout but builds its own plans, so it lays them out anew
         swapped = oracles.restated(proto, lambda v: proto.message_fields(4 if v == 3 else v))
         assert swapped._layout is proto._layout is not None
-        got = swapped.encode_all(range(n), rnd)
-        assert got == [want[4 if v == 3 else v] for v in range(n)]
+        got = swapped.encode_table(range(n), [rnd])
+        _assert_same_table(got, field_table([want[4 if v == 3 else v] for v in range(n)], widths))
 
 
 # -- blind rules over ints ----------------------------------------------------
@@ -716,16 +720,27 @@ def _assert_kernel_is_loop(rule, seed_values):
     form = rule.all_pairs
     assert form is not None
     got = []
-    for verdicts, codes in rule.pair_codes(seed_values):
+    for verdicts, codes in _pair_codes(rule, seed_values):
         assert len(set(verdicts)) == len(verdicts)
         got += [[verdicts[c] for c in row] for row in codes.tolist()]
     assert got == [_loop_verdicts(rule, values) for values in seed_values]
     n = len(seed_values[0])
     rows, cols = triu_pairs(n)
-    table = form.table([v for values in seed_values for v in values])
+    table = field_table([v for values in seed_values for v in values], form.widths)
     codes = form.seed_codes(table, n, cols, rows)
     assert [[form.verdicts[c] for c in row] for row in codes.tolist()] == [
         _loop_verdicts(rule, values, reverse=True) for values in seed_values]
+
+
+def _assert_same_table(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _pair_codes(rule, seed_values):
+    """``rule.pair_codes`` of per-seed message value lists, all as long."""
+    flat = [v for values in seed_values for v in values]
+    return rule.pair_codes(field_table(flat, rule.table_widths), len(seed_values[0]))
 
 
 def _seed_values(data, message):
@@ -758,7 +773,8 @@ class TestAllPairsKernels:
         block = st.sets(st.integers(0, m - 1), max_size=k + 2).map(
             lambda bits: sum(1 << b for b in bits))
         seed_values = _seed_values(data, block)
-        got = [[verdicts[c] for c in row] for verdicts, codes in rule.pair_codes(seed_values)
+        assert rule.table_widths == word_widths(m) == (m - 64, 64)
+        got = [[verdicts[c] for c in row] for verdicts, codes in _pair_codes(rule, seed_values)
                for row in codes.tolist()]
         assert got == [_loop_verdicts(rule, values) for values in seed_values]
 
@@ -780,11 +796,10 @@ class TestAllPairsKernels:
     def test_window_meets_every_code_on_a_path(self, k):
         proto = TreeKDistance(path_graph(4 * k + 4), k, Fraction(1, 4))
         rule = proto.rule()
-        values = [[message.value for message in proto.encode_all(range(4 * k + 4),
-                                                                 HashRandomness(seed))]
+        values = [[proto.encode(v, HashRandomness(seed)).value for v in range(4 * k + 4)]
                   for seed in range(3)]
         _assert_kernel_is_loop(rule, values)
-        (verdicts, codes), = rule.pair_codes(values)
+        (verdicts, codes), = _pair_codes(rule, values)
         assert verdicts == (*map(distance_verdict, range(k + 1)), beyond_verdict(k))
         assert set(codes.ravel().tolist()) == set(range(k + 2))
 
@@ -793,7 +808,7 @@ class TestAllPairsKernels:
         # one pair per call, slices of one seed's pairs, seeds batched
         monkeypatch.setattr(protocols_base, "PAIR_CELLS", cells)
         proto = TreeKDistance(path_graph(9), 2, Fraction(1, 4))
-        values = [[message.value for message in proto.encode_all(range(9), HashRandomness(seed))]
+        values = [[proto.encode(v, HashRandomness(seed)).value for v in range(9)]
                   for seed in range(5)]
         _assert_kernel_is_loop(proto.rule(), values)
 
@@ -829,7 +844,7 @@ class TestAllPairsKernels:
         # fields that straddle 64-bit words included
         values = data.draw(st.lists(st.integers(0, (1 << sum(widths)) - 1), min_size=1,
                                     max_size=6))
-        table = AllPairs((), tuple(widths), None).table(values)
+        table = field_table(values, tuple(widths))
         shift = sum(widths)
         for width, row in zip(widths, table.tolist()):
             shift -= width
@@ -925,6 +940,8 @@ def _support_cases():
                                        Fraction(1, 3)), 20),
         "hashed": (hashed, 9),
         "universal": (UniversalLatticeDistance(L, 1, Fraction(1, 10)), L.n),
+        # k = 5 sizes 74-bit blocks, past the 64 of the all-pairs form
+        "universal-wide": (UniversalLatticeDistance(L, 5, Fraction(1, 10)), L.n),
         "weak": (weak, L.n),
         "equality": (EqualitySketch(6, 3), 6),
         "fixed-seed-weak": (fix_seed(weak, 3), L.n),
@@ -953,39 +970,53 @@ class TestRecordedSupports:
             proto.exact_error(0, 3)
 
 
-class TestEncodeAll:
-    """``encode_all`` is the ``encode`` loop, and reads only labels that the
-    supports of its inputs list, at their cardinalities."""
+ENCODE_TABLE_CASES = ["tree", "planar2", "sparse", "universal", "universal-wide", "weak",
+                      "fixed-seed-weak"]
 
-    @pytest.mark.parametrize("name", ["tree", "planar2", "sparse", "universal", "weak",
-                                      "fixed-seed-weak"])
+
+def _table_rnds(seeds, support):
+    """Per seed, a table of draws over the support, from ``random.Random(seed)``."""
+    tables = []
+    for seed in seeds:
+        values = random.Random(seed)
+        tables.append(TableRandomness({label: values.randrange(card) for label, card in support}))
+    return tables
+
+
+class TestEncodeAll:
+    """``encode_table`` of every labelable sketch is the base's table, the
+    width-checked ``encode`` loop, and reads only labels that the supports
+    of its inputs list, at their cardinalities."""
+
+    @pytest.mark.parametrize("name", ENCODE_TABLE_CASES)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_is_the_encode_loop_on_any_inputs(self, name, data):
         proto, n = _support_cases()[name]
         vs = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # repeats, or none
-        seed = data.draw(st.integers(-2**63, 2**63 - 1))
+        seeds = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3))
         union = merge_support(*map(proto.support, vs))
-        values = random.Random(seed)
-        table = TableRandomness({label: values.randrange(card) for label, card in union})
-        for rnd in (HashRandomness(seed), table):
-            assert proto.encode_all(vs, rnd) == [proto.encode(v, rnd) for v in vs]
+        for rnds in ([HashRandomness(seed) for seed in seeds], _table_rnds(seeds, union)):
+            want = SmpProtocol.encode_table(proto, vs, rnds)
+            assert want.shape == (len(proto.table_widths), len(rnds) * len(vs))
+            _assert_same_table(proto.encode_table(iter(vs), iter(rnds)), want)
         recorder = RecordingRandomness()
-        proto.encode_all(vs, recorder)
+        proto.encode_table(vs, [recorder])
         assert set(recorder.reads.items()) <= set(union)
 
-    @pytest.mark.parametrize("name", ["tree", "planar2", "sparse", "universal", "weak",
-                                      "fixed-seed-weak"])
+    @pytest.mark.parametrize("name", ENCODE_TABLE_CASES)
     def test_whole_universe_from_any_iterable(self, name):
         proto, n = _support_cases()[name]
-        rnd = HashRandomness(11)
-        want = [proto.encode(v, rnd) for v in range(n)]
-        assert proto.encode_all(range(n), rnd) == want
-        assert proto.encode_all(iter(range(n)), rnd) == want
-        assert proto.encode_all((), rnd) == []
+        rnds = [HashRandomness(11), HashRandomness(12)]
+        messages = [proto.encode(v, rnd) for rnd in rnds for v in range(n)]
+        want = field_table([message.value for message in messages], proto.table_widths)
+        _assert_same_table(proto.encode_table(range(n), rnds), want)
+        _assert_same_table(proto.encode_table(iter(range(n)), iter(rnds)), want)
+        assert proto.encode_table((), rnds).shape == (len(proto.table_widths), 0)
+        assert proto.encode_table(range(n), []).shape == (len(proto.table_widths), 0)
         # the rule decides every pair of the universe's messages alike either way round
-        rule = proto.rule(rnd)
-        fields = list(map(rule.fields, want))
+        rule = proto.rule(rnds[0])
+        fields = list(map(rule.fields, messages[:n]))
         assert all(rule.decide(a, b) == rule.decide(b, a) for a in fields for b in fields)
 
 

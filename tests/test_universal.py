@@ -37,12 +37,12 @@ from smplab.protocols import (
     distance_verdict,
 )
 from smplab.protocols.arboricity import color_slots_rule
-from smplab.protocols.base import Rule, SmpProtocol
+from smplab.protocols.base import Rule, SmpProtocol, field_table
 from smplab.protocols.lattice import parity_blocks_rule
 from smplab.protocols.planar import two_hop_rule
 from smplab.protocols.tree import window_rule
 from smplab.rng import HashRandomness, derive_seed
-from smplab import universal
+from smplab import lab, universal
 from smplab.universal import (
     _vote,
     LabelingScheme,
@@ -57,6 +57,11 @@ from smplab.universal import (
     positive_verdict,
     scheme_mismatches,
 )
+
+
+def want_matrix(n, want):
+    """The N×N bool matrix of ``want(i, j)`` that ``scheme_mismatches`` reads."""
+    return np.array([[want(i, j) for j in range(n)] for i in range(n)], dtype=bool).reshape(n, n)
 
 
 class OneBitEquality(SmpProtocol):
@@ -197,10 +202,16 @@ class TestDerandomizedLabeling:
     def test_mismatches_are_the_pairs_decoded_against_want(self):
         tree, _, _, scheme = self.tree_scheme()
         near = {(x, y) for x in range(16) for y in range(x, 16) if bfs_distance(tree, x, y) <= 2}
-        assert list(scheme_mismatches(scheme, lambda x, y: (x, y) in near)) == []
+        assert list(scheme_mismatches(scheme, want_matrix(16, lambda x, y: (x, y) in near))) == []
         flipped = {(0, 5), (3, 14), (7, 7), (15, 15)}
-        wrong = scheme_mismatches(scheme, lambda x, y: ((x, y) in near) != ((x, y) in flipped))
+        wrong = scheme_mismatches(scheme, want_matrix(
+            16, lambda x, y: ((x, y) in near) != ((x, y) in flipped)))
         assert list(wrong) == sorted(flipped)
+        # only the upper triangle is read: flipping pairs below it finds nothing
+        below = want_matrix(16, lambda x, y: ((x, y) in near) != (y < x))
+        assert list(scheme_mismatches(scheme, below)) == []
+        with pytest.raises(InputError, match="want must be"):
+            scheme_mismatches(scheme, np.zeros((15, 16), dtype=bool))
 
     def test_decoding_is_symmetric(self):
         _, _, _, scheme = self.tree_scheme()
@@ -478,12 +489,12 @@ class TestSettledVote:
         short = LabelingScheme(scheme.decoder, scheme.params, scheme.label_bits,
                                scheme.labels[:-1] + (Bits(0, 3),))
         with pytest.raises(InputError, match="label 15 is 3 bits"):
-            next(scheme_mismatches(short, lambda x, y: True))
+            next(scheme_mismatches(short, np.ones((16, 16), dtype=bool)))
 
 
 class CountingTree(TreeKDistance):
     """A tree sketch that counts the inputs it encodes: one per ``encode``
-    call, and one per input of an ``encode_all`` call."""
+    call, and one per input and seed of an ``encode_table`` call."""
 
     encodes = 0
 
@@ -491,10 +502,10 @@ class CountingTree(TreeKDistance):
         self.encodes += 1
         return super().encode(v, rnd)
 
-    def encode_all(self, vs, rnd):
-        vs = list(vs)
-        self.encodes += len(vs)
-        return super().encode_all(vs, rnd)
+    def encode_table(self, vs, rnds):
+        vs, rnds = list(vs), list(rnds)
+        self.encodes += len(vs) * len(rnds)
+        return super().encode_table(vs, rnds)
 
 
 def fresh_labels(protocol, xs, seeds):
@@ -593,6 +604,60 @@ class TestSharedEncodes:
         assert "_messages" not in repr(bank)
 
 
+class TestLabelTables:
+    """A label run packs its labels from the bank's seed-major message table
+    in numpy, and every verify pass cuts labels back into one such table."""
+
+    CASES = ["planar2", "sparse", "tree", "universal", "universal-wide", "weak"]
+
+    @staticmethod
+    def case(kind):
+        if kind == "weak":
+            return WeakLatticeDistance(boolean_lattice(3), 2, Fraction(1, 5)), list(range(8))
+        if kind == "universal-wide":  # k = 5 sizes 74-bit blocks, cut into words
+            return UniversalLatticeDistance(boolean_lattice(3), 5, Fraction(1, 5)), list(range(8))
+        return kernel_case(kind)
+
+    @pytest.mark.parametrize("kind", CASES)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_packed_labels_are_the_encode_loop(self, kind, m):
+        proto, xs = self.case(kind)
+        bank = SeedBank(tuple(range(40, 40 + m)), Fraction(1, 5), Fraction(1, 5))
+        table = universal._seed_table(proto, xs, bank)
+        widths = proto.table_widths
+        values = universal._label_values(table, widths, m)
+        assert values == [label.value for label in fresh_labels(proto, xs, bank.seeds)]
+        # the label cut gives the table back, and is the big-int cut
+        cut = universal._label_table(values, widths, m)
+        assert cut.dtype == table.dtype and np.array_equal(cut, table)
+        messages = oracles.seed_values(values, m, proto.cost_bits)
+        assert np.array_equal(cut, field_table([v for sent in messages for v in sent], widths))
+
+    @pytest.mark.parametrize("family,n,k", [("tree", 16, 2), ("planar2", 8, 2),
+                                            ("arboricity", 12, 1), ("hypercube", 4, 1)])
+    def test_label_run_builds_no_message_bits(self, family, n, k, tmp_path, monkeypatch):
+        built = []
+        check = Bits.__post_init__
+
+        def counted(bits):
+            built.append(bits.length)
+            check(bits)
+
+        written = []
+        write = lab.labeling_to_json
+
+        def counted_write(scheme):
+            written.append((len(built), len(scheme.labels), scheme.label_bits))
+            return write(scheme)
+
+        monkeypatch.setattr(Bits, "__post_init__", counted)
+        monkeypatch.setattr(lab, "labeling_to_json", counted_write)
+        report = label_pipeline(family, n, k, Fraction(1, 5), tmp_path, master_seed=3)
+        (count, labels, width), = written
+        # before the file is written, the only Bits are the labels themselves
+        assert count == labels == report["universe"] and built[:count] == [width] * count
+
+
 def exhaustive_bad_fraction(protocol, xs, bank):
     """Bad seeds per pair by ``run`` on every pair and seed; the worst pair is
     the first, in pair order, of those with the most."""
@@ -670,7 +735,7 @@ class CountingHash(HashRandomness):
 def _golden_label_runs(tmp_path, monkeypatch):
     """(protocol, universe, bank seeds) of each golden label file's encode."""
     runs = []
-    real = universal._seed_messages
+    real = universal._seed_table
 
     def capture(protocol, xs, bank):
         if not runs or runs[-1][0] is not protocol:
@@ -678,7 +743,7 @@ def _golden_label_runs(tmp_path, monkeypatch):
         return real(protocol, xs, bank)
 
     with monkeypatch.context() as patch:
-        patch.setattr(universal, "_seed_messages", capture)
+        patch.setattr(universal, "_seed_table", capture)
         for family, n, k in test_golden.LABEL_CASES:
             label_pipeline(family, n, k, test_golden.EPS, tmp_path,
                            master_seed=test_golden.MASTER)
@@ -688,8 +753,9 @@ def _golden_label_runs(tmp_path, monkeypatch):
 
 class TestDrawCounts:
     def test_label_encodes_draw_each_seed_and_label_once(self, tmp_path, monkeypatch):
-        """On the golden label cases, ``_seed_messages`` draws every label the
-        universe reads exactly once per bank seed, and no other label."""
+        """On the golden label cases, ``_seed_table`` draws every label the
+        universe reads exactly once per bank seed, and no other label, and
+        each seed's columns are the table of its ``encode`` loop."""
         runs = _golden_label_runs(tmp_path, monkeypatch)
         assert len(runs) == len(test_golden.LABEL_CASES) + 1
         made = []
@@ -702,36 +768,57 @@ class TestDrawCounts:
         eps = test_golden.EPS
         for protocol, xs, seeds in runs:
             made.clear()
-            messages = universal._seed_messages(protocol, xs, SeedBank(seeds, eps, eps))
+            table = universal._seed_table(protocol, xs, SeedBank(seeds, eps, eps))
             assert [rnd.seed for rnd in made] == list(seeds)
             needed = {label for v in xs for label, _ in protocol.support(v)}
-            for rnd, sent in zip(made, messages):
+            n = len(xs)
+            for s, rnd in enumerate(made):
                 assert set(rnd.drawn.values()) == {1}
                 assert set(rnd.drawn) <= needed
                 if not protocol.referee_reads_randomness:  # the weak sketch lists every vector
                     assert set(rnd.drawn) == needed
-                assert sent == [protocol.encode(v, HashRandomness(rnd.seed)) for v in xs]
+                sent = [protocol.encode(v, HashRandomness(rnd.seed)).value for v in xs]
+                assert np.array_equal(table[:, s * n:s * n + n],
+                                      field_table(sent, protocol.table_widths))
 
 
 def _one_bit_wider(proto, method):
-    """A copy of proto whose encoder ``method`` sends one bit more, on every
-    message of an ``encode_all`` call."""
+    """A copy of proto whose encoder ``method`` sends one bit more: on every
+    message of an ``encode`` call, and as one more 1-bit field of zeros on
+    every message of an ``encode_table`` call."""
     wide = copy.copy(proto)
     encode = getattr(proto, method)
-    if method == "encode_all":
-        setattr(wide, method, lambda vs, rnd: [m.concat(Bits(0, 1)) for m in encode(vs, rnd)])
+    if method == "encode_table":
+        setattr(wide, method, lambda vs, rnds: np.vstack(
+            [table := encode(vs, rnds), np.zeros((1, table.shape[1]), dtype=table.dtype)]))
     else:
         setattr(wide, method, lambda v, rnd: encode(v, rnd).concat(Bits(0, 1)))
     return wide
 
 
+def _overflowing(proto):
+    """A copy of proto whose ``encode_table`` sets, in its first field, the
+    bit just past that field's width."""
+    wide = copy.copy(proto)
+    width = proto.table_widths[0]
+
+    def encode_table(vs, rnds):
+        table = proto.encode_table(vs, rnds).astype(np.uint64)
+        table[0] |= np.uint64(1 << width)
+        return table
+
+    wide.encode_table = encode_table
+    return wide
+
+
 class TestMessageWidthsChecked:
-    """The bank check reads every message through ``Rule.value``, so an
+    """The bank checks every message's width: the base ``encode_table`` loop
+    through ``Rule.value``, and every table against ``table_widths``, so an
     encoder that drifts from its rule is refused at once, not after the
-    bank's retries.  A drifted ``encode`` reaches it through the base
-    ``encode_all`` loop (the equality toy keeps it); the planned sketches
-    derive ``encode_all`` from their plans, so their drift is put in the
-    ``encode_all`` they send and, apart, in the plan itself."""
+    bank's retries.  A drifted ``encode`` reaches it through the base loop
+    (the equality toy keeps it); the other sketches derive ``encode_table``
+    from their draws, so their drift is put in the table they send and,
+    for the planned ones, apart, in the plan itself."""
 
     TREE = TreeKDistance(random_tree(random.Random(5), 8), 2, Fraction(1, 3))
     TOY = EqualitySketch(8, 2)
@@ -750,17 +837,19 @@ class TestMessageWidthsChecked:
         assert len(attempts) == 1
 
     def test_role_free_bank(self, monkeypatch):
-        assert type(self.TOY).encode_all is SmpProtocol.encode_all
+        assert type(self.TOY).encode_table is SmpProtocol.encode_table
         self._first_attempt_refuses(_one_bit_wider(self.TOY, "encode"), monkeypatch)
 
     def test_role_free_bank_drifted_encode_all(self, monkeypatch):
         newman_seed_bank(self.TREE, 8, Fraction(1, 3), Fraction(1, 3), 1)  # undrifted passes
-        self._first_attempt_refuses(_one_bit_wider(self.TREE, "encode_all"), monkeypatch)
+        self._first_attempt_refuses(_one_bit_wider(self.TREE, "encode_table"), monkeypatch)
+        self._first_attempt_refuses(_overflowing(self.TREE), monkeypatch)
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
     def test_all_pairs_bank_drifted_encode_all(self, kind, monkeypatch):
         proto, _ = kernel_case(kind)
-        self._first_attempt_refuses(_one_bit_wider(proto, "encode_all"), monkeypatch)
+        self._first_attempt_refuses(_one_bit_wider(proto, "encode_table"), monkeypatch)
+        self._first_attempt_refuses(_overflowing(proto), monkeypatch)
 
     @pytest.mark.parametrize("kind", ["planar2", "sparse", "tree"])
     def test_all_pairs_bank_drifted_plan(self, kind, monkeypatch):
@@ -826,8 +915,8 @@ class TestAllPairsPath:
         assert calls["decide"] == 0 and calls["decide_all"] >= 2
         calls.clear()
         reread = labeling_from_json(labeling_to_json(scheme))
-        assert list(scheme_mismatches(reread, lambda x, y: positive_verdict(
-            proto.expected(xs[x], xs[y])))) == []
+        assert list(scheme_mismatches(reread, want_matrix(len(xs), lambda x, y: positive_verdict(
+            proto.expected(xs[x], xs[y]))))) == []
         assert calls["decide"] == 0 and calls["decide_all"] >= 1
 
     def test_rules_without_the_form_loop_over_decide(self):
@@ -835,7 +924,7 @@ class TestAllPairsPath:
         rule = bit_rules(2, calls)[1]
         assert rule.all_pairs is None
         values = [1, 0, 1]
-        blocks = list(rule.pair_codes([values, values[::-1]]))
+        blocks = list(rule.pair_codes(field_table(values + values[::-1], rule.table_widths), 3))
         assert len(blocks) == 2 and len(calls) == 2 * 6
         verdicts, codes = blocks[0]
         assert [verdicts[c] for c in codes[0].tolist()] == [
@@ -848,8 +937,7 @@ class TestAllPairsPath:
         # labels mix real messages of three seeds, so per-seed verdicts
         # split and, at even m, tie; both decoders must agree on every pair
         proto, xs = kernel_case(kind)
-        pool = [message for seed in range(3)
-                for message in proto.encode_all(xs[:6], HashRandomness(seed))]
+        pool = [proto.encode(v, HashRandomness(seed)) for seed in range(3) for v in xs[:6]]
         m = data.draw(st.integers(1, 6), label="m")
         n = data.draw(st.integers(1, 8), label="n")
         labels = tuple(concat_all(data.draw(st.lists(st.sampled_from(pool), min_size=m,
@@ -858,8 +946,9 @@ class TestAllPairsPath:
         scheme = mixed_scheme(proto, m, labels)
         vote = {(i, j): decode_labels(scheme, labels[i], labels[j])
                 for i in range(n) for j in range(i, n)}
-        assert list(scheme_mismatches(scheme, lambda i, j: vote[i, j])) == []
-        assert list(scheme_mismatches(scheme, lambda i, j: not vote[i, j])) == list(vote)
+        decoded = want_matrix(n, lambda i, j: vote.get((i, j), False))
+        assert list(scheme_mismatches(scheme, decoded)) == []
+        assert list(scheme_mismatches(scheme, ~decoded)) == list(vote)
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
     def test_expected_verdict_the_rule_never_returns_is_always_bad(self, kind):
@@ -886,8 +975,7 @@ class TestRowDecode:
         # split and, at even m, tie; some label values repeat, and
         # strangers meet the scheme's labels on either side
         proto, xs = kernel_case(kind)
-        pool = [message for seed in range(3)
-                for message in proto.encode_all(xs[:6], HashRandomness(seed))]
+        pool = [proto.encode(v, HashRandomness(seed)) for seed in range(3) for v in xs[:6]]
         m = data.draw(st.integers(1, 6), label="m")
         label = st.lists(st.sampled_from(pool), min_size=m, max_size=m).map(concat_all)
         own = data.draw(st.lists(label, max_size=6), label="own")
