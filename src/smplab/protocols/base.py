@@ -4,14 +4,15 @@ A protocol is an encoder and a rule: ``encode`` maps an input to a
 fixed-width bit message using labeled shared randomness, and both parties
 send it; ``rule_from_params`` (or an overridden ``rule``) maps two message
 values to a verdict.  With ``expected``, ``params`` and ``cost_bits`` that is
-the contract.  ``encode_all`` encodes many inputs under one seed; its loop
-over ``encode`` is the reference, and a labelable protocol draws each label
-the inputs read once instead and builds every message from cached
-per-input plans, returning the same messages and reading no label outside
-their supports.  A ``PlannedProtocol`` states its message once per input,
-as fields that are each a labeled draw or a fixed value; one cached
-``Plan`` per input then gives its ``encode``, its ``encode_all`` and its
-batched trial table.  ``support`` is recorded from one encode under
+the contract.  ``encode_table`` encodes many inputs under many seeds into
+one seed-major numpy table of message fields, cut at ``table_widths``;
+its width-checked loop over ``encode`` is the reference, and a labelable
+protocol draws each label the inputs read once per seed instead and
+gathers the table in numpy, returning the same table, building no
+``Bits`` and reading no label outside their supports.  A
+``PlannedProtocol`` states its message once per input, as fields that are
+each a labeled draw or a fixed value; one cached ``Plan`` per input then
+gives its ``encode``, its ``encode_table`` and its batched trial table.  ``support`` is recorded from one encode under
 ``RecordingRandomness``, and ``referee`` calls the rule, the one check of
 both message widths.  Most rules are *blind* (a fixed function of the
 messages alone, which is what lets the messages double as vertex labels in a
@@ -134,13 +135,22 @@ def word_widths(width: int) -> tuple[int, ...]:
     return (head,) + (64,) * ((width - head) // 64)
 
 
-def _word_values(table: np.ndarray) -> list[int]:
-    """The values whose ``word_widths`` fields are the table's columns."""
-    if len(table) == 1:
-        return table[0].tolist()
-    data = table.T.astype(">u8").tobytes()
-    size = 8 * len(table)
-    return [int.from_bytes(data[at:at + size], "big") for at in range(0, len(data), size)]
+def field_values(table: np.ndarray, widths: tuple[int, ...]) -> list[int]:
+    """The values whose fields of ``widths`` bits are the table's columns:
+    ``field_table`` run backwards.  Each field is shifted into its place in
+    its value's 64-bit words, where fields hold disjoint bits, so a sum is
+    their OR; then each value's words are joined."""
+    words, low, low_shift, high, high_shift, _, _ = _word_layout(widths)
+    fields = table.astype(np.uint64)
+    starts = np.searchsorted(low, np.arange(words))  # each word's first field
+    out = np.add.reduceat(fields << low_shift, starts, axis=0)
+    out[starts == np.append(starts[1:], len(low))] = 0  # a head word that only a field below runs into
+    crossing = np.flatnonzero(high_shift[:, 0])  # fields whose high bits run into the word above
+    out[np.asarray(high)[crossing]] |= fields[crossing] >> high_shift[crossing]
+    if words == 1:
+        return out[0].tolist()
+    data = out.T.astype(">u8").tobytes()
+    return [int.from_bytes(data[at:at + 8 * words], "big") for at in range(0, len(data), 8 * words)]
 
 
 class Rule(NamedTuple):
@@ -201,7 +211,7 @@ class Rule(NamedTuple):
             return
         if form is None:
             for at in range(0, table.shape[1], n):
-                yield self._loop_codes(_word_values(table[:, at:at + n]))
+                yield self._loop_codes(field_values(table[:, at:at + n], self.table_widths))
             return
         rows, cols = triu_pairs(n)
         batch = n * max(1, PAIR_CELLS // len(form.widths) // len(rows))  # columns one call holds

@@ -12,8 +12,8 @@ the indexed family ``(tag, 0) ... (tag, count - 1)`` in one call, which is
 how a seed-reading referee builds its whole table of vectors or buckets.  A
 tag may also be a flat tuple of ints and strings, a prefix: ``("idx", 2)``
 draws ``("idx", 2, 0) ... ("idx", 2, count - 1)``.  ``indexed_draws`` draws
-any index set of a family, each label once, which is how ``encode_all``
-reads every label a whole universe needs under one seed.  ``draw_plan``
+any index set of a family, each label once, which is how ``encode_table``
+reads every label a whole universe needs under each seed.  ``draw_plan``
 draws a ``DrawPlan``: labels fixed ahead of time, each once, stored with
 their cardinalities and canonical bytes (``plan_reads`` builds one from a
 message's reads), which is how a planned protocol draws one message.

@@ -5,19 +5,23 @@ randomness to a bank of seeds and a protocol becomes a labeling: sample a
 bank, verify per input pair that only a small fraction of seeds mislead
 the referee, then concatenate the per-seed messages into one label per
 vertex and decode a pair of labels by majority vote of the per-seed
-verdicts.  Each seed's messages come from one ``encode_all`` call over the
-whole universe, which draws each label once per seed, and the bank keeps
-them for the labels, so a label run encodes each seed once.  After
-verification the scheme is deterministic and exact -- zero errors on its
-instance, checked before anything is returned.
+verdicts.  Every seed's messages come from one ``encode_table`` call over
+the whole universe, which draws each label once per seed into one
+seed-major field table, and the bank keeps that table for the labels, so
+a label run encodes each seed once; the labels are packed from it in
+numpy, with no per-message ``Bits``.  After verification the scheme is
+deterministic and exact -- zero errors on its instance, checked before
+anything is returned.
 
 Checking cost: the bank check and both verify passes decide every pair
-under every seed through ``Rule.pair_codes``: one numpy kernel call per
-batch of seeds (bounded by ``PAIR_CELLS``) for the four blind rules, and
-the ``decide`` loop for rules without that form (the seed-reading weak
-rule, fields wider than 64 bits).  The expected verdicts are asked once
-per pair of a label run and kept with the bank's messages, for every bank
-attempt and the verify pass.
+under every seed through ``Rule.pair_codes`` on a field table: the bank's
+own, or the labels cut back into one by a single ``field_table`` call
+over the rule's fields repeated m times.  That is one numpy kernel call
+per batch of seeds (bounded by ``PAIR_CELLS``) for the four blind rules,
+and the ``decide`` loop for rules without that form (the seed-reading
+weak rule, fields wider than 64 bits).  The expected verdicts are asked
+once per pair of a label run and kept with the bank's table, for every
+bank attempt and the verify pass.
 
 Decoding cost: a scheme holds one rule per bank seed -- the protocol's
 rule, built once for that seed's draws, or the same blind rule m times.
@@ -50,6 +54,7 @@ from .protocols.base import (
     Verdict,
     as_fraction,
     field_table,
+    field_values,
     triu_pairs,
 )
 from .protocols.registry import PROTOCOLS
@@ -354,16 +359,11 @@ def _label_table(values: list[int], widths: tuple[int, ...], m: int) -> np.ndarr
 
 def _label_values(table: np.ndarray, widths: tuple[int, ...], m: int) -> list[int]:
     """The label values that hold a seed-major table's messages of m seeds,
-    cut at ``widths``, first seed first: every field's bits, then each
-    label's bits packed into bytes, in numpy."""
+    cut at ``widths``, first seed first: one ``field_values`` join of each
+    label's fields, the widths repeated m times."""
     n = table.shape[1] // m
-    field = np.repeat(np.arange(len(widths)), widths)  # each message bit's field
-    shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths]).astype(table.dtype)
-    bits = table[field].reshape(len(field), m, n) >> shift[:, None, None] & 1
-    bits = bits.transpose(2, 1, 0).reshape(n, m * len(field))
-    padded = np.zeros((n, -bits.shape[1] % 8 + bits.shape[1]), dtype=np.uint8)
-    padded[:, padded.shape[1] - bits.shape[1]:] = bits
-    return [int.from_bytes(row, "big") for row in np.packbits(padded, axis=1)]
+    fields = table.reshape(len(widths), m, n).transpose(1, 0, 2).reshape(m * len(widths), n)
+    return field_values(fields, widths * m)
 
 
 def _vote(rules: list[Rule], c: int, x: int, y: int) -> bool:

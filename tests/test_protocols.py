@@ -45,6 +45,7 @@ from smplab.protocols.base import (
     PlannedProtocol,
     SmpProtocol,
     field_table,
+    field_values,
     field_width,
     fields_of,
     merge_support,
@@ -849,6 +850,7 @@ class TestAllPairsKernels:
         for width, row in zip(widths, table.tolist()):
             shift -= width
             assert row == [v >> shift & ((1 << width) - 1) for v in values]
+        assert field_values(table, tuple(widths)) == values  # and joins back
 
 
 @functools.cache
