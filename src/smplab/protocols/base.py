@@ -16,8 +16,8 @@ gives its ``encode``, its ``encode_table`` and its batched trial table.  ``suppo
 ``RecordingRandomness``, and ``referee`` calls the rule, the one check of
 both message widths.  Most rules are *blind* (a fixed function of the
 messages alone, which is what lets the messages double as vertex labels in a
-fixed decision structure); others read the shared randomness
-(``referee_reads_randomness = True``) and are built per seed.
+fixed decision structure, and only those label); others read the shared
+randomness (``referee_reads_randomness = True``) and are built per trial.
 
 ``run_trials`` is the one trial loop, which decides chunks of trials in one
 all-pairs kernel call where the rule is blind and states the form (a
@@ -378,9 +378,7 @@ class SmpProtocol:
     @property
     def table_widths(self) -> tuple[int, ...]:
         """The fields ``encode_table`` cuts each message into: the blind
-        rule's ``table_widths``, or a seed-reading rule's message words."""
-        if self.referee_reads_randomness:
-            return word_widths(self.cost_bits)
+        rule's ``table_widths``."""
         return self.rule().table_widths
 
     # -- derived from the encoder and the rule ---------------------------

@@ -21,7 +21,8 @@ a small-set-difference problem, solved two ways:
 * ``UniversalLatticeDistance`` sends, per round, the parity vector of its
   hashed set occupancy.  The referee accepts iff every round's XOR has
   weight at most k - a fixed rule of the two messages alone, which is what
-  makes the messages reusable as vertex labels that one rule decodes.
+  makes the messages reusable as vertex labels that one rule decodes; the
+  weak sketch's messages, read with the draws, are not labels.
 """
 
 from __future__ import annotations
@@ -165,22 +166,6 @@ class WeakLatticeDistance(_LatticeSketch):
         for i in buckets:
             acc ^= rnd.integer(("s", i), 2**self.q)
         return Bits(acc, self.q)
-
-    def encode_table(self, vs, rnds):
-        """The base's table, with each bucket label and each vector drawn
-        once per seed."""
-        members = [self._jset[v] for v in vs]
-        values = []
-        for rnd in rnds:
-            idx = indexed_draws(rnd, "idx", set().union(*members), self.m)
-            buckets = [{idx[j] for j in js} for js in members]
-            vecs = indexed_draws(rnd, "s", set().union(*buckets), 2**self.q)
-            for hit in buckets:
-                acc = 0
-                for i in hit:
-                    acc ^= vecs[i]
-                values.append(acc)
-        return field_table(values, self.table_widths)
 
     def referee(self, ma, mb, rnd=None):
         return weak_xor_referee(ma, mb, rnd, self.m, self.q, self.k)

@@ -1,7 +1,8 @@
 """Seed banks and derandomized vertex labelings.
 
 A blind referee is a fixed function of two messages.  Fix the shared
-randomness to a bank of seeds and a protocol becomes a labeling: sample a
+randomness to a bank of seeds and a protocol with a blind referee becomes
+a labeling (one whose referee reads the seeds is refused): sample a
 bank, verify per input pair that only a small fraction of seeds mislead
 the referee, then concatenate the per-seed messages into one label per
 vertex and decode a pair of labels by majority vote of the per-seed
@@ -14,25 +15,24 @@ deterministic and exact -- zero errors on its instance, checked before
 anything is returned.
 
 Checking cost: the bank check and both verify passes decide every pair
-under every seed through ``Rule.pair_codes`` on a field table: the bank's
-own, or the labels cut back into one by a single ``field_table`` call
-over the rule's fields repeated m times.  That is one numpy kernel call
-per batch of seeds (bounded by ``PAIR_CELLS``) for the four blind rules,
-and the ``decide`` loop for rules without that form (the seed-reading
-weak rule, fields wider than 64 bits).  The expected verdicts are asked
-once per pair of a label run and kept with the bank's table, for every
-bank attempt and the verify pass.
+under every seed through the protocol's one rule, by ``Rule.pair_codes``
+on a field table: the bank's own, or the labels cut back into one by a
+single ``field_table`` call over the rule's fields repeated m times.
+That is one numpy kernel call per batch of seeds (bounded by
+``PAIR_CELLS``) for a rule with an all-pairs form, and the ``decide``
+loop for one without (fields wider than 64 bits).  The expected verdicts
+are asked once per pair of a label run and kept with the bank's table,
+for every bank attempt and the verify pass.
 
-Decoding cost: a scheme holds one rule per bank seed -- the protocol's
-rule, built once for that seed's draws, or the same blind rule m times.
-Its verdict matrix decodes every pair of its own N labels: one
-``pair_codes`` pass over all of them, as in the verify pass, which
-builds it, so a scheme ``derandomized_labeling`` returns holds it
-already.  A re-read scheme builds it on its second pair when its rule is
-blind with an all-pairs form.  Every other pair goes through the vote,
-which stops once it is settled: m // 2 + 1 ``decide`` calls on a pair
-whose seeds all agree positive, ceil(m / 2) on one whose seeds all agree
-negative, and at most m.
+Decoding cost: a scheme holds its one rule, rebuilt from its params, which
+decides every seed's messages.  Its verdict matrix decodes every pair of
+its own N labels: one ``pair_codes`` pass over all of them, as in the
+verify pass, which builds it, so a scheme ``derandomized_labeling``
+returns holds it already.  A re-read scheme builds it on its second pair
+when its rule has an all-pairs form.  Every other pair goes through the
+vote, which stops once it is settled: m // 2 + 1 ``decide`` calls on a
+pair whose seeds all agree positive, ceil(m / 2) on one whose seeds all
+agree negative, and at most m.
 """
 
 from __future__ import annotations
@@ -183,9 +183,13 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     so an expected verdict the rule never returns is bad under every seed.
     The message table and expected verdicts come from the bank's ``_Kept``
     record, so the labeling reuses them, and the table is width-checked, so
-    an encoder that drifts from its rule raises ``InputError``.  No inputs
-    raise ``InputError``.
+    an encoder that drifts from its rule raises ``InputError``.  A referee
+    that reads the shared randomness raises ``PreconditionError`` before
+    anything is encoded, and no inputs raise ``InputError``.
     """
+    if protocol.referee_reads_randomness:
+        raise PreconditionError(f"protocol {protocol.name!r} has a referee that reads the "
+                                "shared randomness; a seed bank needs a blind rule")
     xs = _input_list(inputs)
     if not xs:
         raise InputError("need at least one input")
@@ -193,33 +197,11 @@ def bank_bad_fraction(protocol: SmpProtocol, inputs, bank: SeedBank):
     table = _seed_table(protocol, xs, bank)
     keys, wanted = _expected_codes(protocol, xs, bank)
     bad = np.zeros(len(rows), dtype=np.intp)
-    for verdicts, codes in _bank_codes(protocol, bank, table, len(xs)):
+    for verdicts, codes in protocol.rule().pair_codes(table, len(xs)):
         code_of = {_verdict_key(v): c for c, v in enumerate(verdicts)}
         bad += (codes != np.array([code_of.get(key, -1) for key in keys])[wanted]).sum(axis=0)
     worst = int(np.argmax(bad))
     return Fraction(int(bad[worst]), bank.m), (xs[rows[worst]], xs[cols[worst]])
-
-
-def _bank_codes(protocol: SmpProtocol, bank: SeedBank, table: np.ndarray, n: int):
-    """``_pair_code_blocks`` of the seeds' message table: one blind rule for
-    every seed, or a seed-reading rule per seed, each built when its seed
-    comes up."""
-    if protocol.referee_reads_randomness:
-        rules = map(protocol.rule, map(HashRandomness, bank.seeds))
-    else:
-        rules = protocol.rule()
-    return _pair_code_blocks(rules, table, n)
-
-
-def _pair_code_blocks(rules, table: np.ndarray, n: int):
-    """``Rule.pair_codes`` blocks of a seed-major message table, n columns
-    per seed, in seed order.  ``rules`` is one blind rule, which decides
-    every seed in one call, or an iterable of per-seed rules, read one at a
-    time, each deciding its own seed in a call of its own."""
-    if isinstance(rules, Rule):
-        return rules.pair_codes(table, n)
-    return (block for s, rule in enumerate(rules)
-            for block in rule.pair_codes(table[:, s * n:s * n + n], n))
 
 
 def newman_seed_bank(protocol: SmpProtocol, inputs, eps, delta, rng,
@@ -270,7 +252,7 @@ class LabelingScheme:
     Treat a scheme as read-only: ``decode_labels`` and ``scheme_mismatches``
     keep what they build in one private field, ``_decoding``, that lives
     and dies with this object and takes no part in equality: a
-    ``_Decoding`` of the scheme's rules, built from its params on first
+    ``_Decoding`` of the scheme's rule, built from its params on first
     use, and, once built, the verdict matrix of its N labels, an N×N bool
     array.
     """
@@ -284,13 +266,15 @@ class LabelingScheme:
 
 @dataclass
 class _Decoding:
-    """What a scheme keeps for decoding: its rules, one per bank seed, and
-    message width c; ``index``, each label value's index (the last, where
-    values repeat: equal values decode alike), made when first needed; and
-    ``matrix``, once built, a bool array where ``matrix[i, j]`` is the
-    decoded verdict on labels i and j."""
+    """What a scheme keeps for decoding: its one blind rule, which decides
+    every bank seed's messages, its bank size m and message width c;
+    ``index``, each label value's index (the last, where values repeat:
+    equal values decode alike), made when first needed; and ``matrix``, once
+    built, a bool array where ``matrix[i, j]`` is the decoded verdict on
+    labels i and j."""
 
-    rules: list[Rule]
+    rule: Rule
+    m: int
     c: int
     index: dict[int, int] | None = None
     matrix: np.ndarray | None = None
@@ -320,9 +304,8 @@ def _labelable_class(proto_params: dict):
     return PROTOCOLS.get(name) if isinstance(name, str) else None
 
 
-def _scheme_rules(scheme: LabelingScheme) -> tuple[list[Rule], int]:
-    """The scheme's rules, one per bank seed, and its message width, from
-    its params."""
+def _scheme_rule(scheme: LabelingScheme) -> tuple[Rule, int, int]:
+    """The scheme's rule, bank size and message width, from its params."""
     if scheme.decoder != "seed-majority":
         raise InputError(f"unknown decoder {scheme.decoder!r}")
     m, c = _bank_shape(scheme.params, scheme.label_bits)
@@ -330,23 +313,10 @@ def _scheme_rules(scheme: LabelingScheme) -> tuple[list[Rule], int]:
     cls = _labelable_class(proto_params)
     if cls is None:
         raise InputError(f"protocol {proto_params.get('name')!r} cannot be decoded")
-    if cls.referee_reads_randomness:
-        seeds = scheme.params.get("seeds")
-        if not (isinstance(seeds, list) and len(seeds) == m
-                and all(type(s) is int for s in seeds)):
-            raise InputError(f"labeling seeds must be a list of {m} integers")
-        rules = [cls.rule_from_params(proto_params, HashRandomness(s)) for s in seeds]
-    else:
-        rules = [cls.rule_from_params(proto_params)] * m
-    if rules[0].width != c:
-        raise InputError(f"message_bits {c} disagrees with the {rules[0].width}-bit protocol")
-    return rules, c
-
-
-def _blind_rule(rules: list[Rule]) -> Rule | None:
-    """The one rule a scheme's rules all are, when they are one blind rule,
-    else None."""
-    return rules[0] if all(rule is rules[0] for rule in rules) else None
+    rule = cls.rule_from_params(proto_params)
+    if rule.width != c:
+        raise InputError(f"message_bits {c} disagrees with the {rule.width}-bit protocol")
+    return rule, m, c
 
 
 def _label_table(values: list[int], widths: tuple[int, ...], m: int) -> np.ndarray:
@@ -366,17 +336,16 @@ def _label_values(table: np.ndarray, widths: tuple[int, ...], m: int) -> list[in
     return field_values(fields, widths * m)
 
 
-def _vote(rules: list[Rule], c: int, x: int, y: int) -> bool:
+def _vote(rule: Rule, m: int, c: int, x: int, y: int) -> bool:
     """Strict majority of the per-seed verdicts on label values x and y.
 
-    Seed s's rule decides message s of each, in seed order, and the vote
-    stops once it is settled: True at the (m // 2 + 1)-th positive
+    The rule decides message s of each, one seed after another, and the
+    vote stops once it is settled: True at the (m // 2 + 1)-th positive
     verdict, False at the ceil(m / 2)-th negative one, so a tie is False.
     """
-    m = len(rules)
     mask = (1 << c) - 1
     yes = 0
-    for seen, (rule, shift) in enumerate(zip(rules, range((m - 1) * c, -1, -c)), 1):
+    for seen, shift in enumerate(range((m - 1) * c, -1, -c), 1):
         yes += positive_verdict(rule.decide(rule.unpack(x >> shift & mask),
                                             rule.unpack(y >> shift & mask)))
         if 2 * yes > m or 2 * (seen - yes) >= m:  # settled, at the latest by seed m
@@ -384,9 +353,9 @@ def _vote(rules: list[Rule], c: int, x: int, y: int) -> bool:
 
 
 def _scheme_decoding(scheme: LabelingScheme) -> _Decoding:
-    """The scheme's ``_Decoding``, its rules built from its params on first use."""
+    """The scheme's ``_Decoding``, its rule built from its params on first use."""
     if scheme._decoding is None:
-        object.__setattr__(scheme, "_decoding", _Decoding(*_scheme_rules(scheme)))
+        object.__setattr__(scheme, "_decoding", _Decoding(*_scheme_rule(scheme)))
     return scheme._decoding
 
 
@@ -415,12 +384,11 @@ def _verdict_matrix(scheme: LabelingScheme) -> np.ndarray:
         if label.length != scheme.label_bits:
             raise InputError(f"label {i} is {label.length} bits, not {scheme.label_bits}")
     kept = _scheme_decoding(scheme)
-    m, n = len(kept.rules), len(labels)
+    m, n = kept.m, len(labels)
     rows, cols = triu_pairs(n)
-    blind = _blind_rule(kept.rules)
-    table = _label_table([label.value for label in labels], kept.rules[0].table_widths, m)
+    table = _label_table([label.value for label in labels], kept.rule.table_widths, m)
     positives = np.zeros(len(rows), dtype=np.intp)
-    for verdicts, codes in _pair_code_blocks(kept.rules if blind is None else blind, table, n):
+    for verdicts, codes in kept.rule.pair_codes(table, n):
         positives += np.array(list(map(positive_verdict, verdicts)), dtype=bool)[codes].sum(axis=0)
     matrix = np.zeros((n, n), dtype=bool)
     matrix[rows, cols] = matrix[cols, rows] = 2 * positives > m
@@ -435,11 +403,10 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
     Pure and symmetric; a strict majority of positive verdicts decodes to
     True, everything else (ties included) to False.  A pair of two scheme
     labels reads the scheme's verdict matrix, built first when the scheme
-    holds none, its rules are one blind rule with an all-pairs form and the
-    pair is not its first.  Every other pair takes ``_vote``: the first, so
-    one decode of a freshly read file builds no matrix, strangers, and every
-    pair of a seed-reading or form-less rule, whose matrix would cost
-    N*N*m/2 ``decide`` calls.
+    holds none, its rule has an all-pairs form and the pair is not its
+    first.  Every other pair takes ``_vote``: the first, so one decode of a
+    freshly read file builds no matrix, strangers, and every pair of a
+    form-less rule, whose matrix would cost N*N*m/2 ``decide`` calls.
     """
     if lx.length != scheme.label_bits or ly.length != scheme.label_bits:
         raise InputError(
@@ -448,19 +415,17 @@ def decode_labels(scheme: LabelingScheme, lx: Bits, ly: Bits) -> bool:
         )
     x, y = lx.value, ly.value
     kept = scheme._decoding
-    if kept is None:  # the scheme's first pair builds its rules alone
+    if kept is None:  # the scheme's first pair builds its rule alone
         kept = _scheme_decoding(scheme)
-    elif kept.matrix is None:
-        blind = _blind_rule(kept.rules)
-        if blind is not None and blind.all_pairs is not None:
-            index = _label_index(scheme)
-            if x in index and y in index:
-                _verdict_matrix(scheme)
+    elif kept.matrix is None and kept.rule.all_pairs is not None:
+        index = _label_index(scheme)
+        if x in index and y in index:
+            _verdict_matrix(scheme)
     if kept.matrix is not None:
         i, j = kept.index.get(x), kept.index.get(y)
         if i is not None and j is not None:
             return kept.matrix.item(i, j)
-    return _vote(kept.rules, kept.c, x, y)
+    return _vote(kept.rule, kept.m, kept.c, x, y)
 
 
 def scheme_mismatches(scheme: LabelingScheme, want: np.ndarray):
@@ -509,8 +474,6 @@ def derandomized_labeling(protocol: SmpProtocol, inputs, bank: SeedBank,
         "bank_m": bank.m,
         "message_bits": c,
     }
-    if protocol.referee_reads_randomness:
-        params["seeds"] = list(bank.seeds)
     scheme = LabelingScheme("seed-majority", params, bank.m * c, labels)
     keys, wanted = _expected_codes(protocol, xs, bank)
     near = np.zeros((len(xs), len(xs)), dtype=bool)

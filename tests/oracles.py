@@ -559,9 +559,6 @@ class FixedSeedProtocol(SmpProtocol):
     def encode(self, v, rnd=None):
         return self.inner.encode(v, self._rnd)
 
-    def encode_table(self, vs, rnds):
-        return self.inner.encode_table(vs, [self._rnd for _ in rnds])
-
     def rule(self, rnd=None):
         return self.inner.rule(self._rnd)
 

@@ -8,7 +8,6 @@ import os
 import resource
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,15 +18,8 @@ import oracles
 from smplab.cli import main
 from smplab.gadgets import ALLGRAPHS_SOURCE_CAP, INTERVAL_ORDER_CAP
 from smplab.lab import FAMILIES, generate, instance_to_json
-from smplab.lattices import boolean_lattice
-from smplab.protocols import WeakLatticeDistance
 from smplab.bits import Bits
-from smplab.universal import (
-    derandomized_labeling,
-    labeling_from_json,
-    labeling_to_json,
-    newman_seed_bank,
-)
+from smplab.universal import labeling_from_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 1 << 30  # bytes a capped child process may map
@@ -223,6 +215,13 @@ def scheme_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def lattice_scheme_doc(scheme_dir):
+    """The hypercube label file, decoded by the universal lattice sketch's
+    blind rule."""
+    return json.loads(next(scheme_dir.glob("labels-*.json")).read_text())
+
+
 class TestLabelDecode:
     def test_label_report_printed(self, scheme_dir, capsys):
         files = list(scheme_dir.glob("labels-*.json"))
@@ -287,6 +286,23 @@ class TestLabelDecode:
         path.write_text(json.dumps(doc))
         assert run("decode", "--scheme", path, "--x", x, "--y", y) == 2
 
+    @pytest.mark.parametrize("seeds", [None, [1, 2, 3]], ids=["no-seeds", "seeds"])
+    def test_seed_reading_label_file_exit_code(self, tmp_path, capsys, seeds):
+        # the weak sketch's referee reads the shared draws, so no label file
+        # decodes by it, whether or not it lists the bank's seeds
+        params = {"protocol": {"name": "lattice-distance-weak", "k": 1, "eps": [1, 5],
+                               "n": 8, "m": 9, "q": 4},
+                  "bank_m": 3, "message_bits": 4}
+        if seeds is not None:
+            params["seeds"] = seeds
+        doc = {"decoder": "seed-majority", "params": params, "label_bits": 12,
+               "labels": ["000", "fff"]}
+        path = tmp_path / "labels-weak.json"
+        path.write_text(json.dumps(doc))
+        assert run("decode", "--scheme", path, "--x", "000", "--y", "fff") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot be decoded" in err
+
     def test_ambiguous_scheme_dir(self, scheme_dir, tmp_path):
         extra = tmp_path / "two"
         extra.mkdir()
@@ -337,31 +353,10 @@ class TestParserReuse:
         assert capped_python("-c", probe).stdout == "0\n"
 
 
-@pytest.fixture(scope="module")
-def weak_scheme_doc():
-    """The weak-lattice label file that tests/test_golden.py pins."""
-    eps = Fraction(1, 5)
-    proto = WeakLatticeDistance(boolean_lattice(3), 2, eps)
-    bank = newman_seed_bank(proto, range(8), eps, eps, 20191108)
-    return labeling_to_json(derandomized_labeling(proto, range(8), bank))
-
-
 class TestWeakSearchCapacity:
     """Oversized weak XOR searches are refused before anything is built.
     They run in a child with a capped address space: code that does build
     them fails there with a MemoryError, not by exhausting the machine."""
-
-    @pytest.mark.parametrize("change", [{"q": 70}, {"k": 9}, {"k": 0, "m": 10**12}],
-                             ids=["q70", "k9", "k0-m1e12"])
-    def test_oversized_label_file_exit_code(self, weak_scheme_doc, tmp_path, change):
-        doc = copy.deepcopy(weak_scheme_doc)
-        doc["params"]["protocol"].update(change)
-        path = tmp_path / "labels-weak.json"
-        path.write_text(json.dumps(doc))
-        x, y = doc["labels"][0], doc["labels"][7]
-        proc = capped_python("-c", CLI_MAIN, "decode", "--scheme", path, "--x", x, "--y", y)
-        assert "Traceback" not in proc.stderr
-        assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
 
     def test_oversized_run_row_reports_capacity(self, tmp_path):
         cfg = {"family": "hypercube", "n_range": [3], "k": 7, "eps": [1, 3],
@@ -379,7 +374,9 @@ class TestWidthCapacity:
     """Message and label widths from a config or a file stay under
     ``WIDTH_CAP``, and a labeled universe under ``ALL_PAIRS_CAP``; beyond
     them the command ends in exit 3 or a ``CapacityError`` row, in a child
-    with a capped address space."""
+    with a capped address space.  A label file's protocol params that no
+    message of the file fits end in exit 2 or 3 there, before the rule's
+    fields are built."""
 
     @staticmethod
     def _wide_messages(doc):
@@ -403,6 +400,20 @@ class TestWidthCapacity:
         proc = capped_python("-c", CLI_MAIN, "decode", "--scheme", path, "--x", x, "--y", y)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 3 and proc.stderr.startswith("capacity:")
+
+    @pytest.mark.parametrize("change", [{"m": 10**12}, {"rounds": 10**12},
+                                        {"k": 10**12, "rounds": 10**12}],
+                             ids=["m1e12", "rounds1e12", "k1e12-rounds1e12"])
+    def test_oversized_protocol_params_exit_code(self, lattice_scheme_doc, tmp_path, change):
+        doc = copy.deepcopy(lattice_scheme_doc)
+        doc["params"]["protocol"].update(change)
+        path = tmp_path / "labels-oversized.json"
+        path.write_text(json.dumps(doc))
+        x, y = doc["labels"][0], doc["labels"][7]
+        proc = capped_python("-c", CLI_MAIN, "decode", "--scheme", path, "--x", x, "--y", y)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (2, 3)
+        assert proc.stderr.startswith("error:" if proc.returncode == 2 else "capacity:")
 
     def test_oversized_run_row_reports_capacity(self, tmp_path):
         cfg = {"family": "hypercube", "n_range": [3], "k": 100000, "model": "universal",
@@ -519,9 +530,9 @@ class TestDocumentFuzz:
 
     @given(st.integers(0, len(FAMILIES) + 2), st.data())
     @settings(max_examples=400, deadline=None)
-    def test_damaged_document_exits_cleanly(self, tree_scheme_doc, weak_scheme_doc,
+    def test_damaged_document_exits_cleanly(self, tree_scheme_doc, lattice_scheme_doc,
                                             tmp_path_factory, which, data):
-        docs = [*_instance_documents(), tree_scheme_doc, weak_scheme_doc, _CONFIG]
+        docs = [*_instance_documents(), tree_scheme_doc, lattice_scheme_doc, _CONFIG]
         doc = copy.deepcopy(docs[which])
         path = data.draw(st.sampled_from(list(_paths(doc))))
         parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)

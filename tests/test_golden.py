@@ -19,15 +19,7 @@ import pytest
 
 from smplab.bits import Bits
 from smplab.lab import config_from_json, label_pipeline, run_experiment
-from smplab.lattices import boolean_lattice
-from smplab.protocols import WeakLatticeDistance
-from smplab.universal import (
-    decode_labels,
-    derandomized_labeling,
-    labeling_from_json,
-    labeling_to_json,
-    newman_seed_bank,
-)
+from smplab.universal import decode_labels, labeling_from_json
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 MASTER = 20191108
@@ -98,23 +90,6 @@ def label_digest(family, n, k, out_dir) -> str:
     return _sha256(label_file(family, n, k, out_dir).read_bytes())
 
 
-def weak_labeling():
-    """A weak-lattice labeling, whose file stores its bank seeds.
-
-    ``label_pipeline`` labels lattices with the universal sketch only, so
-    this one is made by ``derandomized_labeling`` directly.
-    """
-    proto = WeakLatticeDistance(boolean_lattice(3), 2, EPS)
-    bank = newman_seed_bank(proto, range(8), EPS, EPS, MASTER)
-    return derandomized_labeling(proto, range(8), bank)
-
-
-def weak_label_digest() -> str:
-    """The weak labeling serialized the way the pipeline writes its files."""
-    return _sha256((json.dumps(labeling_to_json(weak_labeling()), sort_keys=True, indent=2)
-                    + "\n").encode())
-
-
 def decode_digest(scheme) -> str:
     """The '1'/'0' verdicts of every ordered pair over the scheme's labels
     and four stranger labels drawn from ``random.Random(MASTER)``.  The
@@ -155,18 +130,10 @@ def test_label_file_digest(family, n, k, tmp_path):
     assert label_digest(family, n, k, tmp_path) == _stored()[key]
 
 
-def test_weak_label_file_digest():
-    assert weak_label_digest() == _stored()["labels-weak-boolean3-k2.json"]
-
-
 @pytest.mark.parametrize("family,n,k", LABEL_CASES)
 def test_label_file_decode_digest(family, n, k, tmp_path):
     key = f"decode-{family}-n{n}-k{k}"
     assert file_decode_digest(family, n, k, tmp_path) == _stored()[key]
-
-
-def test_weak_labeling_decode_digest():
-    assert decode_digest(weak_labeling()) == _stored()["decode-weak-boolean3-k2"]
 
 
 def test_experiment_report_digest():
@@ -185,10 +152,8 @@ def test_experiment_report_case_digest(key):
 def _write(out_dir: Path) -> None:
     digests = {f"labels-{f}-n{n}-k{k}.json": label_digest(f, n, k, out_dir)
                for f, n, k in LABEL_CASES}
-    digests["labels-weak-boolean3-k2.json"] = weak_label_digest()
     digests.update((f"decode-{f}-n{n}-k{k}", file_decode_digest(f, n, k, out_dir))
                    for f, n, k in LABEL_CASES)
-    digests["decode-weak-boolean3-k2"] = decode_digest(weak_labeling())
     digests["experiment-tree.json"] = experiment_digest()
     digests["experiment-allgraphs.csv"] = hashed_csv_digest()
     digests.update((key, report_digest(doc)) for key, doc in REPORT_CASES.items())

@@ -915,9 +915,12 @@ class TestSeedReadingRules:
             hashed.rule()
         # the hashed rule needs the whole graph, so no rule rebuilds from params
         assert HashedAdjacency.rule_from_params is None
-        # and the label decoder's registry lists only classes whose rule does
+        # and the label decoder's registry lists only classes whose blind
+        # rule does: a label file holds no seeds for a rule to read
         assert HashedAdjacency.name not in PROTOCOLS
+        assert WeakLatticeDistance.name not in PROTOCOLS
         assert all(cls.rule_from_params is not None for cls in PROTOCOLS.values())
+        assert not any(cls.referee_reads_randomness for cls in PROTOCOLS.values())
 
 
 # -- supports recorded from the encoder, referees decided by the rule ---------
@@ -972,8 +975,7 @@ class TestRecordedSupports:
             proto.exact_error(0, 3)
 
 
-ENCODE_TABLE_CASES = ["tree", "planar2", "sparse", "universal", "universal-wide", "weak",
-                      "fixed-seed-weak"]
+ENCODE_TABLE_CASES = ["tree", "planar2", "sparse", "universal", "universal-wide"]
 
 
 def _table_rnds(seeds, support):

@@ -86,6 +86,16 @@ class OneBitEquality(SmpProtocol):
         return {"name": self.name}
 
 
+def unsent(cls):
+    """A subclass of cls whose ``encode`` fails the test: a protocol that
+    must be refused before anything is encoded."""
+    class Unsent(cls):
+        def encode(self, v, rnd):
+            raise AssertionError("encoded before the protocol was checked")
+
+    return Unsent
+
+
 def accept_graph(proto):
     """The referee's accepted pairs over every message of ``cost_bits`` bits,
     as a 0/1 matrix indexed by message value."""
@@ -169,6 +179,17 @@ class TestNewmanBank:
         with pytest.raises(InputError, match="at least one input"):
             bank_bad_fraction(OneBitEquality(), [], bank)
 
+    def test_seed_reading_referees_are_refused_before_encoding(self):
+        # a referee that reads the draws cannot decode labels without the
+        # seeds, so the bank check refuses it before any message is made
+        bank = SeedBank((1, 2, 3), Fraction(1, 8), Fraction(1, 8))
+        for proto in (unsent(WeakLatticeDistance)(boolean_lattice(2), 1, Fraction(1, 8)),
+                      unsent(HashedAdjacency)(cycle_graph(4), 2)):
+            with pytest.raises(PreconditionError, match="reads the shared randomness"):
+                bank_bad_fraction(proto, 4, bank)
+            with pytest.raises(PreconditionError, match="reads the shared randomness"):
+                newman_seed_bank(proto, 4, Fraction(1, 8), Fraction(1, 8), 1)
+
     def test_empty_bank_raises_input_error(self):
         with pytest.raises(InputError, match="at least one seed"):
             SeedBank((), Fraction(1, 8), Fraction(1, 8))
@@ -237,16 +258,9 @@ class TestDerandomizedLabeling:
         # a labeling is refused before anything is encoded unless its file
         # can rebuild the rule: the protocol must be registered and its rule
         # must rebuild from its params
-        class Unsent(EqualitySketch):
-            def encode(self, v, rnd):
-                raise AssertionError("encoded before the protocol was checked")
-
-        class UnsentHashed(HashedAdjacency):
-            def encode(self, v, rnd):
-                raise AssertionError("encoded before the protocol was checked")
-
         bank = SeedBank((1, 2, 3), Fraction(1, 8), Fraction(1, 8))
-        for proto in (Unsent(4, 2), UnsentHashed(cycle_graph(4), 2)):
+        for proto in (unsent(EqualitySketch)(4, 2), unsent(HashedAdjacency)(cycle_graph(4), 2),
+                      unsent(WeakLatticeDistance)(boolean_lattice(2), 1, Fraction(1, 8))):
             with pytest.raises(PreconditionError, match="cannot be labeled"):
                 derandomized_labeling(proto, 4, bank)
 
@@ -300,41 +314,6 @@ class TestDerandomizedLabeling:
         with pytest.raises(InputError):
             decode_labels(broken, broken.labels[0], broken.labels[1])
 
-    def test_weak_labels_decode_as_the_per_seed_vote(self):
-        # one rule per bank seed against the vote as first written: slice
-        # each label per seed and run an exhaustive referee under its draws
-        L = boolean_lattice(3)
-        proto = WeakLatticeDistance(L, 2, Fraction(1, 5), m=20)
-        bank = newman_seed_bank(proto, 8, Fraction(1, 5), Fraction(1, 5), 3)
-        scheme = labeling_from_json(labeling_to_json(derandomized_labeling(proto, 8, bank)))
-        m, c, q, k = bank.m, proto.cost_bits, proto.q, proto.k
-
-        def referee(ma, mb, rnd):
-            return oracles.weak_xor_subsets(ma, mb, rnd, proto.m, q, k)
-
-        rng = random.Random(2)
-        strangers = [Bits(rng.getrandbits(scheme.label_bits), scheme.label_bits)
-                     for _ in range(3)]
-        labels = list(scheme.labels) + strangers
-        for lx in labels:
-            for ly in labels:
-                want = oracles.seed_vote_slices(referee, m, c, bank.seeds, lx, ly)
-                assert decode_labels(scheme, lx, ly) == want
-
-    def test_weak_protocol_labels_carry_their_seeds(self):
-        # the seed-reading sketch can still be derandomized: the bank seeds
-        # become part of the decoder parameters
-        L = boolean_lattice(2)
-        proto = WeakLatticeDistance(L, 1, Fraction(1, 8))
-        bank = newman_seed_bank(proto, 4, Fraction(1, 8), Fraction(1, 4), 9)
-        scheme = derandomized_labeling(proto, 4, bank)
-        assert scheme.params["seeds"] == list(bank.seeds)
-        again = labeling_from_json(json.loads(json.dumps(labeling_to_json(scheme))))
-        for x in range(4):
-            for y in range(x, 4):
-                want = lattice_distance(L, x, y) <= 1
-                assert decode_labels(again, again.labels[x], again.labels[y]) == want
-
     def test_schemes_sharing_labels_decode_by_their_own_params(self):
         # one set of label values under three parameter sets: the threshold
         # k (which changes decide) and the block shape (which changes
@@ -382,40 +361,18 @@ class TestDerandomizedLabeling:
             for ly in labels:
                 assert decode_labels(fresh, lx, ly) == decode_labels(warm, lx, ly)
 
-    def test_seed_reading_bank_check_matches_the_referee(self):
-        # one rule per seed draws the buckets once; the worst pair and its
-        # fraction must be what an exhaustive referee gives per pair and seed
-        graph = oracles.random_graph(random.Random(6), 10, p=0.25)
-        proto = HashedAdjacency(graph, 3)
-        bank = SeedBank(tuple(range(100, 112)), Fraction(1, 8), Fraction(1, 8))
-        pairs = [(x, y) for x in range(10) for y in range(x, 10)]
-        bad = {pair: 0 for pair in pairs}
-        for seed in bank.seeds:
-            rnd = HashRandomness(seed)
-            for x, y in pairs:
-                verdict = oracles.hashed_pairs(graph, 8, proto.encode(x, rnd),
-                                               proto.encode(y, rnd), rnd)
-                bad[x, y] += verdict != proto.expected(x, y)
-        worst = max(pairs, key=lambda pair: bad[pair])  # first of the worst
-        assert bad[worst] > 0
-        assert bank_bad_fraction(proto, 10, bank) == (Fraction(bad[worst], bank.m), worst)
+def bit_rule(calls=None):
+    """A one-bit rule whose verdict is positive iff the a-side bit is set:
+    accept/reject against a zero b-side bit, distance/beyond against a set
+    one.  Each decide is appended to ``calls`` when given."""
+    def decide(a, b):
+        if calls is not None:
+            calls.append((a, b))
+        if b:
+            return distance_verdict(1) if a else beyond_verdict(1)
+        return ACCEPT if a else REJECT
 
-
-def bit_rules(m, calls=None):
-    """m one-bit rules whose verdict is positive iff the a-side bit is set;
-    even seeds answer accept/reject, odd ones distance/beyond.  Each decide
-    is appended to ``calls`` when given."""
-    def rule(s):
-        yes, no = (ACCEPT, REJECT) if s % 2 == 0 else (distance_verdict(s), beyond_verdict(s))
-
-        def decide(a, b):
-            if calls is not None:
-                calls.append(s)
-            return yes if a else no
-
-        return Rule(1, int, decide)
-
-    return [rule(s) for s in range(m)]
+    return Rule(1, int, decide)
 
 
 class TestSettledVote:
@@ -423,18 +380,18 @@ class TestSettledVote:
     def test_every_verdict_pattern_is_a_strict_majority(self, m):
         # label x's bit s is seed s's verdict, so every pattern of m
         # verdicts is met, ties at even m included
-        rules = bit_rules(m)
+        rule = bit_rule()
         for pattern in range(1 << m):
             want = 2 * bin(pattern).count("1") > m
-            assert _vote(rules, 1, pattern, 0) is want
-            assert _vote(rules, 1, pattern, pattern) is want
+            assert _vote(rule, m, 1, pattern, 0) is want
+            assert _vote(rule, m, 1, pattern, pattern) is want
 
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 63])
     def test_settled_pairs_decide_half_the_seeds(self, m):
         # the vote stops at the (m // 2 + 1)-th positive verdict or the
         # ceil(m / 2)-th negative one, reading the seeds in order
         calls = []
-        rules = bit_rules(m, calls)
+        rule = bit_rule(calls)
         counts = {(1 << m) - 1: m // 2 + 1, 0: (m + 1) // 2}
         if m > 1:
             # seed 0 positive, the others negative: one call, then ceil(m / 2)
@@ -445,7 +402,7 @@ class TestSettledVote:
             counts[(1 << (m - 1)) - 1] = 1 if m <= 2 else 1 + m // 2 + 1
         for pattern, count in counts.items():
             calls.clear()
-            assert _vote(rules, 1, pattern, 0) == (2 * bin(pattern).count("1") > m)
+            assert _vote(rule, m, 1, pattern, 0) == (2 * bin(pattern).count("1") > m)
             assert len(calls) == count <= m
 
     def test_tree_label_file_decodes_as_the_per_seed_vote(self, tmp_path):
@@ -466,23 +423,6 @@ class TestSettledVote:
                 # the tree rule is blind, so the seeds handed to it do not matter
                 want = oracles.seed_vote_slices(referee, m, c, range(m), lx, ly)
                 assert decode_labels(scheme, lx, ly) == want
-
-    def test_weak_golden_labels_decode_as_the_per_seed_vote(self):
-        # the weak-lattice label file of tests/test_golden.py
-        eps = Fraction(1, 5)
-        proto = WeakLatticeDistance(boolean_lattice(3), 2, eps)
-        bank = newman_seed_bank(proto, range(8), eps, eps, 20191108)
-        scheme = labeling_from_json(labeling_to_json(derandomized_labeling(proto, range(8), bank)))
-
-        def referee(ma, mb, rnd):
-            return oracles.weak_xor_subsets(ma, mb, rnd, proto.m, proto.q, proto.k)
-
-        for lx in scheme.labels:
-            for ly in scheme.labels:
-                want = oracles.seed_vote_slices(referee, bank.m, proto.cost_bits,
-                                                bank.seeds, lx, ly)
-                assert decode_labels(scheme, lx, ly) == want
-        assert scheme._decoding.matrix is None  # a rule per seed: the vote, no matrix
 
     def test_mismatches_check_every_label_width(self):
         _, _, _, scheme = TestDerandomizedLabeling().tree_scheme()
@@ -608,12 +548,10 @@ class TestLabelTables:
     """A label run packs its labels from the bank's seed-major message table
     in numpy, and every verify pass cuts labels back into one such table."""
 
-    CASES = ["planar2", "sparse", "tree", "universal", "universal-wide", "weak"]
+    CASES = ["planar2", "sparse", "tree", "universal", "universal-wide"]
 
     @staticmethod
     def case(kind):
-        if kind == "weak":
-            return WeakLatticeDistance(boolean_lattice(3), 2, Fraction(1, 5)), list(range(8))
         if kind == "universal-wide":  # k = 5 sizes 74-bit blocks, cut into words
             return UniversalLatticeDistance(boolean_lattice(3), 5, Fraction(1, 5)), list(range(8))
         return kernel_case(kind)
@@ -747,7 +685,6 @@ def _golden_label_runs(tmp_path, monkeypatch):
         for family, n, k in test_golden.LABEL_CASES:
             label_pipeline(family, n, k, test_golden.EPS, tmp_path,
                            master_seed=test_golden.MASTER)
-        test_golden.weak_label_digest()
     return runs
 
 
@@ -757,7 +694,7 @@ class TestDrawCounts:
         universe reads exactly once per bank seed, and no other label, and
         each seed's columns are the table of its ``encode`` loop."""
         runs = _golden_label_runs(tmp_path, monkeypatch)
-        assert len(runs) == len(test_golden.LABEL_CASES) + 1
+        assert len(runs) == len(test_golden.LABEL_CASES)
         made = []
 
         def counting(seed):
@@ -774,9 +711,7 @@ class TestDrawCounts:
             n = len(xs)
             for s, rnd in enumerate(made):
                 assert set(rnd.drawn.values()) == {1}
-                assert set(rnd.drawn) <= needed
-                if not protocol.referee_reads_randomness:  # the weak sketch lists every vector
-                    assert set(rnd.drawn) == needed
+                assert set(rnd.drawn) == needed
                 sent = [protocol.encode(v, HashRandomness(rnd.seed)).value for v in xs]
                 assert np.array_equal(table[:, s * n:s * n + n],
                                       field_table(sent, protocol.table_widths))
@@ -921,7 +856,7 @@ class TestAllPairsPath:
 
     def test_rules_without_the_form_loop_over_decide(self):
         calls = []
-        rule = bit_rules(2, calls)[1]
+        rule = bit_rule(calls)
         assert rule.all_pairs is None
         values = [1, 0, 1]
         blocks = list(rule.pair_codes(field_table(values + values[::-1], rule.table_widths), 3))
@@ -984,22 +919,22 @@ class TestRowDecode:
         strangers = [lx for lx in data.draw(st.lists(label, max_size=2), label="strangers")
                      if lx not in own]
         scheme = mixed_scheme(proto, m, own)
-        rules, c = universal._scheme_rules(scheme)
+        rule, _, c = universal._scheme_rule(scheme)
         everyone = own + strangers
         for lx in everyone:
             for ly in everyone:
-                assert decode_labels(scheme, lx, ly) == _vote(rules, c, lx.value, ly.value)
+                assert decode_labels(scheme, lx, ly) == _vote(rule, m, c, lx.value, ly.value)
         if everyone:  # a pair of scheme labels after the first builds the matrix
             assert (scheme._decoding.matrix is not None) == (len(own) > 1)
 
     def test_empty_scheme_decodes_strangers_by_the_vote(self):
         proto, xs = kernel_case("tree")
         scheme = mixed_scheme(proto, 3, [])
-        rules, c = universal._scheme_rules(scheme)
+        rule, m, c = universal._scheme_rule(scheme)
         strangers = fresh_labels(proto, xs[:4], range(3))
         for lx in strangers:
             for ly in strangers:
-                assert decode_labels(scheme, lx, ly) == _vote(rules, c, lx.value, ly.value)
+                assert decode_labels(scheme, lx, ly) == _vote(rule, m, c, lx.value, ly.value)
         assert scheme._decoding.matrix is None
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
